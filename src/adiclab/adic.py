@@ -9,7 +9,6 @@ raise MaximalPrefix and callers decide how to deepen.
 import math
 from typing import NamedTuple
 
-from . import kernels
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, MIN, OrderingTable, PathPrefix, Vertex,
                    binomial, column_size, extreme_path, rank, unrank)
@@ -195,11 +194,8 @@ def kink_verify(xi: OrderingTable, p: PathPrefix, max_level: int = 64,
             raise WindowEscapesColumn(
                 f"window does not fit below level {max_level}")
         level = min(2 * level, max_level)
-    steps = bytearray(ext.steps)
-    bits = xi.bit_array(level)
-    applied = kernels.advance_path(bits, steps, r)
-    assert applied == r
-    return bytes(steps[:n]) == bytes(ext.steps[:n])
+    # the r-th successor of ext is the path of rank rk + r in its column
+    return unrank(xi, ext.terminal, rk + r).steps[:n] == ext.steps[:n]
 
 
 def _check_prime(q: int):

@@ -64,6 +64,15 @@ class UsageError(Exception):
     pass
 
 
+class BadValue(Exception):
+    """An argument value out of its range; reported as JSON, exit code 2."""
+
+
+def require_trials(args):
+    if args.trials < 1:
+        raise BadValue(f"--trials must be at least 1, got {args.trials}")
+
+
 def cmd_block(args):
     xi = args.ordering
     if args.max_mem is not None:
@@ -123,6 +132,7 @@ def cmd_odometer(args):
 
 
 def cmd_montecarlo(args):
+    require_trials(args)
     with open(args.shapes) as fh:
         doc = json.load(fh)
     mults = [tuple(tuple(r) for r in rows) for rows in doc["shapes"]]
@@ -219,6 +229,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
 
 
 def cmd_kink(args):
+    require_trials(args)
     jobs = [(args.seed, lo, hi, args.max_n, args.max_level)
             for lo, hi in _chunks(args.trials, max(args.threads, 1))]
     hits = {}
@@ -345,6 +356,9 @@ def main(argv=None):
         return 3
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
+    except BadValue as exc:
+        print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))
+        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
         return 2

@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from . import kernels
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
                    column_size, rank, unrank)
 from .errors import BlockMemoryCap, LevelBelowK, SizeCap
@@ -163,7 +162,8 @@ def basic_block_k(xi: OrderingTable, k: int, x: int, y: int) -> tuple:
     """Basic block at (x, y) over the 2^k symbols of the k-coding."""
     word = block_word_k(xi, k, x, y)
     offs = cyl_offsets(k)
-    return tuple(id_to_symbol(k, i, offs) for i in word)
+    syms = [id_to_symbol(k, i, offs) for i in range(2 ** k)]
+    return tuple(map(syms.__getitem__, word))
 
 
 def block_word_k(xi: OrderingTable, k: int, x: int, y: int) -> bytes:
@@ -198,6 +198,23 @@ def block_word_k(xi: OrderingTable, k: int, x: int, y: int) -> bytes:
         return got
 
     return get(x, y)
+
+
+def column_coding(xi: OrderingTable, x: int, y: int, k: int) -> bytes:
+    """Step masks of the first k edges of every path to (x, y), in rank order.
+
+    Bit t of a mask is set iff step t is a b step.  This is the k-block at
+    (x, y) with each cylinder id relabelled by the mask of the level-k
+    path it names, so it needs x + y >= k.
+    """
+    word = block_word_k(xi, k, x, y)
+    offs = cyl_offsets(k)
+    table = bytearray(256)
+    for ident in range(2 ** k):
+        sym = id_to_symbol(k, ident, offs)
+        steps = unrank(xi, Vertex(k - sym.m, sym.m), sym.s - 1).steps
+        table[ident] = sum(s << t for t, s in enumerate(steps))
+    return word.translate(table)
 
 
 def letters_from_k1(word) -> str:
@@ -463,7 +480,6 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     if k > L:
         raise ValueError("k <= L required")
     deep = L + delta
-    bits = xi.bit_array(deep)
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
     ranks = [rank(xi, e) for e in extended]
@@ -471,7 +487,7 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     for e in extended:
         v = e.terminal
         if v not in codings:
-            sweep = kernels.column_coding(bits, v.x, v.y, k)
+            sweep = column_coding(xi, v.x, v.y, k)
             assert len(sweep) == column_size(v)
             codings[v] = sweep
     report = FaithfulnessReport(k=k, level=L, delta=delta)

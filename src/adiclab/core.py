@@ -182,21 +182,6 @@ class OrderingTable:
             return True
         return b == (0 if step == A_STEP else 1)
 
-    def bit_array(self, max_level: int):
-        """Dense int8 bit table for the compiled kernels.
-
-        Entry [x, y] is the bit at (x, y); boundary entries are 0 and never
-        consulted by the kernels.
-        """
-        import numpy as np
-
-        n = max_level + 1
-        arr = np.zeros((n, n), dtype=np.uint8)
-        for x in range(1, max_level):
-            for y in range(1, max_level - x + 1):
-                arr[x, y] = self.bit(x, y)
-        return arr
-
     def fingerprint(self) -> str:
         """Canonical identity string, used as a cache key."""
         if self.kind == "constant":

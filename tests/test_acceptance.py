@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from adiclab import kernels
 from adiclab.adic import kink_classify, kink_verify, weakmixing_row_check
 from adiclab.bratteli import (OrderedDiagram, Shape, exact_uniform_probability,
                               is_uniformly_ordered, monte_carlo_uniform,
@@ -28,7 +27,7 @@ from adiclab.factoring import (alternation_exclusion, decode_ordering,
                                small_subshift_orderings,
                                unique_factorization_check)
 
-from conftest import WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS
+from conftest import WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, successor_sweep
 
 
 def report(criterion, text):
@@ -183,10 +182,9 @@ def test_criterion_10_unique_factorization():
 
 def test_criterion_11_complexity_oracle():
     xi0 = constant_ordering(0)
-    bits = xi0.bit_array(24)
     window_sets = {n: set() for n in range(1, 13)}
     for x in range(25):
-        sweep = kernels.column_coding(bits, x, 24 - x, 1)
+        sweep = successor_sweep(xi0, x, 24 - x, 1)
         s = np.frombuffer(sweep, dtype=np.uint8)
         size = len(s)
         for n in range(1, 13):

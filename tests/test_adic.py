@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                           kink_return_time, kink_verify, minimal_continuation,
@@ -9,7 +11,7 @@ from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
 from adiclab.coding import CylSymbol, basic_block, basic_block_k, letters_from_k1
 from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
-                          rank, seeded_ordering)
+                          rank, seeded_ordering, unrank)
 from adiclab.errors import (KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, WindowEscapesColumn)
 
@@ -156,6 +158,49 @@ def test_kink_verify_sampled_and_nonvacuous():
                 broken.add(case)
     assert len(seen) == 8
     assert broken == set(seen)  # r_n is sharp in at least one case per class
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**63 - 1),
+       st.lists(st.integers(0, 1), min_size=1, max_size=16),
+       st.integers(0, 40))
+def test_successor_power_is_unrank_shift(seed, steps, count):
+    xi = seeded_ordering(seed)
+    p = PathPrefix(tuple(steps))
+    v, r0 = p.terminal, rank(xi, p)
+    for r in range(1, count + 1):
+        if r0 + r == column_size(v):
+            with pytest.raises(MaximalPrefix):
+                successor(xi, p)
+            break
+        p = successor(xi, p)
+        assert p == unrank(xi, v, r0 + r)
+
+
+def successor_kink_oracle(xi, p, offset):
+    """kink_verify with every iterate taken by the successor, one at a time."""
+    n = len(p) - 2
+    r = kink_return_time(kink_classify(xi, p), n, p.vertex_at(n).y) + offset
+    level = len(p)
+    while True:
+        ext = q = minimal_continuation(xi, p, level)
+        try:
+            for _ in range(r):
+                q = successor(xi, q)
+        except MaximalPrefix:
+            level *= 2
+            continue
+        return q.steps[:n] == ext.steps[:n]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(-1, 1))
+def test_kink_verify_agrees_with_successor_iteration(seed, trial, offset):
+    from adiclab.cli import sample_kink_configuration
+
+    xi, p = sample_kink_configuration(seed, trial, 7)
+    assert kink_verify(xi, p, offset=offset) == \
+        successor_kink_oracle(xi, p, offset)
 
 
 def test_minimal_continuation_leaves_boundary():

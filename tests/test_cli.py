@@ -102,11 +102,26 @@ def test_montecarlo_command(tmp_path, capsys):
     assert abs(doc["levels"][0]["frequency"] - 0.5) < 0.15
 
 
+def test_montecarlo_rejects_zero_trials(tmp_path, capsys):
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps({"shapes": [[[1, 1], [1, 1]]]}))
+    code, out = run(capsys, ["montecarlo", "--shapes", str(path),
+                             "--trials", "0", "--seed", "5"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
 def test_kink_command(capsys):
     code, out = run(capsys, ["kink", "--trials", "40", "--seed", "3"])
     doc = json.loads(out)
     assert code == 0
     assert doc["failures"] == 0
+
+
+def test_kink_rejects_zero_trials(capsys):
+    code, out = run(capsys, ["kink", "--trials", "0", "--seed", "3"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
 
 
 def test_smallshift_command(capsys):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
-                            big_language_count, complexity, enumerate_blocks,
+                            big_language_count, column_coding, complexity,
+                            enumerate_blocks,
                             faithfulness_probe, iter_restricted_blocks,
                             language_words, letters_from_k1,
                             project_symbol_to_letter, stabilized_complexity,
@@ -12,7 +13,7 @@ from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
 from adiclab.errors import BlockMemoryCap, LevelBelowK, SizeCap
 from adiclab.factoring import small_subshift_orderings
 
-from conftest import WORKED_BLOCK, seeds
+from conftest import WORKED_BLOCK, seeds, successor_sweep
 
 
 def brute_language(xi, n, L):
@@ -132,6 +133,24 @@ def test_basic_block_k_projects_to_letters():
 def test_basic_block_k1_is_letter_naming():
     xi = seeded_ordering(31)
     assert letters_from_k1(basic_block_k(xi, 1, 3, 2)) == basic_block(xi, 3, 2)
+
+
+def test_column_coding_matches_successor_sweep():
+    for xi in seeds(5) + [constant_ordering(0), constant_ordering(1)]:
+        for level in range(1, 13):
+            for x in range(level + 1):
+                for k in range(1, min(level, 3) + 1):
+                    assert column_coding(xi, x, level - x, k) == \
+                        successor_sweep(xi, x, level - x, k), (xi, x, k)
+
+
+def test_column_coding_k1_is_basic_block():
+    for xi in seeds(3, base=30):
+        for level in range(1, 11):
+            for x in range(level + 1):
+                sweep = column_coding(xi, x, level - x, 1)
+                assert "".join("ab"[c] for c in sweep) == \
+                    basic_block(xi, x, level - x)
 
 
 def test_enumerate_blocks_counts():
