@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import OrderingTable
+from .core import OrderingTable, ordered_parents
 from .errors import ShapeMismatch
 
 
@@ -275,23 +275,41 @@ class MonteCarloReport:
         return sums
 
 
+def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
+    """Per shape, how many of the keyed trials lo..hi-1 order it uniformly.
+
+    Trial t draws its orders from (seed, t) alone, so splitting a trial
+    range into chunks and summing the hits gives the same counts.
+    """
+    hits = []
+    for lvl_idx, shape in enumerate(shapes):
+        edges = [shape.in_edges(t) for t in range(shape.target_count)]
+        count = 0
+        for trial in range(lo, hi):
+            words = tuple(_keyed_rng_perm(seed, trial, lvl_idx, t, edges[t])
+                          for t in range(shape.target_count))
+            if uniform_base(words) is not None:
+                count += 1
+        hits.append(count)
+    return hits
+
+
+def monte_carlo_report(shapes, trials: int, seed: int,
+                       hits) -> MonteCarloReport:
+    """Report of per-shape `hits` over `trials` trials, with exact values
+    where computable."""
+    return MonteCarloReport(seed, [
+        MonteCarloLevel(shape, trials, h, exact_uniform_probability(shape))
+        for shape, h in zip(shapes, hits)])
+
+
 def monte_carlo_uniform(shapes, trials: int, seed: int) -> MonteCarloReport:
     """Empirical uniform-level frequency per shape, with exact values and
     Borel-Cantelli partial sums where computable."""
     if trials < 1:
         raise ValueError("trials >= 1")
-    report = MonteCarloReport(seed=seed)
-    for lvl_idx, shape in enumerate(shapes):
-        hits = 0
-        for trial in range(trials):
-            words = tuple(
-                _keyed_rng_perm(seed, trial, lvl_idx, t, shape.in_edges(t))
-                for t in range(shape.target_count))
-            if uniform_base(words) is not None:
-                hits += 1
-        report.levels.append(MonteCarloLevel(shape, trials, hits,
-                                             exact_uniform_probability(shape)))
-    return report
+    return monte_carlo_report(shapes, trials, seed,
+                              uniform_hits(shapes, seed, 0, trials))
 
 
 @dataclass(frozen=True)
@@ -356,8 +374,8 @@ def shape_process(alphabet, weights, N: int, seed: int) -> ShapeProcessReport:
 def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:
     """The Pascal graph to level L as an ordered diagram.
 
-    Vertex (x, y) at level n gets id y; interior coding words follow the
-    bit at (x, y): bit 0 lists the (x, y-1) parent first.
+    Vertex (x, y) at level n gets id y; interior coding words list the
+    parents in `ordered_parents` order.
     """
     levels = []
     for n in range(1, L + 1):
@@ -368,9 +386,8 @@ def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:
                 words.append((0,))
             elif x == 0:
                 words.append((n - 1,))
-            elif xi.bit(x, y) == 0:
-                words.append((y - 1, y))
             else:
-                words.append((y, y - 1))
+                words.append(tuple(q for _, q in
+                                   ordered_parents(x, y, xi.bit(x, y))))
         levels.append(tuple(words))
     return OrderedDiagram(tuple(levels))

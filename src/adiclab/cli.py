@@ -19,9 +19,10 @@ from .coding import basic_block, block_store, stabilized_complexity, symbol_cens
 from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
                    seeded_ordering, unrank)
 from .errors import (AdiclabError, BlockMemoryCap, BoundExceeded, CapExceeded,
-                     SizeCap)
+                     LevelBelowK, MissingBit, SizeCap)
 
 CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, BoundExceeded, MemoryError)
+INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK)
 
 
 def load_ordering(text: str) -> OrderingTable:
@@ -68,16 +69,21 @@ class BadValue(Exception):
     """An argument value out of its range; reported as JSON, exit code 2."""
 
 
-def require_trials(args):
-    if args.trials < 1:
-        raise BadValue(f"--trials must be at least 1, got {args.trials}")
+def require_at_least(flag, value, low):
+    if value < low:
+        raise BadValue(f"{flag} must be at least {low}, got {value}")
 
 
 def cmd_block(args):
     xi = args.ordering
+    x, y = args.x, args.y
+    require_at_least("--x", x, 0)
+    require_at_least("--y", y, 0)
+    require_at_least("--x + --y", x + y, 1)
+    if args.k is not None and not 1 <= args.k <= 8:
+        raise BadValue(f"--k must be between 1 and 8, got {args.k}")
     if args.max_mem is not None:
         block_store(xi, args.max_mem << 20)
-    x, y = args.x, args.y
     doc = {"vertex": [x, y], "length": binomial(x + y, x)}
     if args.k in (None, 1):
         word = basic_block(xi, x, y)
@@ -109,6 +115,8 @@ def cmd_decode(args):
 
 
 def cmd_complexity(args):
+    require_at_least("--nmin", args.nmin, 1)
+    require_at_least("--level", args.level, 1)
     xi = args.ordering
     rows = [("n", "count", "stabilized", "level")]
     doc = {"ordering": xi.fingerprint(), "rows": []}
@@ -132,32 +140,24 @@ def cmd_odometer(args):
 
 
 def cmd_montecarlo(args):
-    require_trials(args)
+    require_at_least("--trials", args.trials, 1)
     with open(args.shapes) as fh:
         doc = json.load(fh)
-    mults = [tuple(tuple(r) for r in rows) for rows in doc["shapes"]]
-    shapes = [bratteli.Shape(m) for m in mults]
-    jobs = [(mults, lo, hi, args.seed)
+    shapes = [bratteli.Shape(tuple(tuple(r) for r in rows))
+              for rows in doc["shapes"]]
+    jobs = [(shapes, args.seed, lo, hi)
             for lo, hi in _chunks(args.trials, max(args.threads, 1))]
-    hits = [0] * len(shapes)
-    for part in _run_parallel(_montecarlo_worker, jobs, args.threads):
-        hits = [a + b for a, b in zip(hits, part)]
-    exacts = [bratteli.exact_uniform_probability(s) for s in shapes]
-    sums = []
-    acc = 0
-    for e in exacts:
-        if e is None:
-            break
-        acc += e
-        sums.append(acc)
+    parts = _run_parallel(bratteli.uniform_hits, jobs, args.threads)
+    report = bratteli.monte_carlo_report(shapes, args.trials, args.seed,
+                                         map(sum, zip(*parts)))
     rows = [("level", "frequency", "exact")]
     out = {"seed": args.seed, "trials": args.trials, "levels": [],
-           "partial_sums": [str(s) for s in sums]}
-    for idx, (h, e) in enumerate(zip(hits, exacts)):
-        exact = str(e) if e is not None else None
-        out["levels"].append({"level": idx, "frequency": h / args.trials,
-                              "uniform": h, "exact": exact})
-        rows.append((idx, h / args.trials, exact))
+           "partial_sums": [str(s) for s in report.partial_sums]}
+    for idx, lvl in enumerate(report.levels):
+        exact = str(lvl.exact) if lvl.exact is not None else None
+        out["levels"].append({"level": idx, "frequency": lvl.frequency,
+                              "uniform": lvl.uniform_hits, "exact": exact})
+        rows.append((idx, lvl.frequency, exact))
     emit(args, out, table=rows)
     return 0
 
@@ -167,8 +167,7 @@ def _chunks(total: int, parts: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _kink_worker(args):
-    seed, lo, hi, max_n, max_level = args
+def _kink_worker(seed, lo, hi, max_n, max_level):
     hits = {}
     failures = 0
     for trial in range(lo, hi):
@@ -180,30 +179,13 @@ def _kink_worker(args):
     return hits, failures
 
 
-def _montecarlo_worker(args):
-    mults, lo, hi, seed = args
-    import adiclab.bratteli as bratteli_mod
-
-    shapes = [bratteli_mod.Shape(m) for m in mults]
-    hits = [0] * len(shapes)
-    for lvl_idx, shape in enumerate(shapes):
-        edges = [shape.in_edges(t) for t in range(shape.target_count)]
-        for trial in range(lo, hi):
-            words = tuple(
-                bratteli_mod._keyed_rng_perm(seed, trial, lvl_idx, t, edges[t])
-                for t in range(shape.target_count))
-            if bratteli_mod.uniform_base(words) is not None:
-                hits[lvl_idx] += 1
-    return hits
-
-
 def _run_parallel(worker, jobs, threads):
     if threads <= 1 or len(jobs) <= 1:
-        return [worker(j) for j in jobs]
+        return [worker(*j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+        return list(pool.map(worker, *zip(*jobs)))
 
 
 def sample_kink_configuration(seed: int, trial: int, max_n: int):
@@ -221,7 +203,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
     j = n - i
     prefix = unrank(xi, Vertex(i, j), rng.randrange(column_size(Vertex(i, j))))
     # exactly one branch direction makes the edge into (i+1, j+1) minimal
-    if xi.bit(i + 1, j + 1) == 0:
+    if xi.min_parent(Vertex(i + 1, j + 1)) == (i + 1, j):
         steps = (0, 1)
     else:
         steps = (1, 0)
@@ -229,7 +211,8 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
 
 
 def cmd_kink(args):
-    require_trials(args)
+    require_at_least("--trials", args.trials, 1)
+    require_at_least("--max-n", args.max_n, 2)
     jobs = [(args.seed, lo, hi, args.max_n, args.max_level)
             for lo, hi in _chunks(args.trials, max(args.threads, 1))]
     hits = {}
@@ -266,6 +249,7 @@ _SMALL_ORBITS = re.compile(r"a*|b*|a*ba*|b*ab*")
 
 
 def cmd_smallshift(args):
+    require_at_least("--n", args.n, 1)
     xi, xi_prime = factoring.small_subshift_orderings()
     common = sorted(factoring.intersection_probe(xi, xi_prime, args.n,
                                                  args.level))
@@ -349,6 +333,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_mem is not None:
+            require_at_least("--max-mem", args.max_mem, 1)
         return args.func(args)
     except CAP_ERRORS as exc:
         print(json.dumps({"error": str(exc), "kind": "resource-cap"},
@@ -359,7 +345,7 @@ def main(argv=None):
     except BadValue as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
         return 2
 

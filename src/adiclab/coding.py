@@ -2,21 +2,23 @@
 
 The basic block at (x, y) is the word over {a, b} built by concatenating
 the two parent blocks in the order the bit at (x, y) dictates; row and
-column vertices carry the one-letter blocks "a" and "b".  The language of
-an ordering is approximated from below by the set of fixed-length windows
-seen in basic blocks up to a level bound; windows inside deep blocks are
-collected without materializing them, from child prefixes and suffixes
-around each concatenation junction.
+column vertices carry the one-letter blocks "a" and "b".  Blocks of the
+k-coding follow the same recurrence down to the cylinder ids at level k.
+The language of an ordering is approximated from below by the set of
+fixed-length windows seen in basic blocks up to a level bound; windows
+inside deep blocks are collected without materializing them, from child
+prefixes and suffixes around each concatenation junction.
 """
 
 import itertools
-import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, rank, unrank)
+                   column_size, explicit_ordering, ordered_parents, rank,
+                   unrank)
 from .errors import BlockMemoryCap, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
@@ -49,95 +51,86 @@ def id_to_symbol(k: int, ident: int, offs=None) -> CylSymbol:
     return CylSymbol(k, m, ident - offs[m] + 1)
 
 
-class BlockStore:
-    """Memo of basic blocks for one ordering, with a byte budget.
+#: Base words of the letter coding, at (1, 0) and (0, 1).
+LETTERS = ("a", "b")
 
-    When the ADICLAB_CACHE_DIR environment variable is set, blocks above
-    the spill threshold are also written there (keyed by the ordering
-    fingerprint) and recovered on later runs.
+#: Base words of the k-coding, indexed by k <= 8: the ids of the paths to
+#: each level-k vertex (k - m, m), listed by m.
+CYLINDER_IDS = tuple(
+    tuple(bytes(range(offs[m], offs[m + 1])) for m in range(len(offs) - 1))
+    for offs in map(cyl_offsets, range(9)))
+
+
+class BlockStore:
+    """Memo of the basic blocks of one ordering, under one byte budget.
+
+    A block is the concatenation of the blocks at the two parents of its
+    vertex, in `ordered_parents` order, down to base words at one level k:
+    `base[m]` is the word at (k - m, m), and the boundary vertices above
+    level k repeat the words at (k, 0) and (0, k).  `LETTERS` is the base
+    of the letter blocks; `CYLINDER_IDS[k]` is the base of the k-coding.
+    Blocks over every base share one memo, and each insert is checked
+    against `max_bytes`.  Construction runs from an explicit stack, one
+    thread at a time.
     """
 
-    SPILL_THRESHOLD = 1 << 16
-
     def __init__(self, xi: OrderingTable, max_bytes: int = DEFAULT_MEMORY_CAP):
-        import threading
-
         self.xi = xi
         self.max_bytes = max_bytes
         self.bytes_used = 0
-        self._memo = {}
-        self._build_lock = threading.Lock()  # construction serialized
-        cache_root = os.environ.get("ADICLAB_CACHE_DIR")
-        self._cache_dir = None
-        if cache_root:
-            import hashlib
+        self._memos = {}  # base -> {(x, y): block}
+        self._build_lock = threading.Lock()
 
-            tag = hashlib.blake2b(xi.fingerprint().encode(), digest_size=8).hexdigest()
-            self._cache_dir = os.path.join(cache_root, tag)
-            os.makedirs(self._cache_dir, exist_ok=True)
-
-    def _disk_path(self, x, y):
-        return os.path.join(self._cache_dir, f"{x}_{y}.txt")
-
-    def _remember(self, key, word):
-        self.bytes_used += len(word)
-        if self.bytes_used > self.max_bytes:
-            raise BlockMemoryCap(
-                f"block memo would exceed {self.max_bytes} bytes")
-        self._memo[key] = word
-        if self._cache_dir and len(word) >= self.SPILL_THRESHOLD:
-            path = self._disk_path(*key)
-            if not os.path.exists(path):
-                with open(path, "w") as fh:
-                    fh.write(word)
-
-    def block(self, x: int, y: int) -> str:
+    def block(self, x: int, y: int, base: tuple = LETTERS):
+        """The block at (x, y) over `base`; its length is C(x+y, x) when
+        (x, y) lies above the base level."""
         if x < 0 or y < 0 or (x == 0 and y == 0):
             raise ValueError(f"no basic block at ({x}, {y})")
+        k = len(base) - 1
+        if x + y < k:
+            raise LevelBelowK(f"({x},{y}) is below level {k}")
         if y == 0:
-            return "a"
+            return base[0]
         if x == 0:
-            return "b"
-        memo = self._memo
-        got = memo.get((x, y))
-        if got is not None:
-            return got
+            return base[k]
+        if x + y == k:
+            return base[y]
+        memo = self._memos.get(base)
+        if memo is not None and (x, y) in memo:
+            return memo[(x, y)]
         with self._build_lock:
-            return self._build(x, y)
+            return self._build(x, y, base)
 
-    def _build(self, x, y):
-        memo = self._memo
+    def _build(self, x, y, base):
+        memo = self._memos.setdefault(base, {})
+        k = len(base) - 1
+        bit = self.xi.bit
         stack = [(x, y)]
         while stack:
             u, v = stack[-1]
             if (u, v) in memo:
                 stack.pop()
                 continue
-            if self._cache_dir:
-                path = self._disk_path(u, v)
-                if os.path.exists(path):
-                    with open(path) as fh:
-                        self._remember((u, v), fh.read())
-                    stack.pop()
-                    continue
-            if self.xi.bit(u, v) == 0:
-                first, second = (u, v - 1), (u - 1, v)
-            else:
-                first, second = (u - 1, v), (u, v - 1)
             parts = []
-            ready = True
-            for (p, q) in (first, second):
+            for p, q in ordered_parents(u, v, bit(u, v)):
                 if q == 0:
-                    parts.append("a")
+                    parts.append(base[0])
                 elif p == 0:
-                    parts.append("b")
+                    parts.append(base[k])
+                elif p + q == k:
+                    parts.append(base[q])
                 elif (p, q) in memo:
                     parts.append(memo[(p, q)])
                 else:
                     stack.append((p, q))
-                    ready = False
-            if ready:
-                self._remember((u, v), parts[0] + parts[1])
+            if len(parts) == 2:
+                word = parts[0] + parts[1]
+                used = self.bytes_used + len(word)
+                if used > self.max_bytes:
+                    raise BlockMemoryCap(
+                        f"block memo would exceed {self.max_bytes} bytes")
+                self.bytes_used = used
+                memo[(u, v)] = word
                 stack.pop()
         return memo[(x, y)]
 
@@ -146,7 +139,8 @@ def block_store(xi: OrderingTable, max_bytes: Optional[int] = None) -> BlockStor
     """The store attached to xi (created on first use)."""
     store = getattr(xi, "_block_store", None)
     if store is None:
-        store = BlockStore(xi, max_bytes or DEFAULT_MEMORY_CAP)
+        store = BlockStore(xi, DEFAULT_MEMORY_CAP if max_bytes is None
+                           else max_bytes)
         xi._block_store = store
     elif max_bytes is not None:
         store.max_bytes = max_bytes
@@ -170,34 +164,7 @@ def block_word_k(xi: OrderingTable, k: int, x: int, y: int) -> bytes:
     """Same block with symbols packed as small integer ids (k <= 8)."""
     if k < 1 or k > 8:
         raise ValueError("1 <= k <= 8")
-    if x + y < k:
-        raise LevelBelowK(f"({x},{y}) is below level {k}")
-    memos = getattr(xi, "_k_block_memos", None)
-    if memos is None:
-        memos = xi._k_block_memos = {}
-    memo = memos.setdefault(k, {})
-    offs = cyl_offsets(k)
-
-    def base(u, v):
-        return bytes(range(offs[v], offs[v] + binomial(k, v)))
-
-    def get(u, v):
-        if u + v == k:
-            return base(u, v)
-        if v == 0:
-            return base(k, 0)
-        if u == 0:
-            return base(0, k)
-        got = memo.get((u, v))
-        if got is None:
-            if xi.bit(u, v) == 0:
-                got = get(u, v - 1) + get(u - 1, v)
-            else:
-                got = get(u - 1, v) + get(u, v - 1)
-            memo[(u, v)] = got
-        return got
-
-    return get(x, y)
+    return block_store(xi).block(x, y, CYLINDER_IDS[k])
 
 
 def column_coding(xi: OrderingTable, x: int, y: int, k: int) -> bytes:
@@ -269,7 +236,8 @@ def iter_restricted_blocks(x: int, y: int, bit_budget: int = 20):
     """Yield (bits, block) over all restricted orderings of the (x, y) box.
 
     Restricted means the rows into (u, 1) and (1, v) are ordered left to
-    right, so only the bits at (u, v) with u, v >= 2 vary.
+    right, which is the explicit table's default bit 0, so only the bits
+    at (u, v) with u, v >= 2 vary.
     """
     if x < 1 or y < 1:
         raise ValueError("x, y >= 1")
@@ -278,18 +246,7 @@ def iter_restricted_blocks(x: int, y: int, bit_budget: int = 20):
         raise SizeCap(f"{len(free)} free bits exceed budget {bit_budget}")
     for choice in itertools.product((0, 1), repeat=len(free)):
         bits = dict(zip(free, choice))
-        table = {}
-        for u in range(1, x + 1):
-            table[(u, 1)] = "a" * u + "b"
-        for v in range(1, y + 1):
-            table[(1, v)] = "a" + "b" * v
-        for u in range(2, x + 1):
-            for v in range(2, y + 1):
-                if bits[(u, v)] == 0:
-                    table[(u, v)] = table[(u, v - 1)] + table[(u - 1, v)]
-                else:
-                    table[(u, v)] = table[(u - 1, v)] + table[(u, v - 1)]
-        yield bits, table[(x, y)]
+        yield bits, basic_block(explicit_ordering(bits, x + y), x, y)
 
 
 def enumerate_blocks(x: int, y: int, bit_budget: int = 20) -> set:
@@ -352,10 +309,7 @@ class _LanguageScan:
                 continue
             for x in range(1, lvl):
                 y = lvl - x
-                if self.xi.bit(x, y) == 0:
-                    c1, c2 = (x, y - 1), (x - 1, y)
-                else:
-                    c1, c2 = (x - 1, y), (x, y - 1)
+                c1, c2 = ordered_parents(x, y, self.xi.bit(x, y))
                 if binomial(lvl, x) <= self.short_cap:
                     text = self._child_text(c1) + self._child_text(c2)
                     self._short[(x, y)] = text

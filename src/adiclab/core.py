@@ -96,6 +96,17 @@ class PathPrefix:
         return f"PathPrefix({self.word()!r})"
 
 
+def ordered_parents(x: int, y: int, bit) -> tuple:
+    """The two parents of interior (x, y), smaller incoming edge first.
+
+    Bit 0 puts the edge from (x, y-1) first, bit 1 the edge from (x-1, y).
+    Every block recurrence concatenates along this order.
+    """
+    if bit == 0:
+        return (x, y - 1), (x - 1, y)
+    return (x - 1, y), (x, y - 1)
+
+
 def _seeded_bit(seed: int, x: int, y: int, threshold: int) -> int:
     # Counter-based: a keyed hash of (seed, x, y), so lazy queries in any
     # order agree and parallel traversals are reproducible.
@@ -160,14 +171,14 @@ class OrderingTable:
             return Vertex(0, v.y - 1)
         if v.y == 0:
             return Vertex(v.x - 1, 0)
-        return Vertex(v.x - 1, v.y) if self.bit(v.x, v.y) == 1 else Vertex(v.x, v.y - 1)
+        return Vertex(*ordered_parents(v.x, v.y, self.bit(v.x, v.y))[0])
 
     def max_parent(self, v: Vertex) -> Vertex:
         if v.x == 0:
             return Vertex(0, v.y - 1)
         if v.y == 0:
             return Vertex(v.x - 1, 0)
-        return Vertex(v.x, v.y - 1) if self.bit(v.x, v.y) == 1 else Vertex(v.x - 1, v.y)
+        return Vertex(*ordered_parents(v.x, v.y, self.bit(v.x, v.y))[1])
 
     def step_is_minimal(self, step: int, target: Vertex) -> bool:
         """Is the edge entering `target` via `step` minimal?"""

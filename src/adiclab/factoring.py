@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
-from .core import OrderingTable, Vertex, binomial, rule_ordering
+from .core import (OrderingTable, Vertex, binomial, ordered_parents,
+                   rule_ordering)
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
                      LevelBelowK, ParseError)
 
@@ -89,10 +90,7 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict):
     old = bits.setdefault((u, v), bit)
     if old != bit:
         raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
-    if bit == 0:
-        first, second = (u, v - 1), (u - 1, v)
-    else:
-        first, second = (u - 1, v), (u, v - 1)
+    first, second = ordered_parents(u, v, bit)
     cut = lo + binomial(first[0] + first[1], first[0])
     _decode_segment(w, lo, cut, first[0], first[1], bits)
     _decode_segment(w, cut, hi, second[0], second[1], bits)
@@ -149,12 +147,8 @@ def factor_block(xi: OrderingTable, k: int, source, m: int):
         if u + v == m:
             vertices.append(Vertex(u, v))
             return
-        if xi.bit(u, v) == 0:
-            unroll(u, v - 1)
-            unroll(u - 1, v)
-        else:
-            unroll(u - 1, v)
-            unroll(u, v - 1)
+        for parent in ordered_parents(u, v, xi.bit(u, v)):
+            unroll(*parent)
 
     unroll(x, y)
     if k == 1:
@@ -169,10 +163,7 @@ def _blocks_by_level(xi, k, levels):
         words = {}
         for x in range(lvl + 1):
             y = lvl - x
-            if k == 1:
-                word = basic_block(xi, x, y) if 0 < x < lvl else ("a" if y == 0 else "b")
-            else:
-                word = block_word_k(xi, k, x, y)
+            word = basic_block(xi, x, y) if k == 1 else block_word_k(xi, k, x, y)
             words[word] = Vertex(x, y)
         table[lvl] = words
     return table
@@ -697,8 +688,7 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
     corpus = []
     for n in range(1, L + 1):
         for x in range(n + 1):
-            corpus.append(basic_block(xi, x, n - x) if 0 < x < n
-                          else ("a" if n - x == 0 else "b"))
+            corpus.append(basic_block(xi, x, n - x))
     longest = max(map(len, corpus))
     report = PeriodicReport(p, L, window_len)
 

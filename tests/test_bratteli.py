@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiclab.bratteli import (OrderedDiagram, OrderedShape,
                               Shape, exact_uniform_probability,
@@ -10,6 +12,7 @@ from adiclab.bratteli import (OrderedDiagram, OrderedShape,
                               odometer_certificate, pascal_as_diagram,
                               random_ordering, shape_process, telescope,
                               uniform_base, vertex_coding)
+from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
 from adiclab.errors import ShapeMismatch
 
@@ -254,6 +257,16 @@ def test_pascal_as_diagram_matches_core():
             word = vertex_coding(d, n, cur)
             assert ids[n - 1] == cur
             cur = word[0]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(2, 10))
+def test_telescoped_pascal_diagram_spells_basic_blocks(seed, L):
+    # word substitution in telescope against the block store's memo
+    xi = seeded_ordering(seed)
+    top = telescope(pascal_as_diagram(xi, L), [0, 1, L]).codings[1]
+    for y in range(L + 1):
+        assert "".join("ab"[s] for s in top[y]) == basic_block(xi, L - y, y)
 
 
 def test_uniform_base_helper():

@@ -100,6 +100,9 @@ def test_montecarlo_command(tmp_path, capsys):
     assert code == 0
     assert doc["levels"][0]["exact"] == "1/2"
     assert abs(doc["levels"][0]["frequency"] - 0.5) < 0.15
+    # chunked over two worker processes, the keyed trials give equal hits
+    assert run(capsys, ["montecarlo", "--shapes", str(path), "--trials",
+                        "400", "--seed", "5", "--threads", "2"]) == (0, out)
 
 
 def test_montecarlo_rejects_zero_trials(tmp_path, capsys):
@@ -139,10 +142,42 @@ def test_alternation_cap_exit_code(capsys):
 
 
 def test_block_memory_cap_exit_code(capsys):
-    code, out = run(capsys, ["block", "--ordering", "seeded:6",
-                             "--x", "14", "--y", "14", "--max-mem", "1"])
-    assert code == 3
-    assert json.loads(out)["kind"] == "resource-cap"
+    for vertex in (["--x", "14", "--y", "14"],
+                   ["--x", "11", "--y", "11", "--k", "3"]):
+        code, out = run(capsys, ["block", "--ordering", "seeded:6", *vertex,
+                                 "--max-mem", "1"])
+        assert code == 3
+        assert json.loads(out)["kind"] == "resource-cap"
+
+
+BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["block", "--ordering", "constant0", "--x", "0", "--y", "0"], "usage"),
+    (["block", "--ordering", "constant0", "--x", "-1", "--y", "3"], "usage"),
+    (["block", "--ordering", "constant0", "--x", "2", "--y", "2", "--k", "9"],
+     "usage"),
+    (["block", "--ordering", "constant0", "--x", "2", "--y", "2", "--k", "0"],
+     "usage"),
+    (["block", "--ordering", "seeded:6", "--x", "2", "--y", "2",
+      "--max-mem", "0"], "usage"),
+    (["block", "--ordering", "constant0", "--x", "1", "--y", "1", "--k", "3"],
+     "input"),
+    (["block", "--ordering", BOUNDED_SPEC, "--x", "3", "--y", "3"], "input"),
+    (["complexity", "--ordering", "constant0", "--nmin", "0", "--nmax", "2"],
+     "usage"),
+    (["complexity", "--ordering", "constant0", "--nmin", "1", "--nmax", "2",
+      "--level", "0"], "usage"),
+    (["kink", "--trials", "5", "--seed", "1", "--max-n", "1"], "usage"),
+    (["smallshift", "--n", "0"], "usage"),
+])
+def test_bad_input_is_a_json_error(capsys, argv, kind):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["kind"] == kind
+    assert "Traceback" not in captured.err
 
 
 def test_missing_file_exit_code(capsys):

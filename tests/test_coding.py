@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
-                            big_language_count, column_coding, complexity,
+                            big_language_count, block_store, block_word_k,
+                            column_coding, complexity,
                             enumerate_blocks,
                             faithfulness_probe, iter_restricted_blocks,
                             language_words, letters_from_k1,
@@ -89,19 +90,17 @@ def test_block_memory_cap():
     store = BlockStore(xi, max_bytes=100)
     with pytest.raises(BlockMemoryCap):
         store.block(6, 6)
-
-
-def test_block_store_disk_spill(tmp_path, monkeypatch):
-    monkeypatch.setenv("ADICLAB_CACHE_DIR", str(tmp_path))
-    xi = seeded_ordering(5)
-    store = BlockStore(xi)
-    store.SPILL_THRESHOLD = 16
-    word = store.block(4, 4)
-    files = list(tmp_path.rglob("*.txt"))
-    assert files
-    fresh = BlockStore(xi)
-    fresh.SPILL_THRESHOLD = 16
-    assert fresh.block(4, 4) == word
+    assert store.bytes_used <= 100
+    # k-blocks share the budget of the ordering's store
+    xi = seeded_ordering(98)
+    block_store(xi, 100)
+    with pytest.raises(BlockMemoryCap):
+        block_word_k(xi, 3, 6, 6)
+    # a zero budget stays zero on a fresh store
+    xi = seeded_ordering(97)
+    assert block_store(xi, 0).max_bytes == 0
+    with pytest.raises(BlockMemoryCap):
+        basic_block(xi, 2, 2)
 
 
 def test_basic_block_k_base_enumeration():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiclab.coding import basic_block, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
@@ -74,6 +76,17 @@ def test_decode_roundtrip_sampled_to_6():
         vertex, table = decode_ordering(word)
         assert vertex == Vertex(6, 6)
         assert all(table.bit(u, v) == b for (u, v), b in bits.items())
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**25 - 1))
+def test_decode_inverts_basic_block(x, y, mask):
+    free = [(u, v) for u in range(2, x + 1) for v in range(2, y + 1)]
+    bits = {uv: mask >> i & 1 for i, uv in enumerate(free)}
+    word = basic_block(explicit_ordering(bits, x + y), x, y)
+    vertex, table = decode_ordering(word)
+    assert vertex == Vertex(x, y)
+    assert {uv: table.bit(*uv) for uv in free} == bits
 
 
 def test_decode_rejects_corrupt_words():
