@@ -15,7 +15,7 @@ from math import factorial
 from typing import Optional
 
 from .core import OrderingTable, ordered_parents
-from .errors import ShapeMismatch
+from .errors import MalformedInput, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class OrderedDiagram:
     @classmethod
     def from_json(cls, text: str) -> "OrderedDiagram":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or "coding" not in doc:
+            raise MalformedInput('a diagram is a JSON object with a "coding" field')
         codings = tuple(tuple(tuple(word) for word in level)
                         for level in doc["coding"])
         diagram = cls(codings)

@@ -19,10 +19,11 @@ from .coding import basic_block, block_store, stabilized_complexity, symbol_cens
 from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
                    seeded_ordering, unrank)
 from .errors import (AdiclabError, BlockMemoryCap, BoundExceeded, CapExceeded,
-                     LevelBelowK, MissingBit, SizeCap)
+                     LevelBelowK, MalformedInput, MissingBit, SizeCap)
 
 CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, BoundExceeded, MemoryError)
-INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK)
+INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
+                MalformedInput)
 
 
 def load_ordering(text: str) -> OrderingTable:
@@ -143,6 +144,8 @@ def cmd_montecarlo(args):
     require_at_least("--trials", args.trials, 1)
     with open(args.shapes) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "shapes" not in doc:
+        raise MalformedInput('a shapes file is a JSON object with a "shapes" field')
     shapes = [bratteli.Shape(tuple(tuple(r) for r in rows))
               for rows in doc["shapes"]]
     jobs = [(shapes, args.seed, lo, hi)
@@ -230,7 +233,7 @@ def cmd_kink(args):
 def cmd_alternation(args):
     verdict = factoring.alternation_exclusion(args.max_level, args.j)
     xi, xi_prime = factoring.small_subshift_orderings()
-    emit(args, {
+    doc = {
         "j": args.j,
         "verdict": "EXCLUDED" if verdict.excluded else "NOT-EXCLUDED",
         "exact_level": verdict.exact_level,
@@ -241,7 +244,11 @@ def cmd_alternation(args):
             "ab_power": basic_block(xi, 3, 3),
             "ba_power": basic_block(xi_prime, 3, 3),
         },
-    })
+    }
+    if not verdict.excluded:
+        doc.update(witness_level=verdict.witness_level,
+                   witness_state=verdict.witness_state._asdict())
+    emit(args, doc)
     return 0 if verdict.excluded else 1
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
                    column_size, explicit_ordering, ordered_parents, rank,
                    unrank)
-from .errors import BlockMemoryCap, LevelBelowK, SizeCap
+from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
 
@@ -153,8 +153,16 @@ def basic_block(xi: OrderingTable, x: int, y: int) -> str:
 
 
 def basic_block_k(xi: OrderingTable, k: int, x: int, y: int) -> tuple:
-    """Basic block at (x, y) over the 2^k symbols of the k-coding."""
+    """Basic block at (x, y) over the 2^k symbols of the k-coding.
+
+    The tuple holds one pointer per symbol; it must fit in the block
+    store's budget beside the memo, but is not charged to it.
+    """
     word = block_word_k(xi, k, x, y)
+    store = block_store(xi)
+    if store.bytes_used + 8 * len(word) > store.max_bytes:
+        raise CapExceeded(f"{len(word)} symbols at 8 bytes each would exceed "
+                          f"the {store.max_bytes}-byte block budget")
     offs = cyl_offsets(k)
     syms = [id_to_symbol(k, i, offs) for i in range(2 ** k)]
     return tuple(map(syms.__getitem__, word))

@@ -76,5 +76,9 @@ class BlockMemoryCap(AdiclabError):
     """The basic-block memo would exceed its memory budget."""
 
 
+class MalformedInput(AdiclabError):
+    """A JSON input file lacks a field its command reads."""
+
+
 class InvalidPeriodWord(AdiclabError):
     """Candidate period word must use both letters."""

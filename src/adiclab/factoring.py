@@ -10,6 +10,7 @@ common subshift.
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
@@ -323,26 +324,15 @@ def _flip(c: str) -> str:
 
 def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
     """State of a concatenation from the states of its parts (exact for
-    every decision below the cap)."""
-    chain = s1.rc != s2.lc
-    maxab = max(s1.maxab, s2.maxab)
-    maxba = max(s1.maxba, s2.maxba)
-    if chain:
-        jstart = s1.rc if s1.rl % 2 == 1 else _flip(s1.rc)
-        ab, ba = _run_contrib(jstart, s1.rl + s2.ll)
-        maxab = max(maxab, ab)
-        maxba = max(maxba, ba)
-    if s1.full and chain:
-        ll = min(s1.ll + s2.ll, cap)
-    else:
-        ll = s1.ll
-    if s2.full and chain:
-        rl = min(s1.rl + s2.rl, cap)
-    else:
-        rl = s2.rl
-    return AltState(s1.full and s2.full and chain, s1.lc, ll, s2.rc, rl,
-                    min(maxab, cap), min(maxba, cap))
+    every decision below the cap; caps up to 31)."""
+    if cap > 31:
+        raise CapExceeded("packed states support caps up to 31")
+    return _unpack(_combine_packed(_pack(s1), _pack(s2), cap))
 
+
+# A packed state holds `full` in bit 0, lc == "b" in bit 1, rc == "b" in
+# bit 2, then ll, rl, maxab and maxba in five bits each from bit 3, 8, 13
+# and 18 (23 bits in all).
 
 def _pack(s: AltState) -> int:
     return (int(s.full) | (s.lc == "b") << 1 | (s.rc == "b") << 2
@@ -355,19 +345,39 @@ def _unpack(v: int) -> AltState:
                     (v >> 18) & 31)
 
 
-class _Combiner:
-    """Memoized packed-state combination."""
+def _combine_packed(a: int, b: int, cap: int) -> int:
+    """Packed state of u v from the packed states a of u and b of v."""
+    ll, rl = (a >> 3) & 31, (b >> 8) & 31
+    maxab = max((a >> 13) & 31, (b >> 13) & 31)
+    maxba = max((a >> 18) & 31, (b >> 18) & 31)
+    full = 0
+    if ((a >> 2) ^ (b >> 1)) & 1:
+        # u's last letter differs from v's first: u's alternating suffix
+        # and v's alternating prefix form one run across the junction,
+        # which starts with u's last letter iff that suffix has odd length
+        suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
+        starts_b = ((a >> 2) ^ suffix ^ 1) & 1
+        maxab = max(maxab, suffix + prefix - starts_b)
+        maxba = max(maxba, suffix + prefix - 1 + starts_b)
+        if a & 1:
+            ll = min(ll + prefix, cap)
+        if b & 1:
+            rl = min(suffix + rl, cap)
+        full = a & b & 1
+    return (full | a & 2 | b & 4 | ll << 3 | rl << 8
+            | min(maxab, cap) << 13 | min(maxba, cap) << 18)
+
+
+class _Combiner(dict):
+    """Memo of packed-state combination under one cap: comb[a << 24 | b]
+    is the packed state of a word with state a followed by one with b."""
 
     def __init__(self, cap):
+        super().__init__()
         self.cap = cap
-        self.memo = {}
 
-    def __call__(self, a: int, b: int) -> int:
-        key = a << 24 | b
-        got = self.memo.get(key)
-        if got is None:
-            got = _pack(combine_alt(_unpack(a), _unpack(b), self.cap))
-            self.memo[key] = got
+    def __missing__(self, key: int) -> int:
+        got = self[key] = _combine_packed(key >> 24, key & 0xFFFFFF, self.cap)
         return got
 
 
@@ -375,36 +385,44 @@ def _boundary_states(cap):
     return _pack(alt_state("a", cap)), _pack(alt_state("b", cap))
 
 
-def _phase1_exact(j: int, level: int, cap: int):
+def _flagged(state: int, need: int) -> bool:
+    return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
+
+
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
+def _phase1_exact(j: int, level: int, comb: _Combiner):
     """Exhaust all orderings to `level`; True iff no block holds both
-    (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings."""
+    (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings.
+
+    Each interior vertex has one candidate state per bit, and the next
+    vectors are every combination of them.  The flag check meets a
+    vector's bit-0 states by ascending x, then its bit-1 states, and the
+    next vectors are inserted in the order of the bit patterns (the bit at
+    x = 1 varying fastest): the witness is the first flagged state a loop
+    over every bit pattern of every vector would meet.
+    """
     need = 2 * j
-    comb = _Combiner(cap)
-    sa, sb = _boundary_states(cap)
+    sa, sb = _boundary_states(comb.cap)
     vectors = {()}
     for n in range(2, level + 1):
-        interior = n - 1
         nxt = set()
         for vec in vectors:
-            for bits in range(1 << interior):
-                new = []
-                for x in range(1, n):
-                    y = n - x
-                    p_b = sa if y - 1 == 0 else vec[x - 1]
-                    p_a = sb if x - 1 == 0 else vec[x - 2]
-                    if (bits >> (x - 1)) & 1:
-                        state = comb(p_a, p_b)
-                    else:
-                        state = comb(p_b, p_a)
-                    if (state >> 13) & 31 >= need and (state >> 18) & 31 >= need:
-                        return False, n, _unpack(state)
-                    new.append(state)
-                nxt.add(tuple(new))
+            ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
+            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
+            for state in zero + one:
+                if _flagged(state, need):
+                    return False, n, _unpack(state)
+            options = [(s0,) if s0 == s1 else (s0, s1)
+                       for s0, s1 in zip(reversed(zero), reversed(one))]
+            nxt.update(map(_REVERSED, itertools.product(*options)))
         vectors = nxt
     return True, level, None
 
 
-def _phase2_reachable(j: int, level: int, cap: int):
+def _phase2_reachable(j: int, level: int, comb: _Combiner):
     """Sibling-consistent reachable state pairs, propagated level by level.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
@@ -416,59 +434,63 @@ def _phase2_reachable(j: int, level: int, cap: int):
     single ordering can realize.  A vertex state is flagged when it could
     contain both patterns, i.e. maxab >= 2j and maxba >= 2j.
 
-    Returns (excluded, reach) with reach mapping each vertex to the set
-    of packed states seen for it.
+    Each pair's two children (one per bit at the child vertex) are
+    computed once and grouped by the pair's left and right state; the
+    pairs at an interior position are then the union over middle states
+    m of (children of pairs ending in m) x (children of pairs starting
+    with m).
+
+    Returns (excluded, reach, witness): reach maps each vertex to the set
+    of packed states seen for it; witness is None, or (level, state) for
+    the first flagged level, its flagged vertex of least y and that
+    vertex's least flagged packed state.
     """
     need = 2 * j
-    comb = _Combiner(cap)
-    sa, sb = _boundary_states(cap)
+    sa, sb = _boundary_states(comb.cap)
     reach = {(1, 0): {sa}, (0, 1): {sb}}
-    excluded = True
+    witness = None
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1)
     pairs = [{(sa, sb)}]
     for n in range(1, level):
-        by_first = []
+        by_left, by_right = [], []
         for cur in pairs:
-            d = {}
+            left, right = {}, {}
             for a, b in cur:
-                d.setdefault(a, set()).add(b)
-            by_first.append(d)
-
-        def children(s_prev, s_cur):
-            # both bit choices at the child whose parents carry these states
-            return comb(s_prev, s_cur), comb(s_cur, s_prev)
-
-        new_pairs = []
-        for i in range(n + 1):
-            cur = set()
-            if i == 0:
-                for s0, s1 in pairs[0]:
-                    for c in children(s0, s1):
-                        cur.add((sa, c))
-            elif i == n:
-                for sm, sn in pairs[n - 1]:
-                    for c in children(sm, sn):
-                        cur.add((c, sb))
-            else:
-                for s_im1, s_i in pairs[i - 1]:
-                    for s_ip1 in by_first[i].get(s_i, ()):
-                        left = children(s_im1, s_i)
-                        right = children(s_i, s_ip1)
-                        for c1 in left:
-                            for c2 in right:
-                                cur.add((c1, c2))
-            new_pairs.append(cur)
-        pairs = new_pairs
+                kids = comb[a << 24 | b], comb[b << 24 | a]
+                left.setdefault(a, set()).update(kids)
+                right.setdefault(b, set()).update(kids)
+            by_left.append(left)
+            by_right.append(right)
+        # new pairs and their left and right projections, by position
+        first = set().union(*by_left[0].values())
+        last = set().union(*by_right[n - 1].values())
+        pairs = [{(sa, c) for c in first}]
+        lproj, rproj = [{sa}], [first]
+        for i in range(1, n):
+            cur, lo, hi = set(), set(), set()
+            left = by_left[i]
+            for m, rs in by_right[i - 1].items():
+                ls = left.get(m)
+                if ls is not None:
+                    cur.update(itertools.product(rs, ls))
+                    lo |= rs
+                    hi |= ls
+            pairs.append(cur)
+            lproj.append(lo)
+            rproj.append(hi)
+        pairs.append({(c, sb) for c in last})
+        lproj.append(last)
+        rproj.append({sb})
         reach[(n + 1, 0)] = {sa}
         reach[(0, n + 1)] = {sb}
-        for i, cur in enumerate(pairs):
-            for a, b in cur:
-                for pos, v in ((i, a), (i + 1, b)):
-                    if 0 < pos < n + 1:
-                        reach.setdefault((n + 1 - pos, pos), set()).add(v)
-                        if (v >> 13) & 31 >= need and (v >> 18) & 31 >= need:
-                            excluded = False
-    return excluded, reach
+        for pos in range(1, n + 1):
+            states = lproj[pos] | rproj[pos - 1]
+            reach[(n + 1 - pos, pos)] = states
+            if witness is None:
+                hits = [s for s in states if _flagged(s, need)]
+                if hits:
+                    witness = n + 1, _unpack(min(hits))
+    return witness is None, reach, witness
 
 
 @dataclass
@@ -492,25 +514,30 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
 
     Phase 1 exhausts every ordering up to min(L, exact_level) exactly;
     phase 2 propagates sibling-consistent reachable run states to level L
-    and checks that no state can hold both patterns at once.
+    and checks that no state can hold both patterns at once.  A flagged
+    verdict carries its witness: phase 1's first flagged level and state
+    (a state some block realizes) when phase 1 flags, else phase 2's.
     """
     if 2 * j + 1 > cap:
         raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap {cap}")
     if cap > 31:
         raise CapExceeded("packed states support caps up to 31")
     e_level = min(L, exact_level)
-    exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, cap)
-    dp_ok, _ = _phase2_reachable(j, L, cap)
+    comb = _Combiner(cap)
+    exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, comb)
+    dp_ok, _, dp_witness = _phase2_reachable(j, L, comb)
     verdict = ExclusionVerdict(j, e_level, L, exact_ok, dp_ok)
     if not exact_ok:
         verdict.witness_level = wit_level
         verdict.witness_state = wit_state
+    elif not dp_ok:
+        verdict.witness_level, verdict.witness_state = dp_witness
     return verdict
 
 
 def reachable_alt_states(L: int, cap: int = ALT_CAP):
     """Phase-2 reachable sets as AltState tuples, for soundness probes."""
-    _, reach = _phase2_reachable(1, L, cap)
+    _, reach, _ = _phase2_reachable(1, L, _Combiner(cap))
     return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 

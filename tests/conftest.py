@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from adiclab.core import PathPrefix, Vertex, explicit_ordering, seeded_ordering
+from adiclab.factoring import _pack, _unpack, alt_state, combine_alt
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -96,3 +97,105 @@ def successor_sweep(xi, x, y, k):
         out.append(sym)
         if _successor_inplace(bit, steps, n) < 0:
             return bytes(out)
+
+
+# Reference alternation searches: the plain loops over every bit pattern
+# (phase 1) and over every pair of neighbouring pairs (phase 2), with their
+# own memo over `combine_alt`.
+
+def _reference_combiner(cap):
+    memo = {}
+
+    def comb(a, b):
+        key = a << 24 | b
+        got = memo.get(key)
+        if got is None:
+            got = _pack(combine_alt(_unpack(a), _unpack(b), cap))
+            memo[key] = got
+        return got
+
+    sa, sb = _pack(alt_state("a", cap)), _pack(alt_state("b", cap))
+    return comb, sa, sb
+
+
+def _reference_flagged(state, need):
+    return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
+
+
+def phase1_reference(j, level, cap):
+    """(excluded, witness level, witness state) by trying every bit pattern
+    at every level, on every state vector."""
+    need = 2 * j
+    comb, sa, sb = _reference_combiner(cap)
+    vectors = {()}
+    for n in range(2, level + 1):
+        interior = n - 1
+        nxt = set()
+        for vec in vectors:
+            for bits in range(1 << interior):
+                new = []
+                for x in range(1, n):
+                    y = n - x
+                    p_b = sa if y - 1 == 0 else vec[x - 1]
+                    p_a = sb if x - 1 == 0 else vec[x - 2]
+                    if (bits >> (x - 1)) & 1:
+                        state = comb(p_a, p_b)
+                    else:
+                        state = comb(p_b, p_a)
+                    if _reference_flagged(state, need):
+                        return False, n, _unpack(state)
+                    new.append(state)
+                nxt.add(tuple(new))
+        vectors = nxt
+    return True, level, None
+
+
+def phase2_reference(j, level, cap):
+    """(excluded, reach) by joining every pair of neighbouring state pairs
+    on their shared middle state, one left neighbour at a time."""
+    need = 2 * j
+    comb, sa, sb = _reference_combiner(cap)
+    reach = {(1, 0): {sa}, (0, 1): {sb}}
+    excluded = True
+    # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1)
+    pairs = [{(sa, sb)}]
+    for n in range(1, level):
+        by_first = []
+        for cur in pairs:
+            d = {}
+            for a, b in cur:
+                d.setdefault(a, set()).add(b)
+            by_first.append(d)
+
+        def children(s_prev, s_cur):
+            return comb(s_prev, s_cur), comb(s_cur, s_prev)
+
+        new_pairs = []
+        for i in range(n + 1):
+            cur = set()
+            if i == 0:
+                for s0, s1 in pairs[0]:
+                    for c in children(s0, s1):
+                        cur.add((sa, c))
+            elif i == n:
+                for sm, sn in pairs[n - 1]:
+                    for c in children(sm, sn):
+                        cur.add((c, sb))
+            else:
+                for s_im1, s_i in pairs[i - 1]:
+                    for s_ip1 in by_first[i].get(s_i, ()):
+                        for c1 in children(s_im1, s_i):
+                            for c2 in children(s_i, s_ip1):
+                                cur.add((c1, c2))
+            new_pairs.append(cur)
+        pairs = new_pairs
+        reach[(n + 1, 0)] = {sa}
+        reach[(0, n + 1)] = {sb}
+        for i, cur in enumerate(pairs):
+            for a, b in cur:
+                for pos, v in ((i, a), (i + 1, b)):
+                    if 0 < pos < n + 1:
+                        reach.setdefault((n + 1 - pos, pos), set()).add(v)
+                        if _reference_flagged(v, need):
+                            excluded = False
+    return excluded, reach

@@ -141,6 +141,18 @@ def test_alternation_cap_exit_code(capsys):
     assert json.loads(out)["kind"] == "resource-cap"
 
 
+def test_alternation_witness_keys(capsys):
+    code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "3"])
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "NOT-EXCLUDED"
+    assert doc["witness_level"] == 5
+    assert doc["witness_state"]["maxab"] >= 6
+    assert doc["witness_state"]["maxba"] >= 6
+    code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "9"])
+    assert code == 0
+    assert "witness_level" not in json.loads(out)
+
+
 def test_block_memory_cap_exit_code(capsys):
     for vertex in (["--x", "14", "--y", "14"],
                    ["--x", "11", "--y", "11", "--k", "3"]):
@@ -171,9 +183,15 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
       "--level", "0"], "usage"),
     (["kink", "--trials", "5", "--seed", "1", "--max-n", "1"], "usage"),
     (["smallshift", "--n", "0"], "usage"),
+    (["odometer", "--diagram", "{tmp}/shapes.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/diagram.json", "--trials", "5",
+      "--seed", "1"], "input"),
 ])
-def test_bad_input_is_a_json_error(capsys, argv, kind):
-    code = main(argv)
+def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
+    # a file of each JSON kind, handed to the command that reads the other
+    (tmp_path / "shapes.json").write_text('{"shapes": [[[1, 1]]]}')
+    (tmp_path / "diagram.json").write_text('{"coding": [[[0]]]}')
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out)["kind"] == kind

@@ -11,7 +11,7 @@ from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             project_symbol_to_letter, stabilized_complexity,
                             symbol_census)
 from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
-from adiclab.errors import BlockMemoryCap, LevelBelowK, SizeCap
+from adiclab.errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 from adiclab.factoring import small_subshift_orderings
 
 from conftest import WORKED_BLOCK, seeds, successor_sweep
@@ -96,6 +96,18 @@ def test_block_memory_cap():
     block_store(xi, 100)
     with pytest.raises(BlockMemoryCap):
         block_word_k(xi, 3, 6, 6)
+    # the symbol tuple (8 bytes a symbol) must fit beside the memo, and
+    # is not charged to it
+    xi = seeded_ordering(6)
+    store = block_store(xi, 2_000_000)
+    block_word_k(xi, 3, 10, 10)
+    used = store.bytes_used
+    assert 8 * binomial(20, 10) < 2_000_000 < used + 8 * binomial(20, 10)
+    with pytest.raises(CapExceeded):
+        basic_block_k(xi, 3, 10, 10)
+    block_store(xi, 3_000_000)
+    assert len(basic_block_k(xi, 3, 10, 10)) == binomial(20, 10)
+    assert store.bytes_used == used
     # a zero budget stays zero on a fresh store
     xi = seeded_ordering(97)
     assert block_store(xi, 0).max_bytes == 0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from adiclab.coding import basic_block, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError
-from adiclab.factoring import (CDToken, CondensedForm,
+from adiclab.factoring import (ALT_CAP, CDToken, CondensedForm, _Combiner,
+                               _phase1_exact, _phase2_reachable,
                                alt_state, alternation_exclusion, combine_alt,
                                condense_concat, condensed_form, decode_ordering,
                                decompose_CD, factor_block,
@@ -17,7 +18,8 @@ from adiclab.factoring import (CDToken, CondensedForm,
                                run_context_report, small_subshift_orderings,
                                unique_factorization_check)
 
-from conftest import WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, seeds
+from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
+                      phase1_reference, phase2_reference, seeds)
 
 
 def test_decompose_worked_example():
@@ -187,6 +189,23 @@ def test_alt_state_combine_matches_direct():
         assert combine_alt(alt_state(u), alt_state(v)) == alt_state(u + v)
 
 
+def _alternating(first, length):
+    return ((first + ("b" if first == "a" else "a")) * length)[:length]
+
+
+# words made of a few alternating stretches, long enough to saturate
+_ALTERNATING_WORDS = st.lists(
+    st.builds(_alternating, st.sampled_from("ab"), st.integers(1, 45)),
+    min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ALTERNATING_WORDS, _ALTERNATING_WORDS, st.integers(3, 19))
+def test_combine_alt_is_alt_state_of_concatenation(u, v, cap):
+    assert combine_alt(alt_state(u, cap), alt_state(v, cap), cap) == \
+        alt_state(u + v, cap)
+
+
 def test_alt_state_of_extremal_alternation_blocks():
     xi, xi_prime = small_subshift_orderings()
     s = alt_state(basic_block(xi, 3, 3))
@@ -208,6 +227,38 @@ def test_alternation_exclusion_negative_control():
     assert not verdict.exact_excluded
     assert verdict.witness_level == 5
     assert verdict.witness_state.maxab >= 6 and verdict.witness_state.maxba >= 6
+
+
+def test_alternation_phase2_witness():
+    # phase 1 stops at level 4, below the first level where (ab)^3 and
+    # (ba)^3 meet, so the witness comes from phase 2
+    verdict = alternation_exclusion(7, 3, exact_level=4)
+    assert verdict.exact_excluded and not verdict.dp_excluded
+    assert verdict.witness_level == 5
+    state = verdict.witness_state
+    assert state.maxab >= 6 and state.maxba >= 6
+    reach = reachable_alt_states(5)
+    assert any(state in reach[(5 - y, y)] for y in range(1, 5))
+    # no flagged state is reachable one level lower
+    assert not any(s.maxab >= 6 and s.maxba >= 6
+                   for y in range(1, 4) for s in reach[(4 - y, y)])
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 9])
+def test_phase1_matches_reference(j):
+    # j = 9 never flags, so every vector set to level 6 is built
+    for level in range(4, 8 if j < 9 else 7):
+        assert _phase1_exact(j, level, _Combiner(ALT_CAP)) == \
+            phase1_reference(j, level, ALT_CAP)
+
+
+@pytest.mark.parametrize("j", [1, 3, 9])
+def test_phase2_matches_reference(j):
+    for level in range(1, 10):
+        excluded, reach, witness = _phase2_reachable(j, level,
+                                                     _Combiner(ALT_CAP))
+        assert (excluded, reach) == phase2_reference(j, level, ALT_CAP)
+        assert (witness is None) == excluded
 
 
 def test_phase2_contains_exact_states():
