@@ -34,7 +34,8 @@ class OrderedDiagram:
             for w, word in enumerate(level):
                 if not word:
                     raise ValueError(f"empty coding at level {n} vertex {w}")
-                bad = [s for s in word if not 0 <= s < sizes[n - 1]]
+                bad = [s for s in word
+                       if not isinstance(s, int) or not 0 <= s < sizes[n - 1]]
                 if bad:
                     raise ValueError(f"bad source ids {bad} at level {n}")
                 seen.update(word)
@@ -63,11 +64,13 @@ class OrderedDiagram:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "coding" not in doc:
             raise MalformedInput('a diagram is a JSON object with a "coding" field')
-        codings = tuple(tuple(tuple(word) for word in level)
-                        for level in doc["coding"])
-        diagram = cls(codings)
+        try:
+            diagram = cls(tuple(tuple(tuple(word) for word in level)
+                                for level in doc["coding"]))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad coding field: {exc}") from exc
         if doc.get("levels") and doc["levels"] != diagram.level_sizes:
-            raise ValueError("levels field disagrees with coding shape")
+            raise MalformedInput("levels field disagrees with coding shape")
         return diagram
 
 
@@ -166,6 +169,8 @@ class Shape:
             raise ValueError("empty shape")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged multiplicity matrix")
+        if any(not isinstance(m, int) or m < 0 for r in rows for m in r):
+            raise ValueError("multiplicities must be non-negative integers")
         if any(all(m == 0 for m in r) for r in rows):
             raise ValueError("source with no outgoing edges")
         for t in range(len(rows[0])):
@@ -193,6 +198,18 @@ class Shape:
     @classmethod
     def constant(cls, sources: int, targets: int, m: int = 1) -> "Shape":
         return cls(tuple((m,) * targets for _ in range(sources)))
+
+
+def shapes_from_json(text: str) -> list:
+    """The shapes of a `{"shapes": [multiplicity matrix, ...]}` document."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "shapes" not in doc:
+        raise MalformedInput('a shapes file is a JSON object with a "shapes" field')
+    try:
+        return [Shape(tuple(tuple(row) for row in rows))
+                for rows in doc["shapes"]]
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad shapes field: {exc}") from exc
 
 
 def _keyed_rng_perm(seed: int, trial: int, level: int, vertex: int, items):

@@ -29,11 +29,17 @@ INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
 def load_ordering(text: str) -> OrderingTable:
     """Ordering from inline JSON, an @file reference, or a shorthand like
     constant0 / seeded:7 / tree:3."""
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return make_ordering(json.load(fh))
-    if text.startswith("{"):
-        return make_ordering(json.loads(text))
+    # argparse reports type and value errors only
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                return make_ordering(json.load(fh))
+        if text.startswith("{"):
+            return make_ordering(json.loads(text))
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(f"ordering lacks the {exc} field") from exc
     if text in ("constant0", "constant1"):
         return make_ordering({"kind": "constant", "bit": int(text[-1])})
     m = re.fullmatch(r"seeded:(\d+)", text)
@@ -143,11 +149,7 @@ def cmd_odometer(args):
 def cmd_montecarlo(args):
     require_at_least("--trials", args.trials, 1)
     with open(args.shapes) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "shapes" not in doc:
-        raise MalformedInput('a shapes file is a JSON object with a "shapes" field')
-    shapes = [bratteli.Shape(tuple(tuple(r) for r in rows))
-              for rows in doc["shapes"]]
+        shapes = bratteli.shapes_from_json(fh.read())
     jobs = [(shapes, args.seed, lo, hi)
             for lo, hi in _chunks(args.trials, max(args.threads, 1))]
     parts = _run_parallel(bratteli.uniform_hits, jobs, args.threads)
@@ -231,7 +233,11 @@ def cmd_kink(args):
 
 
 def cmd_alternation(args):
-    verdict = factoring.alternation_exclusion(args.max_level, args.j)
+    require_at_least("--max-level", args.max_level, 1)
+    require_at_least("--j", args.j, 1)
+    max_bytes = None if args.max_mem is None else args.max_mem << 20
+    verdict = factoring.alternation_exclusion(args.max_level, args.j,
+                                              max_bytes=max_bytes)
     xi, xi_prime = factoring.small_subshift_orderings()
     doc = {
         "j": args.j,
@@ -275,7 +281,8 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     common.add_argument("--max-mem", type=int, metavar="MIB", default=None,
-                        help="cap for the block memo, in MiB")
+                        help="cap for the block memo and the alternation "
+                        "search's pair sets, in MiB")
     common.add_argument("--threads", type=int, default=1,
                         help="worker cap for parallel sections")
     sub = parser.add_subparsers(dest="command", required=True)

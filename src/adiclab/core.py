@@ -233,11 +233,15 @@ def constant_ordering(bit: int) -> OrderingTable:
 
 def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
     """Deterministic random ordering; `bias` is the probability of bit 0."""
+    if not isinstance(seed, int) or not 0 <= bias <= 1:
+        raise ValueError("the seed is an integer and the bias a probability")
     return OrderingTable("seeded", seed=seed, bias=bias)
 
 
 def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
     """Finite table; unlisted interior vertices up to max_level get `default`."""
+    if not isinstance(max_level, int) or default not in (0, 1):
+        raise ValueError("max_level is an integer and default a bit")
     bits = {(int(x), int(y)): int(b) for (x, y), b in dict(bits).items()}
     for (x, y), b in bits.items():
         if x < 1 or y < 1 or x + y > max_level or b not in (0, 1):

@@ -77,7 +77,8 @@ class BlockMemoryCap(AdiclabError):
 
 
 class MalformedInput(AdiclabError):
-    """A JSON input file lacks a field its command reads."""
+    """A JSON input file lacks a field its command reads, or a field has
+    the wrong type or shape."""
 
 
 class InvalidPeriodWord(AdiclabError):

@@ -8,6 +8,7 @@ common subshift.
 """
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -17,7 +18,7 @@ from .coding import basic_block, block_word_k, language_words
 from .core import (OrderingTable, Vertex, binomial, ordered_parents,
                    rule_ordering)
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
-                     LevelBelowK, ParseError)
+                     LevelBelowK, ParseError, SizeCap)
 
 
 class CDToken(NamedTuple):
@@ -67,8 +68,31 @@ def decompose_CD(w: str):
     return tokens
 
 
-def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict):
-    """Recover the bit at (u, v) from w[lo:hi] = B(u, v), then recurse."""
+def _token_index(tokens):
+    """Token start offsets -> token index (len(w) -> len(tokens)), and
+    token -> the sorted indices where it occurs."""
+    starts, where = {0: 0}, {}
+    offset = 0
+    for t, tok in enumerate(tokens):
+        where.setdefault(tok, []).append(t)
+        offset += tok.index + 1
+        starts[offset] = t + 1
+    return starts, where
+
+
+def _between(idx, lo: int, hi: int):
+    """The entries of the sorted list idx in [lo, hi)."""
+    return idx[bisect_left(idx, lo):bisect_left(idx, hi)]
+
+
+def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
+                    starts: dict, where: dict):
+    """Recover the bit at (u, v) from w[lo:hi] = B(u, v), then recurse.
+
+    A segment cut at token starts of w holds exactly w's tokens between
+    them, so C_u and D_v are looked up in `where`; a cut inside a token
+    (only in a corrupt word) re-tokenizes the segment.
+    """
     if hi - lo != binomial(u + v, u):
         raise InconsistentLengths(
             f"segment for ({u},{v}) has length {hi - lo}, "
@@ -81,9 +105,15 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict):
         if w[lo:hi] != "a" + "b" * v:
             raise ParseError(f"expected D{v}", lo)
         return
-    tokens = decompose_CD(w[lo:hi])
-    pos_c = [t for t, tok in enumerate(tokens) if tok == CDToken("C", u)]
-    pos_d = [t for t, tok in enumerate(tokens) if tok == CDToken("D", v)]
+    c, d = CDToken("C", u), CDToken("D", v)
+    t_lo, t_hi = starts.get(lo), starts.get(hi)
+    if t_lo is None or t_hi is None:
+        tokens = decompose_CD(w[lo:hi])
+        pos_c = [t for t, tok in enumerate(tokens) if tok == c]
+        pos_d = [t for t, tok in enumerate(tokens) if tok == d]
+    else:
+        pos_c = _between(where.get(c, ()), t_lo, t_hi)
+        pos_d = _between(where.get(d, ()), t_lo, t_hi)
     if len(pos_c) != 1 or len(pos_d) != 1:
         raise ParseError(f"C{u} and D{v} must appear exactly once in "
                          f"the segment for ({u},{v})", lo)
@@ -93,8 +123,8 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict):
         raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
     first, second = ordered_parents(u, v, bit)
     cut = lo + binomial(first[0] + first[1], first[0])
-    _decode_segment(w, lo, cut, first[0], first[1], bits)
-    _decode_segment(w, cut, hi, second[0], second[1], bits)
+    _decode_segment(w, lo, cut, first[0], first[1], bits, starts, where)
+    _decode_segment(w, cut, hi, second[0], second[1], bits, starts, where)
 
 
 def decode_ordering(w: str):
@@ -103,7 +133,8 @@ def decode_ordering(w: str):
     Returns (vertex, table): the vertex whose block w is, and an explicit
     ordering table carrying the recovered interior bits (rows stay left
     to right).  Raises ParseError / InconsistentLengths when w is not a
-    restricted-ordering basic block.
+    restricted-ordering basic block.  w is tokenized once; the segments
+    are read off its token index.
     """
     from .core import explicit_ordering
 
@@ -118,7 +149,7 @@ def decode_ordering(w: str):
     x = max((t.index for t in tokens if t.kind == "C"), default=1)
     y = max((t.index for t in tokens if t.kind == "D"), default=1)
     bits = {}
-    _decode_segment(w, 0, len(w), x, y, bits)
+    _decode_segment(w, 0, len(w), x, y, bits, *_token_index(tokens))
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
 
 
@@ -422,7 +453,14 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
     return True, level, None
 
 
-def _phase2_reachable(j: int, level: int, comb: _Combiner):
+# Bytes held per phase-2 pair: its tuple and set slot plus its share of the
+# per-level groupings and the combine memo (160-210 under tracemalloc on
+# CPython 3.11, levels 6-12).
+PAIR_BYTES = 200
+
+
+def _phase2_reachable(j: int, level: int, comb: _Combiner,
+                      max_bytes: Optional[int] = None):
     """Sibling-consistent reachable state pairs, propagated level by level.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
@@ -443,7 +481,8 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner):
     Returns (excluded, reach, witness): reach maps each vertex to the set
     of packed states seen for it; witness is None, or (level, state) for
     the first flagged level, its flagged vertex of least y and that
-    vertex's least flagged packed state.
+    vertex's least flagged packed state.  With `max_bytes`, raises SizeCap
+    once a level's pairs would hold more than that (PAIR_BYTES a pair).
     """
     need = 2 * j
     sa, sb = _boundary_states(comb.cap)
@@ -479,6 +518,11 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner):
             lproj.append(lo)
             rproj.append(hi)
         pairs.append({(c, sb) for c in last})
+        if max_bytes is not None:
+            held = PAIR_BYTES * sum(map(len, pairs))
+            if held > max_bytes:
+                raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
+                              f"{held} bytes, over the {max_bytes}-byte cap")
         lproj.append(last)
         rproj.append({sb})
         reach[(n + 1, 0)] = {sa}
@@ -509,7 +553,8 @@ class ExclusionVerdict:
 
 
 def alternation_exclusion(L: int, j: int, exact_level: int = 7,
-                          cap: int = ALT_CAP) -> ExclusionVerdict:
+                          cap: int = ALT_CAP,
+                          max_bytes: Optional[int] = None) -> ExclusionVerdict:
     """Two-phase check that no basic block contains both (ab)^j and (ba)^j.
 
     Phase 1 exhausts every ordering up to min(L, exact_level) exactly;
@@ -517,6 +562,7 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     and checks that no state can hold both patterns at once.  A flagged
     verdict carries its witness: phase 1's first flagged level and state
     (a state some block realizes) when phase 1 flags, else phase 2's.
+    `max_bytes` caps phase 2's pair sets (SizeCap).
     """
     if 2 * j + 1 > cap:
         raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap {cap}")
@@ -525,7 +571,7 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     e_level = min(L, exact_level)
     comb = _Combiner(cap)
     exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, comb)
-    dp_ok, _, dp_witness = _phase2_reachable(j, L, comb)
+    dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
     verdict = ExclusionVerdict(j, e_level, L, exact_ok, dp_ok)
     if not exact_ok:
         verdict.witness_level = wit_level
@@ -691,6 +737,29 @@ class PeriodicReport:
         return all(c.excluded for c in self.cases)
 
 
+def _present_prefix(blocks, s: str) -> int:
+    """Length of the longest prefix of s that occurs in some block."""
+    have = 0
+    for blk in blocks:
+        pos = blk.find(s[:have + 1])
+        while pos >= 0:
+            # blk[pos:] starts with s[:have + 1]: gallop the match on (a
+            # slice running past the block's end is short, so unequal)
+            have += 1
+            step = 1
+            while step:
+                if (have + step <= len(s) and blk[pos + have:pos + have + step]
+                        == s[have:have + step]):
+                    have += step
+                    step *= 2
+                else:
+                    step //= 2
+            if have == len(s):
+                return have
+            pos = blk.find(s[:have + 1], pos + 1)
+    return have
+
+
 def periodic_exclusion(xi: OrderingTable, p: int, L: int,
                        words=None) -> PeriodicReport:
     """Look for windows of w^infinity missing from the block language.
@@ -700,6 +769,11 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
     level 4(p + 1).  A window absent from every block up to level L is
     desk-scale evidence that w^infinity does not embed; when every offset
     of the window occurs the case is reported INCONCLUSIVE (None).
+
+    Each block is a parent, hence a factor, of a block one level up, so
+    only the level-L blocks are searched.  The minimal
+    absent length of a window is one more than its longest prefix that
+    occurs in some block.
     """
     if p < 2:
         raise InvalidPeriodWord("period must be at least 2")
@@ -712,35 +786,18 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
         for w in words:
             if "a" not in w or "b" not in w:
                 raise InvalidPeriodWord(f"{w!r} does not use both letters")
-    corpus = []
-    for n in range(1, L + 1):
-        for x in range(n + 1):
-            corpus.append(basic_block(xi, x, n - x))
-    longest = max(map(len, corpus))
+    blocks = [basic_block(xi, x, L - x) for x in range(L + 1)]
+    longest = max(map(len, blocks))
     report = PeriodicReport(p, L, window_len)
-
-    def present(window):
-        return any(window in blk for blk in corpus if len(blk) >= len(window))
-
     for w in words:
-        found = None
-        offset_used = 0
+        found, offset_used, minimal = None, 0, None
         for offset in range(p):
-            stream = (w * ((window_len + offset) // p + 2))[offset:]
-            window = stream[:window_len]
-            if not present(window):
-                found, offset_used = window, offset
+            window = (w * ((window_len + offset) // p + 2))[
+                offset:offset + window_len]
+            present = _present_prefix(blocks, window)
+            if present < window_len:
+                found, offset_used, minimal = window, offset, present + 1
                 break
-        minimal = None
-        if found is not None:
-            lo, hi = 1, window_len
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if present(found[:mid]):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            minimal = lo
         report.cases.append(PeriodicEvidence(
             w, offset_used, window_len, found, window_len > longest, minimal))
     return report

@@ -2,8 +2,13 @@ import itertools
 
 import pytest
 
-from adiclab.core import PathPrefix, Vertex, explicit_ordering, seeded_ordering
-from adiclab.factoring import _pack, _unpack, alt_state, combine_alt
+from adiclab.coding import basic_block
+from adiclab.core import (PathPrefix, Vertex, binomial, explicit_ordering,
+                          ordered_parents, seeded_ordering)
+from adiclab.errors import InconsistentLengths, InvalidPeriodWord, ParseError
+from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
+                               _pack, _unpack, alt_state, combine_alt,
+                               decompose_CD)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -199,3 +204,99 @@ def phase2_reference(j, level, cap):
                         if _reference_flagged(v, need):
                             excluded = False
     return excluded, reach
+
+
+# Reference block parsers: the periodic search over every block at every
+# level with a binary search for the minimal absent length, and the decoder
+# that re-tokenizes every segment.
+
+def periodic_reference(xi, p, L, words=None):
+    """`periodic_exclusion` by scanning the whole corpus for each window."""
+    if p < 2:
+        raise InvalidPeriodWord("period must be at least 2")
+    r = p + 1
+    window_len = 3 * binomial(4 * r, 2 * r) + 1
+    if words is None:
+        words = ["".join(c) for c in itertools.product("ab", repeat=p)]
+        words = [w for w in words if "a" in w and "b" in w]
+    else:
+        for w in words:
+            if "a" not in w or "b" not in w:
+                raise InvalidPeriodWord(f"{w!r} does not use both letters")
+    corpus = []
+    for n in range(1, L + 1):
+        for x in range(n + 1):
+            corpus.append(basic_block(xi, x, n - x))
+    longest = max(map(len, corpus))
+    report = PeriodicReport(p, L, window_len)
+
+    def present(window):
+        return any(window in blk for blk in corpus if len(blk) >= len(window))
+
+    for w in words:
+        found = None
+        offset_used = 0
+        for offset in range(p):
+            stream = (w * ((window_len + offset) // p + 2))[offset:]
+            window = stream[:window_len]
+            if not present(window):
+                found, offset_used = window, offset
+                break
+        minimal = None
+        if found is not None:
+            lo, hi = 1, window_len
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if present(found[:mid]):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            minimal = lo
+        report.cases.append(PeriodicEvidence(
+            w, offset_used, window_len, found, window_len > longest, minimal))
+    return report
+
+
+def _decode_segment_reference(w, lo, hi, u, v, bits):
+    if hi - lo != binomial(u + v, u):
+        raise InconsistentLengths(
+            f"segment for ({u},{v}) has length {hi - lo}, "
+            f"expected {binomial(u + v, u)}")
+    if v == 1:
+        if w[lo:hi] != "a" * u + "b":
+            raise ParseError(f"expected C{u}", lo)
+        return
+    if u == 1:
+        if w[lo:hi] != "a" + "b" * v:
+            raise ParseError(f"expected D{v}", lo)
+        return
+    tokens = decompose_CD(w[lo:hi])
+    pos_c = [t for t, tok in enumerate(tokens) if tok == CDToken("C", u)]
+    pos_d = [t for t, tok in enumerate(tokens) if tok == CDToken("D", v)]
+    if len(pos_c) != 1 or len(pos_d) != 1:
+        raise ParseError(f"C{u} and D{v} must appear exactly once in "
+                         f"the segment for ({u},{v})", lo)
+    bit = 0 if pos_c[0] < pos_d[0] else 1
+    old = bits.setdefault((u, v), bit)
+    if old != bit:
+        raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
+    first, second = ordered_parents(u, v, bit)
+    cut = lo + binomial(first[0] + first[1], first[0])
+    _decode_segment_reference(w, lo, cut, first[0], first[1], bits)
+    _decode_segment_reference(w, cut, hi, second[0], second[1], bits)
+
+
+def decode_reference(w):
+    """`decode_ordering` re-tokenizing every segment it cuts w into."""
+    if w == "a":
+        return Vertex(1, 0), explicit_ordering({}, max_level=1)
+    if w == "b":
+        return Vertex(0, 1), explicit_ordering({}, max_level=1)
+    if w == "ab":
+        return Vertex(1, 1), explicit_ordering({}, max_level=2)
+    tokens = decompose_CD(w)
+    x = max((t.index for t in tokens if t.kind == "C"), default=1)
+    y = max((t.index for t in tokens if t.kind == "D"), default=1)
+    bits = {}
+    _decode_segment_reference(w, 0, len(w), x, y, bits)
+    return Vertex(x, y), explicit_ordering(bits, max_level=x + y)

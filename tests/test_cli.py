@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adiclab.cli import load_ordering, main
 
@@ -141,6 +145,17 @@ def test_alternation_cap_exit_code(capsys):
     assert json.loads(out)["kind"] == "resource-cap"
 
 
+def test_alternation_memory_cap_exit_code(capsys):
+    code, out = run(capsys, ["alternation", "--max-level", "12", "--j", "9",
+                             "--max-mem", "1"])
+    assert code == 3
+    assert json.loads(out)["kind"] == "resource-cap"
+    # a cap the search fits under leaves the verdict as it is
+    assert run(capsys, ["alternation", "--max-level", "8", "--j", "9",
+                        "--max-mem", "64"]) == \
+        run(capsys, ["alternation", "--max-level", "8", "--j", "9"])
+
+
 def test_alternation_witness_keys(capsys):
     code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "3"])
     doc = json.loads(out)
@@ -186,11 +201,19 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["odometer", "--diagram", "{tmp}/shapes.json"], "input"),
     (["montecarlo", "--shapes", "{tmp}/diagram.json", "--trials", "5",
       "--seed", "1"], "input"),
+    (["odometer", "--diagram", "{tmp}/wrong_type.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/ragged.json", "--trials", "5",
+      "--seed", "1"], "input"),
+    (["alternation", "--max-level", "0"], "usage"),
+    (["alternation", "--j", "0"], "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
     (tmp_path / "shapes.json").write_text('{"shapes": [[[1, 1]]]}')
     (tmp_path / "diagram.json").write_text('{"coding": [[[0]]]}')
+    # fields of the wrong type and of the wrong shape
+    (tmp_path / "wrong_type.json").write_text('{"coding": 5}')
+    (tmp_path / "ragged.json").write_text('{"shapes": [[[1, 1], [1]]]}')
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -224,3 +247,95 @@ def test_smallshift_n1(capsys):
     code, out = run(capsys, ["smallshift", "--n", "1", "--level", "4"])
     assert code == 0
     assert json.loads(out)["common"] == 2
+
+
+# argv fuzzing: small, sometimes invalid values for every subcommand
+
+_FILES = {
+    "diagram.json": '{"coding": [[[0], [0]], [[0, 1]]]}',
+    "shapes.json": '{"shapes": [[[1, 1], [1, 1]], [[1], [1]]]}',
+    "coding_int.json": '{"coding": 5}',
+    "coding_text.json": '{"coding": [[["x"]]]}',
+    "coding_float.json": '{"coding": [[[0.5]]]}',
+    "levels.json": '{"coding": [[[0]]], "levels": [1, 2]}',
+    "ragged.json": '{"shapes": [[[1, 1], [1]]]}',
+    "shape_text.json": '{"shapes": [[["x"]]]}',
+    "shape_negative.json": '{"shapes": [[[-1, 1]]]}',
+    "shapes_int.json": '{"shapes": 5}',
+    "no_shapes.json": '{"shapes": []}',
+    "list.json": "[]",
+    "broken.json": "{",
+}
+
+
+@pytest.fixture(scope="module")
+def json_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    for name, text in _FILES.items():
+        (folder / name).write_text(text)
+    return {name: str(folder / name) for name in _FILES}
+
+
+def _small(low=-2, high=8):
+    # one value in ten is no integer at all
+    return st.integers(0, 9).flatmap(
+        lambda pick: st.integers(low, high).map(str) if pick
+        else st.sampled_from(["x", "1.5", ""]))
+
+
+_ORDERINGS = st.sampled_from([
+    "constant0", "constant1", "seeded:3", "tree:2", BOUNDED_SPEC,
+    '{"kind":"bogus"}', "{", "seeded:x", "@/nonexistent.json",
+    '{"kind":"explicit"}', '{"kind":"seeded","seed":"x"}',
+    '{"kind":"seeded","seed":1,"bias":2}',
+    '{"kind":"explicit","bits":[],"maxLevel":"x"}'])
+
+
+@st.composite
+def _argvs(draw, files):
+    def some_file(valid):  # the valid one half of the time
+        return st.one_of(st.just(files[valid]), st.sampled_from(
+            [*files.values(), "/nonexistent.json"]))
+
+    command = draw(st.sampled_from(["block", "decode", "complexity",
+                                    "odometer", "montecarlo", "kink",
+                                    "alternation", "smallshift"]))
+    flags = {
+        "block": [("--ordering", _ORDERINGS), ("--x", _small(-2, 4)),
+                  ("--y", _small(-2, 4)), ("--k", _small(-1, 9))],
+        "decode": [("--word", st.text("abc", max_size=12))],
+        "complexity": [("--ordering", _ORDERINGS), ("--nmin", _small(-1, 4)),
+                       ("--nmax", _small(-1, 6)), ("--level", _small())],
+        "odometer": [("--diagram", some_file("diagram.json")),
+                     ("--depth", _small(-1, 4))],
+        "montecarlo": [("--shapes", some_file("shapes.json")),
+                       ("--trials", _small(-1, 50)), ("--seed", _small(0, 9))],
+        "kink": [("--trials", _small(-1, 50)), ("--seed", _small(0, 9)),
+                 ("--max-n", _small()), ("--max-level", _small())],
+        "alternation": [("--max-level", _small()), ("--j", _small(-1, 10))],
+        "smallshift": [("--n", _small()), ("--level", _small())],
+    }[command] + [("--max-mem", _small(0, 64)),
+                  ("--threads", st.sampled_from(["1", "2"]))]
+    argv = [command]
+    for flag, values in flags:
+        if draw(st.integers(0, 7)):  # each flag is left out now and then
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(json_files, data):
+    argv = data.draw(_argvs(json_files))
+    out, err = io.StringIO(), io.StringIO()
+    rejected = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code, rejected = exc.code, True
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if not rejected:
+        json.loads(out.getvalue())

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiclab.coding import basic_block, iter_restricted_blocks
@@ -10,6 +10,7 @@ from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError
 from adiclab.factoring import (ALT_CAP, CDToken, CondensedForm, _Combiner,
                                _phase1_exact, _phase2_reachable,
+                               _present_prefix,
                                alt_state, alternation_exclusion, combine_alt,
                                condense_concat, condensed_form, decode_ordering,
                                decompose_CD, factor_block,
@@ -19,7 +20,8 @@ from adiclab.factoring import (ALT_CAP, CDToken, CondensedForm, _Combiner,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
-                      phase1_reference, phase2_reference, seeds)
+                      decode_reference, periodic_reference, phase1_reference,
+                      phase2_reference, seeds)
 
 
 def test_decompose_worked_example():
@@ -95,6 +97,56 @@ def test_decode_rejects_corrupt_words():
     word = WORKED_BLOCK[:-1] + "a"
     with pytest.raises(ParseError):
         decode_ordering(word)
+
+
+def _decode_outcome(decode, word):
+    """(vertex, table JSON), or the error's class, text and position."""
+    try:
+        vertex, table = decode(word)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return vertex, table.to_json()
+
+
+def _mutate(word, kind, i, j, letter):
+    i, j = i % len(word), j % len(word)
+    if kind == "flip":
+        return word[:i] + ("b" if word[i] == "a" else "a") + word[i + 1:]
+    if kind == "swap":
+        chars = list(word)
+        chars[i], chars[j] = chars[j], chars[i]
+        return "".join(chars)
+    if kind == "delete":
+        return word[:i] + word[i + 1:]
+    if kind == "insert":
+        return word[:i] + letter + word[i:]
+    return word
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**25 - 1),
+       st.sampled_from(["none", "flip", "swap", "delete", "insert"]),
+       st.integers(0, 923), st.integers(0, 923), st.sampled_from("ab"))
+def test_decode_matches_reference(x, y, mask, kind, i, j, letter):
+    free = [(u, v) for u in range(2, x + 1) for v in range(2, y + 1)]
+    bits = {uv: mask >> t & 1 for t, uv in enumerate(free)}
+    word = basic_block(explicit_ordering(bits, x + y), x, y)
+    word = _mutate(word, kind, i, j, letter)
+    assert _decode_outcome(decode_ordering, word) == \
+        _decode_outcome(decode_reference, word)
+
+
+# words of valid tokens and a consistent length in which a cut falls inside
+# a token, so a segment has to be tokenized on its own
+@pytest.mark.parametrize("word", [
+    "aababbbabb", "aabaaababbbabbabbabb", "aaababbaabaababbbabb",
+    "aaaababbaaabaab", "aaabaababbbaababbabb", "aaababbbabbabbaabaab",
+    "abbbabbbabbbaaababbbbabbbabbaababbb",
+])
+def test_decode_cut_inside_token_matches_reference(word):
+    got = _decode_outcome(decode_ordering, word)
+    assert got == _decode_outcome(decode_reference, word)
+    assert isinstance(got[0], type) and issubclass(got[0], ParseError)
 
 
 def test_factor_block(worked_ordering):
@@ -323,3 +375,41 @@ def test_periodic_exclusion_constant0_aabb():
     case = rep.cases[0]
     assert case.absent_window is not None
     assert case.minimal_absent_length <= case.window_length
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("ab", max_size=12), min_size=1, max_size=4),
+       st.text("ab", min_size=1, max_size=10))
+@example(["aaab"], "aabaab")  # the longer match starts one letter later
+def test_present_prefix_is_longest_occurring_prefix(blocks, s):
+    longest = max(m for m in range(len(s) + 1)
+                  if any(s[:m] in blk for blk in blocks))
+    assert _present_prefix(blocks, s) == longest
+
+
+def test_periodic_exclusion_matches_reference():
+    for seed in range(10):
+        xi = seeded_ordering(seed)
+        for p in (2, 3, 4):
+            assert periodic_exclusion(xi, p, 18) == \
+                periodic_reference(xi, p, 18)
+    constant0 = explicit_ordering({}, max_level=20)
+    for xi, p, words in ((constant0, 4, ["aabb"]),
+                         (constant0, 2, ["ab", "ba", "abb"]),
+                         (seeded_ordering(3), 3, ["aab", "abab", "bbbba"])):
+        assert periodic_exclusion(xi, p, 18, words=words) == \
+            periodic_reference(xi, p, 18, words=words)
+
+
+_PERIOD_WORDS = st.one_of(
+    st.none(), st.lists(st.text("ab", min_size=2, max_size=6).filter(
+        lambda w: "a" in w and "b" in w), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 8),
+       _PERIOD_WORDS)
+def test_periodic_exclusion_matches_reference_small(seed, p, L, words):
+    xi = seeded_ordering(seed)
+    assert periodic_exclusion(xi, p, L, words=words) == \
+        periodic_reference(xi, p, L, words=words)
