@@ -5,18 +5,17 @@ Library layout:
 - core: graph geometry, orderings, paths, rank/unrank, measures
 - adic: Vershik successor dynamics and return-time machinery
 - coding: basic blocks, censuses, language counts, faithfulness probe
-- factoring: block parsers, condensed forms, exclusion searches
+- factoring: block parsers, exclusion searches
 - bratteli: general ordered diagrams, telescoping, odometer certificates
 - cli: the batch command-line front end
 """
 
 from .core import (BOTH_EXTREMAL, MAX, MIN, OrderingTable, PathPrefix, Vertex,
                    binomial, column_size, constant_ordering,
-                   count_extremal_prefixes, cylinder_measure,
-                   cylinder_measure_approx, doubling_level, explicit_ordering,
-                   extreme_path, make_ordering, ordering_from_json, rank,
-                   rule_ordering, seeded_ordering, tree_embedding_ordering,
-                   unrank)
+                   count_extremal_prefixes, cylinder_measure, doubling_level,
+                   explicit_ordering, extreme_path, make_ordering,
+                   ordering_from_json, rank, rule_ordering, seeded_ordering,
+                   tree_embedding_ordering, unrank)
 from .adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                    kink_return_time, kink_verify, minimal_continuation,
                    orbit_coding, predecessor, successor,
@@ -25,10 +24,9 @@ from .coding import (CylSymbol, basic_block, basic_block_k,
                      big_language_count, complexity, enumerate_blocks,
                      faithfulness_probe, language_words, stabilized_complexity,
                      symbol_census)
-from .factoring import (AltState, CDToken, CondensedForm,
-                        alternation_exclusion, alt_state, combine_alt,
-                        condense_concat, condensed_form, decode_ordering,
-                        decompose_CD, factor_block, intersection_probe,
+from .factoring import (AltState, CDToken, alternation_exclusion, alt_state,
+                        combine_alt, decode_ordering, decompose_CD,
+                        factor_block, intersection_probe,
                         periodic_exclusion, run_context_report,
                         small_subshift_orderings, unique_factorization_check)
 from .bratteli import (MonteCarloReport, OrderedDiagram, OrderedShape, Shape,

@@ -145,14 +145,14 @@ def kink_classify(xi: OrderingTable, p: PathPrefix) -> KinkCase:
         raise KinkPreconditionFailed(f"({i},{j}) is not interior")
     if p.steps[-2:] not in ((A_STEP, B_STEP), (B_STEP, A_STEP)):
         raise KinkPreconditionFailed("path does not pass through (i, j)")
-    if not xi.step_is_minimal(p.steps[-1], term):
-        raise KinkPreconditionFailed("edge into (i+1, j+1) is not minimal")
     gamma_step = p.steps[-2]
-    mid = Vertex(i + 1, j) if gamma_step == A_STEP else Vertex(i, j + 1)
-    other_step = 1 - gamma_step
-    other_mid = Vertex(i + 1, j) if other_step == A_STEP else Vertex(i, j + 1)
-    a1 = "max" if xi.step_is_maximal(gamma_step, mid) else "min"
-    a2 = "max" if xi.step_is_maximal(other_step, other_mid) else "min"
+    mid, other_mid = (i + 1, j), (i, j + 1)
+    if gamma_step == B_STEP:
+        mid, other_mid = other_mid, mid
+    if xi.parents(*term)[0] != mid:
+        raise KinkPreconditionFailed("edge into (i+1, j+1) is not minimal")
+    a1 = "max" if xi.parents(*mid)[1] == (i, j) else "min"
+    a2 = "max" if xi.parents(*other_mid)[1] == (i, j) else "min"
     a3 = "LR" if gamma_step == A_STEP else "RL"
     return KinkCase(a1, a2, a3)
 

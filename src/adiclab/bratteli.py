@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import OrderingTable, ordered_parents
+from .core import OrderingTable
 from .errors import MalformedInput, ShapeMismatch
 
 
@@ -394,7 +394,7 @@ def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:
     """The Pascal graph to level L as an ordered diagram.
 
     Vertex (x, y) at level n gets id y; interior coding words list the
-    parents in `ordered_parents` order.
+    parents in `OrderingTable.parents` order.
     """
     levels = []
     for n in range(1, L + 1):
@@ -406,7 +406,6 @@ def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:
             elif x == 0:
                 words.append((n - 1,))
             else:
-                words.append(tuple(q for _, q in
-                                   ordered_parents(x, y, xi.bit(x, y))))
+                words.append(tuple(q for _, q in xi.parents(x, y)))
         levels.append(tuple(words))
     return OrderedDiagram(tuple(levels))

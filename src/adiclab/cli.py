@@ -95,9 +95,14 @@ def cmd_block(args):
     if args.k in (None, 1):
         word = basic_block(xi, x, y)
         ca, cb, vertex = symbol_census(word)
+        if x and y:
+            matches = vertex == (x, y)
+        else:
+            # a row or column block is its one letter at every level
+            matches = word == ("a" if y == 0 else "b")
         doc.update(block=word, count_a=ca, count_b=cb,
                    census_vertex=list(vertex) if vertex else None,
-                   census_matches=vertex == (x, y))
+                   census_matches=matches)
         ok = doc["census_matches"] and len(word) == doc["length"]
     else:
         syms = coding.basic_block_k(xi, args.k, x, y)
@@ -208,7 +213,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
     j = n - i
     prefix = unrank(xi, Vertex(i, j), rng.randrange(column_size(Vertex(i, j))))
     # exactly one branch direction makes the edge into (i+1, j+1) minimal
-    if xi.min_parent(Vertex(i + 1, j + 1)) == (i + 1, j):
+    if xi.parents(i + 1, j + 1)[0] == (i + 1, j):
         steps = (0, 1)
     else:
         steps = (1, 0)

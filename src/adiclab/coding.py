@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, explicit_ordering, ordered_parents, rank,
-                   unrank)
+                   column_size, explicit_ordering, rank, unrank)
 from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
@@ -65,10 +64,11 @@ class BlockStore:
     """Memo of the basic blocks of one ordering, under one byte budget.
 
     A block is the concatenation of the blocks at the two parents of its
-    vertex, in `ordered_parents` order, down to base words at one level k:
-    `base[m]` is the word at (k - m, m), and the boundary vertices above
-    level k repeat the words at (k, 0) and (0, k).  `LETTERS` is the base
-    of the letter blocks; `CYLINDER_IDS[k]` is the base of the k-coding.
+    vertex, in `OrderingTable.parents` order, down to base words at one
+    level k: `base[m]` is the word at (k - m, m), and the boundary
+    vertices above level k repeat the words at (k, 0) and (0, k).
+    `LETTERS` is the base of the letter blocks; `CYLINDER_IDS[k]` is the
+    base of the k-coding.
     Blocks over every base share one memo, and each insert is checked
     against `max_bytes`.  Construction runs from an explicit stack, one
     thread at a time.
@@ -104,7 +104,7 @@ class BlockStore:
     def _build(self, x, y, base):
         memo = self._memos.setdefault(base, {})
         k = len(base) - 1
-        bit = self.xi.bit
+        parents = self.xi.parents
         stack = [(x, y)]
         while stack:
             u, v = stack[-1]
@@ -112,7 +112,7 @@ class BlockStore:
                 stack.pop()
                 continue
             parts = []
-            for p, q in ordered_parents(u, v, bit(u, v)):
+            for p, q in parents(u, v):
                 if q == 0:
                     parts.append(base[0])
                 elif p == 0:
@@ -317,7 +317,7 @@ class _LanguageScan:
                 continue
             for x in range(1, lvl):
                 y = lvl - x
-                c1, c2 = ordered_parents(x, y, self.xi.bit(x, y))
+                c1, c2 = self.xi.parents(x, y)
                 if binomial(lvl, x) <= self.short_cap:
                     text = self._child_text(c1) + self._child_text(c2)
                     self._short[(x, y)] = text

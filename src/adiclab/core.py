@@ -116,29 +116,40 @@ def _seeded_bit(seed: int, x: int, y: int, threshold: int) -> int:
     return 0 if u < threshold else 1
 
 
+def _memoized(fn):
+    """`fn` behind a memo; the memo is only ever extended under a lock."""
+    memo = {}
+    lock = threading.Lock()
+
+    def lookup(x, y):
+        key = (x, y)
+        got = memo.get(key)
+        if got is None:
+            got = fn(x, y)
+            with lock:
+                memo[key] = got
+        return got
+
+    return lookup
+
+
 class OrderingTable:
     """Map from interior vertices to order bits.
 
-    Supported kinds: constant, seeded (counter-based hash of (seed, x, y)),
-    explicit (finite map with a level bound), tree (binary-tree embedding),
-    and rule (arbitrary total function, used for the named paper orderings).
-    Instances are immutable; the memo is only ever extended under a lock.
+    `lookup(x, y)` gives the bit at an interior vertex; `spec` is the
+    JSON document of the ordering (None when it has no JSON form) and
+    `fingerprint` its canonical identity string.  The constructors below
+    build the supported kinds: constant, seeded (counter-based hash of
+    (seed, x, y)), explicit (finite map with a level bound), tree
+    (binary-tree embedding), and rule (arbitrary total function, used for
+    the named paper orderings).  Instances are immutable.
     """
 
-    def __init__(self, kind, *, bit=None, seed=None, bias=0.5, bits=None,
-                 max_level=None, default=0, rule=None, name=None):
-        self.kind = kind
-        self._bit = bit
-        self._seed = seed
-        self._bias = bias
-        self._threshold = int(float(bias) * 2.0**64) if kind == "seeded" else None
-        self._bits = dict(bits) if bits is not None else None
-        self._max_level = max_level
-        self._default = default
-        self._rule = rule
-        self._name = name
-        self._memo = {}
-        self._lock = threading.Lock()
+    def __init__(self, lookup, spec, fingerprint):
+        self._lookup = lookup
+        self._spec = spec
+        self._fingerprint = fingerprint
+        self.kind = fingerprint.partition(":")[0]
 
     def bit(self, x: int, y: int):
         """Order bit at (x, y); BOTH_EXTREMAL for boundary vertices."""
@@ -146,96 +157,50 @@ class OrderingTable:
             raise ValueError(f"no incoming edges at ({x}, {y})")
         if x == 0 or y == 0:
             return BOTH_EXTREMAL
-        if self.kind == "constant":
-            return self._bit
-        if self.kind == "explicit":
-            if self._max_level is not None and x + y > self._max_level:
-                raise MissingBit(f"explicit table bounded at level {self._max_level}")
-            return self._bits.get((x, y), self._default)
-        if self.kind == "tree":
-            return self._bits.get((x, y), 0)
-        key = (x, y)
-        got = self._memo.get(key)
-        if got is None:
-            if self.kind == "seeded":
-                got = _seeded_bit(self._seed, x, y, self._threshold)
-            else:
-                got = self._rule(x, y)
-            with self._lock:
-                self._memo[key] = got
-        return got
+        return self._lookup(x, y)
 
-    def min_parent(self, v: Vertex) -> Vertex:
-        """Source of the minimal incoming edge of v."""
-        if v.x == 0:
-            return Vertex(0, v.y - 1)
-        if v.y == 0:
-            return Vertex(v.x - 1, 0)
-        return Vertex(*ordered_parents(v.x, v.y, self.bit(v.x, v.y))[0])
+    def parents(self, x: int, y: int) -> tuple:
+        """Sources of the (minimal, maximal) incoming edges of (x, y).
 
-    def max_parent(self, v: Vertex) -> Vertex:
-        if v.x == 0:
-            return Vertex(0, v.y - 1)
-        if v.y == 0:
-            return Vertex(v.x - 1, 0)
-        return Vertex(*ordered_parents(v.x, v.y, self.bit(v.x, v.y))[1])
-
-    def step_is_minimal(self, step: int, target: Vertex) -> bool:
-        """Is the edge entering `target` via `step` minimal?"""
-        b = self.bit(target.x, target.y)
-        if b == BOTH_EXTREMAL:
-            return True
-        return b == (1 if step == A_STEP else 0)
-
-    def step_is_maximal(self, step: int, target: Vertex) -> bool:
-        b = self.bit(target.x, target.y)
-        if b == BOTH_EXTREMAL:
-            return True
-        return b == (0 if step == A_STEP else 1)
+        A boundary vertex has one incoming edge, both minimal and maximal,
+        so its single parent is returned twice.
+        """
+        if x > 0 and y > 0:
+            return ordered_parents(x, y, self._lookup(x, y))
+        if x < 0 or y < 0 or (x == 0 and y == 0):
+            raise ValueError(f"no incoming edges at ({x}, {y})")
+        parent = (x - 1, 0) if y == 0 else (0, y - 1)
+        return parent, parent
 
     def fingerprint(self) -> str:
         """Canonical identity string, used as a cache key."""
-        if self.kind == "constant":
-            return f"constant:{self._bit}"
-        if self.kind == "seeded":
-            return f"seeded:{self._seed}:{self._bias!r}"
-        if self.kind == "explicit":
-            items = ",".join(f"{x}.{y}.{b}" for (x, y), b in sorted(self._bits.items()))
-            return f"explicit:{self._max_level}:{self._default}:{items}"
-        if self.kind == "tree":
-            return f"tree:{self._name}"
-        return f"rule:{self._name}"
+        return self._fingerprint
 
     def __repr__(self):
-        return f"OrderingTable<{self.fingerprint()}>"
+        return f"OrderingTable<{self._fingerprint}>"
 
     def to_json(self) -> str:
-        if self.kind == "constant":
-            doc = {"kind": "constant", "bit": self._bit}
-        elif self.kind == "seeded":
-            doc = {"kind": "seeded", "seed": self._seed, "bias": self._bias}
-        elif self.kind == "explicit":
-            doc = {"kind": "explicit",
-                   "bits": [[x, y, b] for (x, y), b in sorted(self._bits.items())],
-                   "maxLevel": self._max_level}
-        elif self.kind == "tree":
-            doc = {"kind": "tree", "depth": self._depth}
-        else:
+        if self._spec is None:
             raise ValueError(f"{self.kind} orderings have no JSON form")
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(self._spec, sort_keys=True)
 
 
 def constant_ordering(bit: int) -> OrderingTable:
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    return OrderingTable("constant", bit=bit)
+    return OrderingTable(lambda x, y: bit, {"kind": "constant", "bit": bit},
+                         f"constant:{bit}")
 
 
 def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
     """Deterministic random ordering; `bias` is the probability of bit 0."""
     if not isinstance(seed, int) or not 0 <= bias <= 1:
         raise ValueError("the seed is an integer and the bias a probability")
-    return OrderingTable("seeded", seed=seed, bias=bias)
+    threshold = int(float(bias) * 2.0**64)
+    return OrderingTable(
+        _memoized(lambda x, y: _seeded_bit(seed, x, y, threshold)),
+        {"kind": "seeded", "seed": seed, "bias": bias},
+        f"seeded:{seed}:{bias!r}")
 
 
 def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
@@ -246,11 +211,22 @@ def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
     for (x, y), b in bits.items():
         if x < 1 or y < 1 or x + y > max_level or b not in (0, 1):
             raise ValueError(f"bad explicit bit ({x},{y})={b}")
-    return OrderingTable("explicit", bits=bits, max_level=max_level, default=default)
+
+    def lookup(x, y):
+        if x + y > max_level:
+            raise MissingBit(f"explicit table bounded at level {max_level}")
+        return bits.get((x, y), default)
+
+    items = sorted(bits.items())
+    spec = {"kind": "explicit", "bits": [[x, y, b] for (x, y), b in items],
+            "maxLevel": max_level, "default": default}
+    listed = ",".join(f"{x}.{y}.{b}" for (x, y), b in items)
+    return OrderingTable(lookup, spec,
+                         f"explicit:{max_level}:{default}:{listed}")
 
 
 def rule_ordering(rule, name: str) -> OrderingTable:
-    return OrderingTable("rule", rule=rule, name=name)
+    return OrderingTable(_memoized(rule), None, f"rule:{name}")
 
 
 def doubling_level(d: int) -> int:
@@ -258,6 +234,10 @@ def doubling_level(d: int) -> int:
     if d < 1:
         raise ValueError("d >= 1")
     return 2 ** (d + 1) - 1
+
+
+#: Largest tree depth; depth 10 already stores about 700,000 bits.
+TREE_MAX_DEPTH = 10
 
 
 def tree_embedding_ordering(depth: int) -> OrderingTable:
@@ -268,9 +248,11 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
     level 3.  Each stage first spreads branch tips from every other vertex
     to every fourth vertex (b steps first, then a steps; tips never meet),
     then forks each tip in two.  Bits away from the tree are constant 0.
+    The tree has about 4^depth edges, so depth is bounded by
+    TREE_MAX_DEPTH.
     """
-    if depth < 1:
-        raise ValueError("depth >= 1")
+    if not 1 <= depth <= TREE_MAX_DEPTH:
+        raise ValueError(f"tree depth must be between 1 and {TREE_MAX_DEPTH}")
     bits = {}
 
     def add_edge(src: Vertex, step: int):
@@ -298,10 +280,9 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
             forked.append(add_path(v, (A_STEP, A_STEP)))
             forked.append(add_path(v, (B_STEP, B_STEP)))
         leaves = forked
-    table = OrderingTable("tree", bits=bits, name=f"depth{depth}")
-    table._depth = depth
-    table._leaves = tuple(leaves)
-    return table
+    return OrderingTable(lambda x, y: bits.get((x, y), 0),
+                         {"kind": "tree", "depth": depth},
+                         f"tree:depth{depth}")
 
 
 def make_ordering(spec) -> OrderingTable:
@@ -325,13 +306,13 @@ def ordering_from_json(text: str) -> OrderingTable:
 
 def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
     """The unique all-minimal (or all-maximal) path from the root to v."""
-    v = Vertex(*v)
-    parent = xi.min_parent if which == MIN else xi.max_parent
+    side = 0 if which == MIN else 1
+    x, y = v
     rev = []
-    while v != (0, 0):
-        u = parent(v)
-        rev.append(A_STEP if u.x < v.x else B_STEP)
-        v = u
+    while x or y:
+        u = xi.parents(x, y)[side]
+        rev.append(A_STEP if u[0] < x else B_STEP)
+        x, y = u
     return PathPrefix(tuple(reversed(rev)))
 
 
@@ -340,11 +321,16 @@ def rank(xi: OrderingTable, p: PathPrefix) -> int:
     r = 0
     x = y = 0
     for s in p.steps:
-        tgt = Vertex(x + 1, y) if s == A_STEP else Vertex(x, y + 1)
-        if tgt.interior and xi.step_is_maximal(s, tgt):
-            m = xi.min_parent(tgt)
-            r += binomial(m.x + m.y, m.x)
-        x, y = tgt
+        src = (x, y)
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+        if x and y:
+            low, high = xi.parents(x, y)
+            if high == src:
+                # every path through the minimal parent comes first
+                r += binomial(x + y - 1, low[0])
     return r
 
 
@@ -354,20 +340,19 @@ def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
     total = column_size(v)
     if not 0 <= r < total:
         raise RankOutOfRange(f"rank {r} not in [0, {total}) at {tuple(v)}")
+    x, y = v
     rev = []
-    while v != (0, 0):
-        if not v.interior:
-            u = xi.min_parent(v)
+    while x or y:
+        # on the boundary low == high and r == 0 < C(n - 1, 0)
+        low, high = xi.parents(x, y)
+        below = binomial(x + y - 1, low[0])
+        if r < below:
+            u = low
         else:
-            mn = xi.min_parent(v)
-            low = column_size(mn)
-            if r < low:
-                u = mn
-            else:
-                r -= low
-                u = xi.max_parent(v)
-        rev.append(A_STEP if u.x < v.x else B_STEP)
-        v = u
+            r -= below
+            u = high
+        rev.append(A_STEP if u[0] < x else B_STEP)
+        x, y = u
     return PathPrefix(tuple(reversed(rev)))
 
 
@@ -384,21 +369,13 @@ def compare_paths(xi: OrderingTable, p: PathPrefix, q: PathPrefix) -> int:
     k = max(i for i in range(len(p)) if p.steps[i] != q.steps[i])
     tgt = p.vertex_at(k + 1)
     assert tgt == q.vertex_at(k + 1)
-    return -1 if xi.step_is_minimal(p.steps[k], tgt) else 1
+    return -1 if xi.parents(*tgt)[0] == p.vertex_at(k) else 1
 
 
 def cylinder_measure(alpha, p: PathPrefix) -> Fraction:
     """Exact mu_alpha measure of the cylinder of p: alpha per b step,
     1 - alpha per a step."""
     alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise AlphaOutOfRange(f"alpha={alpha} not in (0, 1)")
-    b = sum(p.steps)
-    return alpha**b * (1 - alpha) ** (len(p) - b)
-
-
-def cylinder_measure_approx(alpha: float, p: PathPrefix) -> float:
-    """Floating-point cylinder measure, for plotting only (approximate)."""
     if not 0 < alpha < 1:
         raise AlphaOutOfRange(f"alpha={alpha} not in (0, 1)")
     b = sum(p.steps)
@@ -413,23 +390,15 @@ def count_extremal_prefixes(xi: OrderingTable, level: int, which: str,
     along extremal incoming edges is forced), so this counts the vertices at
     `level` from which an extremal continuation survives to `horizon`.
     Continuation is checked by backward DP from the horizon (default
-    level + 16), which over-approximates the infinite condition.
+    level + 16), which over-approximates the infinite condition: a vertex
+    survives when it is the extremal parent of a surviving vertex.
     """
     if level == 0:
         return 1
     if horizon is None:
         horizon = level + 16
-    is_ext = (OrderingTable.step_is_minimal if which == MIN
-              else OrderingTable.step_is_maximal)
-    alive = {Vertex(horizon - y, y) for y in range(horizon + 1)}
-    for lvl in range(horizon - 1, level - 1, -1):
-        nxt = set()
-        for y in range(lvl + 1):
-            v = Vertex(lvl - y, y)
-            for s in (A_STEP, B_STEP):
-                t = Vertex(v.x + 1, v.y) if s == A_STEP else Vertex(v.x, v.y + 1)
-                if t in alive and is_ext(xi, s, t):
-                    nxt.add(v)
-                    break
-        alive = nxt
+    side = 0 if which == MIN else 1
+    alive = {(horizon - y, y) for y in range(horizon + 1)}
+    for _ in range(horizon - level):
+        alive = {xi.parents(x, y)[side] for x, y in alive}
     return len(alive)

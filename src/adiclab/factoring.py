@@ -2,9 +2,9 @@
 
 Covers the C/D tokenizer and its inverse (recovering an ordering from a
 block), canonical block factorizations and the uniqueness check for
-split schemes, condensed forms, the two-phase (ab)^j / (ba)^j exclusion
-search, run-context histograms, and the probes around the smallest
-common subshift.
+split schemes, the two-phase (ab)^j / (ba)^j exclusion search,
+run-context histograms, and the probes around the smallest common
+subshift.
 """
 
 import itertools
@@ -179,7 +179,7 @@ def factor_block(xi: OrderingTable, k: int, source, m: int):
         if u + v == m:
             vertices.append(Vertex(u, v))
             return
-        for parent in ordered_parents(u, v, xi.bit(u, v)):
+        for parent in xi.parents(u, v):
             unroll(*parent)
 
     unroll(x, y)
@@ -253,20 +253,9 @@ def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# condensed forms
+# saturated run states and the (ab)^j exclusion search
 
-
-@dataclass(frozen=True)
-class CondensedForm:
-    """Longest alternating prefix and suffix of a word; full words have
-    no star between them."""
-
-    prefix: str
-    suffix: str
-    full: bool
-
-    def __str__(self):
-        return self.prefix if self.full else f"{self.prefix}*{self.suffix}"
+ALT_CAP = 19  # runs of length 18 = |(ab)^9| must stay exactly representable
 
 
 def _alternating_prefix_len(w: str) -> int:
@@ -274,38 +263,6 @@ def _alternating_prefix_len(w: str) -> int:
     while i < len(w) and w[i] != w[i - 1]:
         i += 1
     return i
-
-
-def condensed_form(w: str) -> CondensedForm:
-    if not w:
-        raise ValueError("condensed form of the empty word")
-    p = _alternating_prefix_len(w)
-    if p == len(w):
-        return CondensedForm(w, w, True)
-    s = _alternating_prefix_len(w[::-1])
-    return CondensedForm(w[:p], w[len(w) - s:], False)
-
-
-def condense_concat(c1: CondensedForm, c2: CondensedForm) -> CondensedForm:
-    """Condensed form of any concatenation u v given the forms of u and v."""
-    chain = c1.suffix[-1] != c2.prefix[0]
-    if c1.full and c2.full:
-        if chain:
-            return CondensedForm(c1.prefix + c2.prefix, c1.prefix + c2.prefix, True)
-        return CondensedForm(c1.prefix, c2.suffix, False)
-    if c1.full:
-        prefix = c1.prefix + c2.prefix if chain else c1.prefix
-        return CondensedForm(prefix, c2.suffix, False)
-    if c2.full:
-        suffix = c1.suffix + c2.suffix if chain else c2.suffix
-        return CondensedForm(c1.prefix, suffix, False)
-    return CondensedForm(c1.prefix, c2.suffix, False)
-
-
-# ---------------------------------------------------------------------------
-# saturated run states and the (ab)^j exclusion search
-
-ALT_CAP = 19  # runs of length 18 = |(ab)^9| must stay exactly representable
 
 
 class AltState(NamedTuple):

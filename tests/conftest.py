@@ -1,11 +1,17 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import strategies as st
 
+from adiclab.adic import KinkCase
 from adiclab.coding import basic_block
-from adiclab.core import (PathPrefix, Vertex, binomial, explicit_ordering,
-                          ordered_parents, seeded_ordering)
-from adiclab.errors import InconsistentLengths, InvalidPeriodWord, ParseError
+from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
+                          Vertex, binomial, column_size, explicit_ordering,
+                          ordered_parents, seeded_ordering,
+                          tree_embedding_ordering)
+from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
+                            KinkPreconditionFailed, ParseError)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
                                _pack, _unpack, alt_state, combine_alt,
                                decompose_CD)
@@ -37,6 +43,23 @@ def column_paths(level, x):
 
 def seeds(count, base=0):
     return [seeded_ordering(base + t) for t in range(count)]
+
+
+@st.composite
+def orderings(draw):
+    """A seeded, explicit or tree ordering with bits up to level 60."""
+    kind = draw(st.sampled_from(["seeded", "explicit", "tree"]))
+    if kind == "seeded":
+        return seeded_ordering(draw(st.integers(0, 2**63 - 1)),
+                               draw(st.sampled_from([0.5, 0.1, 0.9])))
+    if kind == "tree":
+        return tree_embedding_ordering(draw(st.integers(1, 5)))
+    # a random share of the vertices listed, the rest left to the default
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    listed = rng.random()
+    bits = {(x, n - x): rng.randrange(2) for n in range(2, 61)
+            for x in range(1, n) if rng.random() < listed}
+    return explicit_ordering(bits, 60, draw(st.integers(0, 1)))
 
 
 # Reference column sweep by successor iteration on a byte array of steps
@@ -102,6 +125,113 @@ def successor_sweep(xi, x, y, k):
         out.append(sym)
         if _successor_inplace(bit, steps, n) < 0:
             return bytes(out)
+
+
+# Reference path arithmetic: the order queries written out per edge from
+# `xi.bit`, each boundary case stated where it is met.
+
+def _step_is_minimal(xi, step, target):
+    b = xi.bit(target.x, target.y)
+    if b == BOTH_EXTREMAL:
+        return True
+    return b == (1 if step == A_STEP else 0)
+
+
+def _step_is_maximal(xi, step, target):
+    b = xi.bit(target.x, target.y)
+    if b == BOTH_EXTREMAL:
+        return True
+    return b == (0 if step == A_STEP else 1)
+
+
+def _extreme_parent(xi, v, side):
+    if v.x == 0:
+        return Vertex(0, v.y - 1)
+    if v.y == 0:
+        return Vertex(v.x - 1, 0)
+    return Vertex(*ordered_parents(v.x, v.y, xi.bit(v.x, v.y))[side])
+
+
+def extreme_path_reference(xi, v, which):
+    v = Vertex(*v)
+    side = 0 if which == MIN else 1
+    rev = []
+    while v != (0, 0):
+        u = _extreme_parent(xi, v, side)
+        rev.append(A_STEP if u.x < v.x else B_STEP)
+        v = u
+    return PathPrefix(tuple(reversed(rev)))
+
+
+def rank_reference(xi, p):
+    r = 0
+    x = y = 0
+    for s in p.steps:
+        tgt = Vertex(x + 1, y) if s == A_STEP else Vertex(x, y + 1)
+        if tgt.interior and _step_is_maximal(xi, s, tgt):
+            m = _extreme_parent(xi, tgt, 0)
+            r += binomial(m.x + m.y, m.x)
+        x, y = tgt
+    return r
+
+
+def unrank_reference(xi, v, r):
+    v = Vertex(*v)
+    rev = []
+    while v != (0, 0):
+        if not v.interior:
+            u = _extreme_parent(xi, v, 0)
+        else:
+            mn = _extreme_parent(xi, v, 0)
+            low = column_size(mn)
+            if r < low:
+                u = mn
+            else:
+                r -= low
+                u = _extreme_parent(xi, v, 1)
+        rev.append(A_STEP if u.x < v.x else B_STEP)
+        v = u
+    return PathPrefix(tuple(reversed(rev)))
+
+
+def count_extremal_reference(xi, level, which, horizon=None):
+    """Backward DP over every vertex of every level, both edges out."""
+    if level == 0:
+        return 1
+    if horizon is None:
+        horizon = level + 16
+    is_ext = _step_is_minimal if which == MIN else _step_is_maximal
+    alive = {Vertex(horizon - y, y) for y in range(horizon + 1)}
+    for lvl in range(horizon - 1, level - 1, -1):
+        nxt = set()
+        for y in range(lvl + 1):
+            v = Vertex(lvl - y, y)
+            for s in (A_STEP, B_STEP):
+                t = Vertex(v.x + 1, v.y) if s == A_STEP else Vertex(v.x, v.y + 1)
+                if t in alive and is_ext(xi, s, t):
+                    nxt.add(v)
+                    break
+        alive = nxt
+    return len(alive)
+
+
+def kink_classify_reference(xi, p):
+    term = p.terminal
+    i, j = term.x - 1, term.y - 1
+    if i < 1 or j < 1:
+        raise KinkPreconditionFailed(f"({i},{j}) is not interior")
+    if p.steps[-2:] not in ((A_STEP, B_STEP), (B_STEP, A_STEP)):
+        raise KinkPreconditionFailed("path does not pass through (i, j)")
+    if not _step_is_minimal(xi, p.steps[-1], term):
+        raise KinkPreconditionFailed("edge into (i+1, j+1) is not minimal")
+    gamma_step = p.steps[-2]
+    mid = Vertex(i + 1, j) if gamma_step == A_STEP else Vertex(i, j + 1)
+    other_step = 1 - gamma_step
+    other_mid = Vertex(i + 1, j) if other_step == A_STEP else Vertex(i, j + 1)
+    a1 = "max" if _step_is_maximal(xi, gamma_step, mid) else "min"
+    a2 = "max" if _step_is_maximal(xi, other_step, other_mid) else "min"
+    a3 = "LR" if gamma_step == A_STEP else "RL"
+    return KinkCase(a1, a2, a3)
 
 
 # Reference alternation searches: the plain loops over every bit pattern

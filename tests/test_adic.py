@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
 from adiclab.errors import (KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, WindowEscapesColumn)
 
-from conftest import all_paths, seeds
+from conftest import all_paths, kink_classify_reference, orderings, seeds
 
 
 def test_successor_two_element_column():
@@ -129,6 +130,21 @@ def test_kink_classify_preconditions():
         kink_classify(constant_ordering(1), PathPrefix.from_word("abab"))
     assert kink_classify(constant_ordering(0), PathPrefix.from_word("abab")) \
         == KinkCase("max", "min", "LR")
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=orderings(),
+       head=st.lists(st.integers(0, 1), min_size=0, max_size=58),
+       tail=st.sampled_from([(0, 1), (1, 0), (0, 0), (1, 1)]))
+def test_kink_classify_matches_reference(xi, head, tail):
+    p = PathPrefix(tuple(head) + tail)
+    try:
+        want = kink_classify_reference(xi, p)
+    except KinkPreconditionFailed as exc:
+        with pytest.raises(KinkPreconditionFailed, match=re.escape(str(exc))):
+            kink_classify(xi, p)
+    else:
+        assert kink_classify(xi, p) == want
 
 
 def test_kink_explicit_max_min_lr_configuration():

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +37,11 @@ def test_block_constant_shorthand(capsys):
                              "--x", "1", "--y", "1"])
     assert code == 0
     assert json.loads(out)["block"] == "ab"
+    # a row vertex: its block is the row's letter
+    code, out = run(capsys, ["block", "--ordering", "constant0",
+                             "--x", "3", "--y", "0"])
+    assert code == 0
+    assert json.loads(out)["block"] == "a"
 
 
 def test_block_k_symbols(capsys):
@@ -224,6 +230,16 @@ def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, ["odometer", "--diagram", "/nonexistent.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["tree:40", '{"kind":"tree","depth":40}'])
+def test_tree_depth_is_bounded(capsys, spec):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["block", "--ordering", spec, "--x", "2", "--y", "2"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_load_ordering_forms():

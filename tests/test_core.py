@@ -1,17 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
                           column_size, compare_paths, constant_ordering,
                           count_extremal_prefixes, cylinder_measure,
-                          cylinder_measure_approx, doubling_level,
-                          explicit_ordering, extreme_path, make_ordering,
-                          ordering_from_json, rank, seeded_ordering,
-                          tree_embedding_ordering, unrank)
+                          doubling_level, explicit_ordering, extreme_path,
+                          make_ordering, ordering_from_json, rank,
+                          seeded_ordering, tree_embedding_ordering, unrank)
 from adiclab.errors import AlphaOutOfRange, MissingBit, RankOutOfRange
 
-from conftest import all_paths, column_paths, seeds
+from conftest import (all_paths, column_paths, count_extremal_reference,
+                      extreme_path_reference, orderings, rank_reference,
+                      seeds, unrank_reference)
 
 
 def pascal_table(n_max):
@@ -62,6 +65,8 @@ def test_ordering_json_roundtrip():
                 {"kind": "seeded", "seed": 9, "bias": 0.25},
                 {"kind": "explicit", "bits": [[2, 2, 1], [1, 1, 0]],
                  "maxLevel": 5},
+                {"kind": "explicit", "bits": [[2, 2, 0], [1, 1, 0]],
+                 "maxLevel": 5, "default": 1},
                 {"kind": "tree", "depth": 2}):
         xi = make_ordering(doc)
         again = ordering_from_json(xi.to_json())
@@ -69,6 +74,7 @@ def test_ordering_json_roundtrip():
                   if x + y <= 4]
         assert [xi.bit(x, y) for x, y in probes] == \
             [again.bit(x, y) for x, y in probes]
+        assert again.fingerprint() == xi.fingerprint()
 
 
 def test_path_prefix_basics():
@@ -117,6 +123,32 @@ def test_unrank_roundtrip_level_8_50_seeds():
             assert unrank(xi, p.terminal, rank(xi, p)) == p
 
 
+@settings(max_examples=200, deadline=None)
+@given(xi=orderings(), data=st.data())
+def test_path_arithmetic_matches_reference(xi, data):
+    level = data.draw(st.integers(1, 60))
+    x = data.draw(st.integers(0, level))
+    v = Vertex(x, level - x)
+    for which in (MIN, MAX):
+        assert extreme_path(xi, v, which) == \
+            extreme_path_reference(xi, v, which)
+    r = data.draw(st.integers(0, column_size(v) - 1))
+    p = unrank(xi, v, r)
+    assert p == unrank_reference(xi, v, r)
+    assert rank(xi, p) == rank_reference(xi, p) == r
+    q = PathPrefix(tuple(data.draw(st.lists(st.integers(0, 1), min_size=level,
+                                            max_size=level))))
+    assert rank(xi, q) == rank_reference(xi, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xi=orderings(), level=st.integers(0, 44),
+       which=st.sampled_from([MIN, MAX]))
+def test_count_extremal_prefixes_matches_reference(xi, level, which):
+    assert count_extremal_prefixes(xi, level, which) == \
+        count_extremal_reference(xi, level, which)
+
+
 def test_unrank_bounds():
     xi = seeded_ordering(1)
     v = Vertex(3, 2)
@@ -143,8 +175,6 @@ def test_cylinder_measure():
     assert cylinder_measure(alpha, PathPrefix((1,))) == Fraction(1, 3)
     with pytest.raises(AlphaOutOfRange):
         cylinder_measure(Fraction(7, 5), PathPrefix((0,)))
-    approx = cylinder_measure_approx(0.25, PathPrefix((0, 1)))
-    assert abs(approx - 0.75 * 0.25) < 1e-12
 
 
 def test_measure_additivity():

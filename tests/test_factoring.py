@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from adiclab.coding import basic_block, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError
-from adiclab.factoring import (ALT_CAP, CDToken, CondensedForm, _Combiner,
+from adiclab.factoring import (ALT_CAP, CDToken, _Combiner,
                                _phase1_exact, _phase2_reachable,
                                _present_prefix,
                                alt_state, alternation_exclusion, combine_alt,
-                               condense_concat, condensed_form, decode_ordering,
-                               decompose_CD, factor_block,
+                               decode_ordering, decompose_CD, factor_block,
                                factorization_scheme_counts, intersection_probe,
                                periodic_exclusion, reachable_alt_states,
                                run_context_report, small_subshift_orderings,
@@ -196,41 +195,6 @@ def test_factorization_counts_report_mode():
     counts = factorization_scheme_counts(seeded_ordering(3), 1, 5)
     assert all(c >= 1 for c in counts.values())
     assert (Vertex(2, 3), 1) in counts
-
-
-def test_condensed_form_examples():
-    assert condensed_form("ababaab") == CondensedForm("ababa", "ab", False)
-    assert condensed_form("abab") == CondensedForm("abab", "abab", True)
-    assert condensed_form("a") == CondensedForm("a", "a", True)
-
-
-def test_condense_concat_cases():
-    s1 = condensed_form("ababaab")
-    s2 = condensed_form("babbab")
-    assert condense_concat(s1, s2) == CondensedForm("ababa", "bab", False)
-    assert condense_concat(condensed_form("ab"), condensed_form("ab")) == \
-        CondensedForm("abab", "abab", True)
-    assert condense_concat(condensed_form("ab"), condensed_form("ba")) == \
-        CondensedForm("ab", "ba", False)
-
-
-def test_condense_concat_homomorphism_and_associativity():
-    rng = random.Random(1)
-
-    def word():
-        return "".join(rng.choice("ab") for _ in range(rng.randint(1, 14)))
-
-    for _ in range(10000):
-        u, v = word(), word()
-        assert condense_concat(condensed_form(u), condensed_form(v)) == \
-            condensed_form(u + v)
-    for _ in range(2000):
-        u, v, w = word(), word(), word()
-        a = condense_concat(condense_concat(condensed_form(u), condensed_form(v)),
-                            condensed_form(w))
-        b = condense_concat(condensed_form(u),
-                            condense_concat(condensed_form(v), condensed_form(w)))
-        assert a == b == condensed_form(u + v + w)
 
 
 def test_alt_state_combine_matches_direct():
