@@ -21,9 +21,8 @@ from .adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                    orbit_coding, predecessor, successor,
                    weakmixing_row_check, weakmixing_vertex_search)
 from .coding import (CylSymbol, basic_block, basic_block_k,
-                     big_language_count, complexity, enumerate_blocks,
-                     faithfulness_probe, language_words, stabilized_complexity,
-                     symbol_census)
+                     big_language_count, enumerate_blocks, faithfulness_probe,
+                     language_words, stabilized_complexity, symbol_census)
 from .factoring import (AltState, CDToken, alternation_exclusion, alt_state,
                         combine_alt, decode_ordering, decompose_CD,
                         factor_block, intersection_probe,

@@ -29,25 +29,27 @@ INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
 def load_ordering(text: str) -> OrderingTable:
     """Ordering from inline JSON, an @file reference, or a shorthand like
     constant0 / seeded:7 / tree:3."""
-    # argparse reports type and value errors only
+    # argparse prints the message of an ArgumentTypeError, but only a
+    # generic line for a ValueError or TypeError, so every refusal is
+    # turned into the former
     try:
         if text.startswith("@"):
             with open(text[1:]) as fh:
                 return make_ordering(json.load(fh))
         if text.startswith("{"):
             return make_ordering(json.loads(text))
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        if text in ("constant0", "constant1"):
+            return make_ordering({"kind": "constant", "bit": int(text[-1])})
+        m = re.fullmatch(r"seeded:(\d+)", text)
+        if m:
+            return seeded_ordering(int(m.group(1)))
+        m = re.fullmatch(r"tree:(\d+)", text)
+        if m:
+            return make_ordering({"kind": "tree", "depth": int(m.group(1))})
     except KeyError as exc:
         raise argparse.ArgumentTypeError(f"ordering lacks the {exc} field") from exc
-    if text in ("constant0", "constant1"):
-        return make_ordering({"kind": "constant", "bit": int(text[-1])})
-    m = re.fullmatch(r"seeded:(\d+)", text)
-    if m:
-        return seeded_ordering(int(m.group(1)))
-    m = re.fullmatch(r"tree:(\d+)", text)
-    if m:
-        return make_ordering({"kind": "tree", "depth": int(m.group(1))})
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"cannot parse ordering {text!r}")
 
 

@@ -12,12 +12,11 @@ prefixes and suffixes around each concatenation junction.
 
 import itertools
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, explicit_ordering, rank, unrank)
+                   column_size, explicit_ordering, rank, seeded_ordering)
 from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
@@ -37,17 +36,6 @@ def cyl_offsets(k: int):
     for m in range(k + 1):
         offs.append(offs[-1] + binomial(k, m))
     return offs
-
-
-def symbol_to_id(sym: CylSymbol, offs=None) -> int:
-    offs = offs or cyl_offsets(sym.k)
-    return offs[sym.m] + sym.s - 1
-
-
-def id_to_symbol(k: int, ident: int, offs=None) -> CylSymbol:
-    offs = offs or cyl_offsets(k)
-    m = bisect_right(offs, ident) - 1
-    return CylSymbol(k, m, ident - offs[m] + 1)
 
 
 #: Base words of the letter coding, at (1, 0) and (0, 1).
@@ -163,8 +151,9 @@ def basic_block_k(xi: OrderingTable, k: int, x: int, y: int) -> tuple:
     if store.bytes_used + 8 * len(word) > store.max_bytes:
         raise CapExceeded(f"{len(word)} symbols at 8 bytes each would exceed "
                           f"the {store.max_bytes}-byte block budget")
-    offs = cyl_offsets(k)
-    syms = [id_to_symbol(k, i, offs) for i in range(2 ** k)]
+    # the symbols in id order: by m, then s
+    syms = [CylSymbol(k, m, s) for m in range(k + 1)
+            for s in range(1, binomial(k, m) + 1)]
     return tuple(map(syms.__getitem__, word))
 
 
@@ -173,38 +162,6 @@ def block_word_k(xi: OrderingTable, k: int, x: int, y: int) -> bytes:
     if k < 1 or k > 8:
         raise ValueError("1 <= k <= 8")
     return block_store(xi).block(x, y, CYLINDER_IDS[k])
-
-
-def column_coding(xi: OrderingTable, x: int, y: int, k: int) -> bytes:
-    """Step masks of the first k edges of every path to (x, y), in rank order.
-
-    Bit t of a mask is set iff step t is a b step.  This is the k-block at
-    (x, y) with each cylinder id relabelled by the mask of the level-k
-    path it names, so it needs x + y >= k.
-    """
-    word = block_word_k(xi, k, x, y)
-    offs = cyl_offsets(k)
-    table = bytearray(256)
-    for ident in range(2 ** k):
-        sym = id_to_symbol(k, ident, offs)
-        steps = unrank(xi, Vertex(k - sym.m, sym.m), sym.s - 1).steps
-        table[ident] = sum(s << t for t, s in enumerate(steps))
-    return word.translate(table)
-
-
-def letters_from_k1(word) -> str:
-    """Spell a 1-coding word (ids or CylSymbols) as letters."""
-    out = []
-    for sym in word:
-        ident = sym if isinstance(sym, int) else symbol_to_id(sym)
-        out.append("ab"[ident])
-    return "".join(out)
-
-
-def project_symbol_to_letter(xi: OrderingTable, sym: CylSymbol) -> str:
-    """First-edge letter of the path a symbol names (the factor map to k=1)."""
-    path = unrank(xi, Vertex(sym.k - sym.m, sym.m), sym.s - 1)
-    return path.word()[0]
 
 
 def symbol_census(w: str):
@@ -269,9 +226,11 @@ def _tail(s: str, m: int) -> str:
 class _LanguageScan:
     """Collects n-windows of all basic blocks, level by level.
 
-    Blocks short enough to hold a window plus context are materialized;
-    longer blocks contribute only the windows spanning their junction,
-    built from the suffix of the first child and the prefix of the second.
+    `_ends[v]` is the (head, tail) of the block at v: the whole block twice
+    while it is short enough to hold a window plus context, otherwise its
+    first and last n - 1 letters.  Short blocks add all their windows;
+    longer blocks add only the windows spanning their junction, built from
+    the tail of the first child and the head of the second.
     """
 
     def __init__(self, xi: OrderingTable, n: int):
@@ -279,28 +238,10 @@ class _LanguageScan:
             raise ValueError("n >= 1")
         self.xi = xi
         self.n = n
-        self.margin = n - 1
         self.short_cap = max(2 * n, 4)
         self.words = set()
         self.level = 0
-        self._short = {}
-        self._pref = {}
-        self._suf = {}
-
-    def _child_text(self, v):
-        if v[1] == 0:
-            return "a"
-        if v[0] == 0:
-            return "b"
-        return self._short.get(v)
-
-    def _pref_of(self, v):
-        text = self._child_text(v)
-        return text if text is not None else self._pref[v]
-
-    def _suf_of(self, v):
-        text = self._child_text(v)
-        return text if text is not None else self._suf[v]
+        self._ends = {}
 
     def _add_windows(self, text):
         n = self.n
@@ -308,28 +249,28 @@ class _LanguageScan:
             self.words.add(text[i:i + n])
 
     def advance_to(self, level: int):
+        ends = self._ends
+        m = self.n - 1
         while self.level < level:
             self.level += 1
             lvl = self.level
+            ends[(lvl, 0)] = ("a", "a")
+            ends[(0, lvl)] = ("b", "b")
             if lvl == 1:
                 self._add_windows("a")
                 self._add_windows("b")
-                continue
             for x in range(1, lvl):
                 y = lvl - x
                 c1, c2 = self.xi.parents(x, y)
+                (h1, t1), (h2, t2) = ends[c1], ends[c2]
                 if binomial(lvl, x) <= self.short_cap:
-                    text = self._child_text(c1) + self._child_text(c2)
-                    self._short[(x, y)] = text
+                    # the children of a short block are short too
+                    text = h1 + h2
+                    ends[(x, y)] = (text, text)
                     self._add_windows(text)
                 else:
-                    m = self.margin
-                    junction = _tail(self._suf_of(c1), m) + self._pref_of(c2)[:m]
-                    self._add_windows(junction)
-                    self._pref[(x, y)] = (self._pref_of(c1)
-                                          + self._pref_of(c2))[:m]
-                    self._suf[(x, y)] = _tail(self._suf_of(c1)
-                                              + self._suf_of(c2), m)
+                    self._add_windows(_tail(t1, m) + h2[:m])
+                    ends[(x, y)] = ((h1 + h2)[:m], _tail(t1 + t2, m))
 
     def count(self):
         return len(self.words)
@@ -345,17 +286,6 @@ def language_words(xi: OrderingTable, n: int, L: int) -> set:
     scan = _LanguageScan(xi, n)
     scan.advance_to(max(L, 1))
     return scan.words
-
-
-def complexity(xi: OrderingTable, n: int, L: int):
-    """(number of n-windows up to level L, count unchanged since L-2?)."""
-    scan = _LanguageScan(xi, n)
-    counts = []
-    for lvl in range(1, max(L, 1) + 1):
-        scan.advance_to(lvl)
-        counts.append(scan.count())
-    stabilized = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
-    return counts[-1], stabilized
 
 
 def stabilized_complexity(xi: OrderingTable, n: int, max_level: int = 80):
@@ -383,8 +313,6 @@ def big_language_count(n: int, level_cap: int, ordering_budget: int,
     length (k+1)(k+2)/2 also enumerates the restricted (k, 2) block family,
     whose 2^(k-1) members all have length exactly n.
     """
-    from .core import seeded_ordering
-
     words = set()
     k = 2
     while (k + 1) * (k + 2) // 2 < n:
@@ -445,13 +373,13 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
     ranks = [rank(xi, e) for e in extended]
-    codings = {}
+    codings = {}  # the k-block of each column: one cylinder id per path
     for e in extended:
         v = e.terminal
         if v not in codings:
-            sweep = column_coding(xi, v.x, v.y, k)
-            assert len(sweep) == column_size(v)
-            codings[v] = sweep
+            word = block_word_k(xi, k, v.x, v.y)
+            assert len(word) == column_size(v)
+            codings[v] = word
     report = FaithfulnessReport(k=k, level=L, delta=delta)
     for i in range(len(paths)):
         si, ri = codings[extended[i].terminal], ranks[i]

@@ -173,7 +173,7 @@ class OrderingTable:
         return parent, parent
 
     def fingerprint(self) -> str:
-        """Canonical identity string, used as a cache key."""
+        """Canonical identity string, as the `complexity` command prints it."""
         return self._fingerprint
 
     def __repr__(self):

@@ -15,8 +15,8 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
-from .core import (OrderingTable, Vertex, binomial, ordered_parents,
-                   rule_ordering)
+from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
+                   ordered_parents, rule_ordering)
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
                      LevelBelowK, ParseError, SizeCap)
 
@@ -136,8 +136,6 @@ def decode_ordering(w: str):
     restricted-ordering basic block.  w is tokenized once; the segments
     are read off its token index.
     """
-    from .core import explicit_ordering
-
     if w == "a":
         return Vertex(1, 0), explicit_ordering({}, max_level=1)
     if w == "b":

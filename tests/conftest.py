@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from adiclab.adic import KinkCase
-from adiclab.coding import basic_block
+from adiclab.adic import KinkCase, minimal_continuation
+from adiclab.coding import (FaithfulnessReport, PairSeparation, basic_block,
+                            block_word_k, cyl_offsets)
 from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
                           Vertex, binomial, column_size, explicit_ordering,
-                          ordered_parents, seeded_ordering,
-                          tree_embedding_ordering)
+                          ordered_parents, rank, seeded_ordering,
+                          tree_embedding_ordering, unrank)
 from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, ParseError)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
@@ -125,6 +126,79 @@ def successor_sweep(xi, x, y, k):
         out.append(sym)
         if _successor_inplace(bit, steps, n) < 0:
             return bytes(out)
+
+
+# The k-coding spelled in other alphabets: step masks, letters, and the
+# first-edge letter of each symbol.
+
+def column_coding(xi, x, y, k):
+    """Step masks of the first k edges of every path to (x, y), in rank order.
+
+    Bit t of a mask is set iff step t is a b step.  This is the k-block at
+    (x, y) with each cylinder id relabelled by the mask of the level-k
+    path it names, so it needs x + y >= k.
+    """
+    table = bytearray(256)
+    ident = 0
+    for m in range(k + 1):  # ids in order: by m, then s
+        for s in range(binomial(k, m)):
+            steps = unrank(xi, Vertex(k - m, m), s).steps
+            table[ident] = sum(b << t for t, b in enumerate(steps))
+            ident += 1
+    return block_word_k(xi, k, x, y).translate(table)
+
+
+def symbol_to_id(sym):
+    return cyl_offsets(sym.k)[sym.m] + sym.s - 1
+
+
+def letters_from_k1(word):
+    """Spell a 1-coding word (ids or CylSymbols) as letters."""
+    return "".join("ab"[sym if isinstance(sym, int) else symbol_to_id(sym)]
+                   for sym in word)
+
+
+def project_symbol_to_letter(xi, sym):
+    """First-edge letter of the path a symbol names (the factor map to k=1)."""
+    return unrank(xi, Vertex(sym.k - sym.m, sym.m), sym.s - 1).word()[0]
+
+
+def faithfulness_reference(xi, L, k, delta):
+    """`faithfulness_probe` comparing step-mask windows (`column_coding`)."""
+    if k > L:
+        raise ValueError("k <= L required")
+    deep = L + delta
+    paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
+    extended = [minimal_continuation(xi, p, deep) for p in paths]
+    ranks = [rank(xi, e) for e in extended]
+    codings = {}
+    for e in extended:
+        v = e.terminal
+        if v not in codings:
+            sweep = column_coding(xi, v.x, v.y, k)
+            assert len(sweep) == column_size(v)
+            codings[v] = sweep
+    report = FaithfulnessReport(k=k, level=L, delta=delta)
+    for i in range(len(paths)):
+        si, ri = codings[extended[i].terminal], ranks[i]
+        for j in range(i + 1, len(paths)):
+            sj, rj = codings[extended[j].terminal], ranks[j]
+            back = min(ri, rj)
+            fwd = min(len(si) - ri, len(sj) - rj)
+            wa = si[ri - back:ri + fwd]
+            wb = sj[rj - back:rj + fwd]
+            coord = None
+            if wa != wb:
+                for d in range(max(back, fwd)):
+                    if d < fwd and wa[back + d] != wb[back + d]:
+                        coord = d
+                        break
+                    if d < back and wa[back - 1 - d] != wb[back - 1 - d]:
+                        coord = -1 - d
+                        break
+            report.pairs.append(PairSeparation(paths[i].word(), paths[j].word(),
+                                               coord, (-back, fwd - 1)))
+    return report
 
 
 # Reference path arithmetic: the order queries written out per edge from

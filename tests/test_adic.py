@@ -9,14 +9,15 @@ from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                           kink_return_time, kink_verify, minimal_continuation,
                           orbit_coding, path_symbol, predecessor, successor,
                           weakmixing_row_check, weakmixing_vertex_search)
-from adiclab.coding import CylSymbol, basic_block, basic_block_k, letters_from_k1
+from adiclab.coding import CylSymbol, basic_block, basic_block_k
 from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
                           rank, seeded_ordering, unrank)
 from adiclab.errors import (KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, WindowEscapesColumn)
 
-from conftest import all_paths, kink_classify_reference, orderings, seeds
+from conftest import (all_paths, kink_classify_reference, letters_from_k1,
+                      orderings, seeds)
 
 
 def test_successor_two_element_column():

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -239,13 +241,18 @@ def test_tree_depth_is_bounded(capsys, spec):
         main(["block", "--ordering", spec, "--x", "2", "--y", "2"])
     assert exc.value.code == 2
     assert time.perf_counter() - start < 1
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "tree depth must be between 1 and 10" in err
 
 
 def test_load_ordering_forms():
     assert load_ordering("constant1").bit(2, 2) == 1
     assert load_ordering("seeded:4").fingerprint().startswith("seeded:4")
     assert load_ordering("tree:2").kind == "tree"
+    # a refused ordering says why
+    with pytest.raises(argparse.ArgumentTypeError, match="bias a probability"):
+        load_ordering('{"kind":"seeded","seed":1,"bias":2}')
 
 
 def test_byte_identical_reruns():
@@ -257,6 +264,34 @@ def test_byte_identical_reruns():
                        check=True)
     assert a.stdout == b.stdout == c.stdout
     assert a.stdout
+
+
+# README commands (plus a k-coded block and a complexity table on a seeded
+# ordering) with their stdout and exit code.  To re-record after an
+# intended change, run `PYTHONPATH=src python tests/test_cli.py`: it
+# rewrites every entry from the current code, so the diff shows which
+# entries moved.
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def run_golden(argv, folder):
+    """(exit code, stdout) of one command, with `{tmp}` read as `folder`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main([a.replace("{tmp}", str(folder)) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_cli_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    for entry in golden["commands"]:
+        assert run_golden(entry["argv"], tmp_path) == \
+            (entry["code"], entry["stdout"]), entry["argv"]
 
 
 def test_smallshift_n1(capsys):
@@ -355,3 +390,15 @@ def test_argv_fuzz_exits_cleanly(json_files, data):
     assert "Traceback" not in err.getvalue()
     if not rejected:
         json.loads(out.getvalue())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    golden = json.loads(GOLDEN.read_text())
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in golden["files"].items():
+            pathlib.Path(folder, name).write_text(text)
+        for entry in golden["commands"]:
+            entry["code"], entry["stdout"] = run_golden(entry["argv"], folder)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -1,20 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             big_language_count, block_store, block_word_k,
-                            column_coding, complexity,
-                            enumerate_blocks,
-                            faithfulness_probe, iter_restricted_blocks,
-                            language_words, letters_from_k1,
-                            project_symbol_to_letter, stabilized_complexity,
-                            symbol_census)
+                            enumerate_blocks, faithfulness_probe,
+                            iter_restricted_blocks, language_words,
+                            stabilized_complexity, symbol_census)
 from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
 from adiclab.errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 from adiclab.factoring import small_subshift_orderings
 
-from conftest import WORKED_BLOCK, seeds, successor_sweep
+from conftest import (WORKED_BLOCK, column_coding, faithfulness_reference,
+                      letters_from_k1, orderings, project_symbol_to_letter,
+                      seeds, successor_sweep)
 
 
 def brute_language(xi, n, L):
@@ -188,6 +189,14 @@ def test_language_words_match_brute_force():
                 assert language_words(xi, n, L) == brute_language(xi, n, L)
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), n=st.integers(1, 10), L=st.integers(1, 12))
+def test_language_words_match_brute_force_property(xi, n, L):
+    # short_cap = max(2n, 4): every n meets short and long blocks by L = 12
+    assert language_words(xi, n, L) == brute_language(xi, n, L)
+
+
 def test_language_words_basics_and_monotone():
     xi = seeded_ordering(3)
     assert language_words(xi, 1, 2) == {"a", "b"}
@@ -206,8 +215,7 @@ def test_language_contains_spread_runs():
 
 def test_complexity_flags():
     xi0 = constant_ordering(0)
-    count, stab = complexity(xi0, 1, 5)
-    assert count == 2 and stab
+    assert len(language_words(xi0, 1, 5)) == 2
     count, lvl, stab = stabilized_complexity(xi0, 5, 40)
     assert stab and count == 24  # frozen from the successor-iteration oracle
 
@@ -216,6 +224,8 @@ def test_complexity_not_stabilized_when_capped():
     xi0 = constant_ordering(0)
     count, lvl, stab = stabilized_complexity(xi0, 12, 6)
     assert not stab
+    # three flat levels of no 12-window at all are no plateau
+    assert stabilized_complexity(xi0, 12, 3) == (0, 3, False)
 
 
 def test_big_language_count():
@@ -238,3 +248,13 @@ def test_faithfulness_k1_reports_without_assertion():
     report = faithfulness_probe(seeded_ordering(0), 4, 1, 4)
     assert report.total == 120
     assert 0 <= report.separated <= report.total
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), L=st.integers(1, 4), k=st.integers(1, 3),
+       delta=st.integers(0, 4))
+def test_faithfulness_probe_matches_reference(xi, L, k, delta):
+    k = min(k, L)
+    assert faithfulness_probe(xi, L, k, delta) == \
+        faithfulness_reference(xi, L, k, delta)
