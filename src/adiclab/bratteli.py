@@ -7,7 +7,9 @@ single root vertex.
 """
 
 import hashlib
+import itertools
 import json
+import random
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,18 +214,6 @@ def shapes_from_json(text: str) -> list:
         raise MalformedInput(f"bad shapes field: {exc}") from exc
 
 
-def _keyed_rng_perm(seed: int, trial: int, level: int, vertex: int, items):
-    """Deterministic shuffle keyed by (seed, trial, level, vertex)."""
-    import random
-
-    key = hashlib.blake2b(struct.pack("<QQQQ", seed & (2**64 - 1), trial,
-                                      level, vertex), digest_size=8).digest()
-    rng = random.Random(int.from_bytes(key, "little"))
-    items = list(items)
-    rng.shuffle(items)
-    return tuple(items)
-
-
 def random_ordering(shape: Shape, rng) -> tuple:
     """One ordered level: an independent uniform edge order per target."""
     words = []
@@ -242,8 +232,6 @@ def exact_uniform_probability(shape: Shape,
     For one edge between every source-target pair this equals
     r! / (r!)^V with r the common in-degree and V the target count.
     """
-    import itertools
-
     total = 1
     for t in range(shape.target_count):
         total *= factorial(shape.in_degree(t))
@@ -294,20 +282,42 @@ class MonteCarloReport:
         return sums
 
 
+# (seed, trial, shape index, target): the blake2b key of one target's
+# generator
+_TRIAL_KEY = struct.Struct("<QQQQ").pack
+
+
 def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
     """Per shape, how many of the keyed trials lo..hi-1 order it uniformly.
 
     Trial t draws its orders from (seed, t) alone, so splitting a trial
-    range into chunks and summing the hits gives the same counts.
+    range into chunks and summing the hits gives the same counts.  Each
+    target's order comes from its own keyed generator, so a trial stops
+    drawing at its first target whose word is not a power of the first
+    word's primitive root (the test of `uniform_base`).
     """
+    rng = random.Random()
+    reseed, shuffle = rng.seed, rng.shuffle
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    seed &= 2**64 - 1
     hits = []
     for lvl_idx, shape in enumerate(shapes):
         edges = [shape.in_edges(t) for t in range(shape.target_count)]
         count = 0
         for trial in range(lo, hi):
-            words = tuple(_keyed_rng_perm(seed, trial, lvl_idx, t, edges[t])
-                          for t in range(shape.target_count))
-            if uniform_base(words) is not None:
+            base = None
+            for t, in_edges in enumerate(edges):
+                key = blake2b(_TRIAL_KEY(seed, trial, lvl_idx, t),
+                              digest_size=8).digest()
+                reseed(from_bytes(key, "little"))
+                word = in_edges[:]
+                shuffle(word)
+                if base is None:
+                    base = _primitive_root(word)
+                elif (len(word) % len(base)
+                      or base * (len(word) // len(base)) != word):
+                    break
+            else:
                 count += 1
         hits.append(count)
     return hits
@@ -368,8 +378,6 @@ def shape_process(alphabet, weights, N: int, seed: int) -> ShapeProcessReport:
     positive frequency is the finite shadow of the recurrence argument
     that yields an odometer almost surely).
     """
-    import random
-
     alphabet = list(alphabet)
     if not alphabet:
         raise ValueError("empty alphabet")

@@ -287,13 +287,23 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
 
 def make_ordering(spec) -> OrderingTable:
     """Build a table from a JSON-style dict (see `ordering_from_json`)."""
+    if not isinstance(spec, dict):
+        raise ValueError('an ordering is a JSON object with a "kind" field')
     kind = spec["kind"]
     if kind == "constant":
         return constant_ordering(spec["bit"])
     if kind == "seeded":
         return seeded_ordering(spec["seed"], spec.get("bias", 0.5))
     if kind == "explicit":
-        bits = {(x, y): b for x, y, b in spec["bits"]}
+        entries = spec["bits"]
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError('explicit "bits" is a list of [x, y, b] triples')
+        for entry in entries:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 3
+                    or any(type(v) is not int for v in entry)):
+                raise ValueError(f'explicit "bits" entry {entry!r} is not '
+                                 f'an [x, y, b] triple of integers')
+        bits = {(x, y): b for x, y, b in entries}
         return explicit_ordering(bits, spec["maxLevel"], spec.get("default", 0))
     if kind == "tree":
         return tree_embedding_ordering(spec["depth"])

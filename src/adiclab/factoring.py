@@ -313,7 +313,7 @@ def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
     every decision below the cap; caps up to 31)."""
     if cap > 31:
         raise CapExceeded("packed states support caps up to 31")
-    return _unpack(_combine_packed(_pack(s1), _pack(s2), cap))
+    return _unpack(_Combiner(cap)[_pack(s1) << 24 | _pack(s2)])
 
 
 # A packed state holds `full` in bit 0, lc == "b" in bit 1, rc == "b" in
@@ -331,39 +331,53 @@ def _unpack(v: int) -> AltState:
                     (v >> 18) & 31)
 
 
-def _combine_packed(a: int, b: int, cap: int) -> int:
-    """Packed state of u v from the packed states a of u and b of v."""
-    ll, rl = (a >> 3) & 31, (b >> 8) & 31
-    maxab = max((a >> 13) & 31, (b >> 13) & 31)
-    maxba = max((a >> 18) & 31, (b >> 18) & 31)
-    full = 0
-    if ((a >> 2) ^ (b >> 1)) & 1:
-        # u's last letter differs from v's first: u's alternating suffix
-        # and v's alternating prefix form one run across the junction,
-        # which starts with u's last letter iff that suffix has odd length
-        suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
-        starts_b = ((a >> 2) ^ suffix ^ 1) & 1
-        maxab = max(maxab, suffix + prefix - starts_b)
-        maxba = max(maxba, suffix + prefix - 1 + starts_b)
-        if a & 1:
-            ll = min(ll + prefix, cap)
-        if b & 1:
-            rl = min(suffix + rl, cap)
-        full = a & b & 1
-    return (full | a & 2 | b & 4 | ll << 3 | rl << 8
-            | min(maxab, cap) << 13 | min(maxba, cap) << 18)
-
-
 class _Combiner(dict):
     """Memo of packed-state combination under one cap: comb[a << 24 | b]
-    is the packed state of a word with state a followed by one with b."""
+    is the packed state of a word u with state a followed by a word v
+    with state b."""
 
     def __init__(self, cap):
         super().__init__()
         self.cap = cap
 
     def __missing__(self, key: int) -> int:
-        got = self[key] = _combine_packed(key >> 24, key & 0xFFFFFF, self.cap)
+        a, b, cap = key >> 24, key & 0xFFFFFF, self.cap
+        ll, rl = (a >> 3) & 31, (b >> 8) & 31
+        maxab, maxba = (a >> 13) & 31, (a >> 18) & 31
+        other = (b >> 13) & 31
+        if other > maxab:
+            maxab = other
+        other = (b >> 18) & 31
+        if other > maxba:
+            maxba = other
+        full = 0
+        if ((a >> 2) ^ (b >> 1)) & 1:
+            # u's last letter differs from v's first: u's alternating suffix
+            # and v's alternating prefix form one run across the junction,
+            # which starts with u's last letter iff that suffix has odd length
+            suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
+            starts_b = ((a >> 2) ^ suffix ^ 1) & 1
+            run = suffix + prefix - starts_b
+            if run > maxab:
+                maxab = run
+            run = suffix + prefix - 1 + starts_b
+            if run > maxba:
+                maxba = run
+            if a & 1:
+                ll += prefix
+                if ll > cap:
+                    ll = cap
+            if b & 1:
+                rl += suffix
+                if rl > cap:
+                    rl = cap
+            full = a & b & 1
+        if maxab > cap:
+            maxab = cap
+        if maxba > cap:
+            maxba = cap
+        got = self[key] = (full | a & 2 | b & 4 | ll << 3 | rl << 8
+                           | maxab << 13 | maxba << 18)
         return got
 
 
@@ -387,7 +401,8 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
     vector's bit-0 states by ascending x, then its bit-1 states, and the
     next vectors are inserted in the order of the bit patterns (the bit at
     x = 1 varying fastest): the witness is the first flagged state a loop
-    over every bit pattern of every vector would meet.
+    over every bit pattern of every vector would meet.  The states at
+    `level` are flag-checked, but no vectors past it are built.
     """
     need = 2 * j
     sa, sb = _boundary_states(comb.cap)
@@ -401,6 +416,8 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
             for state in zero + one:
                 if _flagged(state, need):
                     return False, n, _unpack(state)
+            if n == level:
+                continue  # nothing reads the vectors past the last level
             options = [(s0,) if s0 == s1 else (s0, s1)
                        for s0, s1 in zip(reversed(zero), reversed(one))]
             nxt.update(map(_REVERSED, itertools.product(*options)))

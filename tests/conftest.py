@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
+import struct
 
 import pytest
 from hypothesis import strategies as st
 
 from adiclab.adic import KinkCase, minimal_continuation
+from adiclab.bratteli import uniform_base
 from adiclab.coding import (FaithfulnessReport, PairSeparation, basic_block,
                             block_word_k, cyl_offsets)
 from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
@@ -14,8 +17,7 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
 from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, ParseError)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
-                               _pack, _unpack, alt_state, combine_alt,
-                               decompose_CD)
+                               _pack, _unpack, alt_state, decompose_CD)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -308,9 +310,32 @@ def kink_classify_reference(xi, p):
     return KinkCase(a1, a2, a3)
 
 
+# Reference state combine: the packed-state concatenation rule written with
+# `max`/`min`, as one function of (a, b, cap).
+
+def combine_packed_reference(a, b, cap):
+    """Packed state of u v from the packed states a of u and b of v."""
+    ll, rl = (a >> 3) & 31, (b >> 8) & 31
+    maxab = max((a >> 13) & 31, (b >> 13) & 31)
+    maxba = max((a >> 18) & 31, (b >> 18) & 31)
+    full = 0
+    if ((a >> 2) ^ (b >> 1)) & 1:
+        suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
+        starts_b = ((a >> 2) ^ suffix ^ 1) & 1
+        maxab = max(maxab, suffix + prefix - starts_b)
+        maxba = max(maxba, suffix + prefix - 1 + starts_b)
+        if a & 1:
+            ll = min(ll + prefix, cap)
+        if b & 1:
+            rl = min(suffix + rl, cap)
+        full = a & b & 1
+    return (full | a & 2 | b & 4 | ll << 3 | rl << 8
+            | min(maxab, cap) << 13 | min(maxba, cap) << 18)
+
+
 # Reference alternation searches: the plain loops over every bit pattern
 # (phase 1) and over every pair of neighbouring pairs (phase 2), with their
-# own memo over `combine_alt`.
+# own memo over `combine_packed_reference`.
 
 def _reference_combiner(cap):
     memo = {}
@@ -319,7 +344,7 @@ def _reference_combiner(cap):
         key = a << 24 | b
         got = memo.get(key)
         if got is None:
-            got = _pack(combine_alt(_unpack(a), _unpack(b), cap))
+            got = combine_packed_reference(a, b, cap)
             memo[key] = got
         return got
 
@@ -504,3 +529,30 @@ def decode_reference(w):
     bits = {}
     _decode_segment_reference(w, 0, len(w), x, y, bits)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
+
+
+# Reference Monte Carlo loop: every target of every trial shuffled by a
+# fresh keyed generator, then the whole level tested with `uniform_base`.
+
+def _keyed_rng_perm(seed, trial, level, vertex, items):
+    """Deterministic shuffle keyed by (seed, trial, level, vertex)."""
+    key = hashlib.blake2b(struct.pack("<QQQQ", seed & (2**64 - 1), trial,
+                                      level, vertex), digest_size=8).digest()
+    rng = random.Random(int.from_bytes(key, "little"))
+    items = list(items)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+def uniform_hits_reference(shapes, seed, lo, hi):
+    hits = []
+    for lvl_idx, shape in enumerate(shapes):
+        edges = [shape.in_edges(t) for t in range(shape.target_count)]
+        count = 0
+        for trial in range(lo, hi):
+            words = tuple(_keyed_rng_perm(seed, trial, lvl_idx, t, edges[t])
+                          for t in range(shape.target_count))
+            if uniform_base(words) is not None:
+                count += 1
+        hits.append(count)
+    return hits

@@ -11,10 +11,12 @@ from adiclab.bratteli import (OrderedDiagram, OrderedShape,
                               is_uniformly_ordered, monte_carlo_uniform,
                               odometer_certificate, pascal_as_diagram,
                               random_ordering, shape_process, telescope,
-                              uniform_base, vertex_coding)
+                              uniform_base, uniform_hits, vertex_coding)
 from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
 from adiclab.errors import ShapeMismatch
+
+from conftest import uniform_hits_reference
 
 
 def uniform_level_diagram():
@@ -109,6 +111,36 @@ def test_telescope_functorial_on_random_diagrams():
         mid = telescope(d, cuts)
         assert telescope(d, [0, d.depth]).codings == \
             telescope(mid, [0, mid.depth]).codings
+
+
+@st.composite
+def _diagrams(draw):
+    """2-3 vertices a level, 3-6 levels, words of 1-3 sources."""
+    levels, prev = [], 1
+    for _ in range(draw(st.integers(3, 6))):
+        size = draw(st.integers(2, 3))
+        words = [draw(st.lists(st.integers(0, prev - 1), min_size=1,
+                               max_size=3)) for _ in range(size)]
+        for v in set(range(prev)).difference(*words):  # surjectivity
+            words[v % size].append(v)
+        levels.append(tuple(map(tuple, words)))
+        prev = size
+    return OrderedDiagram(tuple(levels))
+
+
+def _cuts(draw, top):
+    """0, a random subset of 1..top-1, and top."""
+    keep = draw(st.lists(st.booleans(), min_size=top - 1, max_size=top - 1))
+    return [0] + [c for c, k in enumerate(keep, start=1) if k] + [top]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagrams(), st.data())
+def test_telescope_of_telescope_is_composed_telescope(d, data):
+    c1 = _cuts(data.draw, d.depth)
+    c2 = _cuts(data.draw, len(c1) - 1)
+    assert telescope(telescope(d, c1), c2).codings == \
+        telescope(d, [c1[i] for i in c2]).codings
 
 
 def test_uniform_levels_compose():
@@ -221,6 +253,47 @@ def test_monte_carlo_exact_and_determinism():
 def test_monte_carlo_single_target():
     rep = monte_carlo_uniform([Shape(((1,), (1,)))], 50, seed=1)
     assert rep.levels[0].frequency == 1.0
+
+
+@st.composite
+def _shape_lists(draw):
+    """1-3 shapes of 1-3 sources and targets, multiplicities 0-2.
+
+    Half the shapes give every target a multiple of one column, so that
+    levels of several targets are often uniform, and often not.
+    """
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            base = draw(st.lists(st.integers(1, 2), min_size=s, max_size=s))
+            scale = (draw(st.lists(st.integers(1, 2), min_size=t, max_size=t))
+                     if max(base) == 1 else [1] * t)
+            rows = [[m * k for k in scale] for m in base]
+        else:
+            rows = [draw(st.lists(st.integers(0, 2), min_size=t, max_size=t))
+                    for _ in range(s)]
+        for row in rows:  # every source and target needs an edge
+            if not any(row):
+                row[0] = 1
+        for c in range(t):
+            if not any(row[c] for row in rows):
+                rows[0][c] = 1
+        shapes.append(Shape(tuple(map(tuple, rows))))
+    return shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shape_lists(), st.integers(-2**63, 2**64 - 1), st.data())
+def test_uniform_hits_match_reference(shapes, seed, data):
+    hi = data.draw(st.integers(1, 200))
+    lo = data.draw(st.integers(0, hi - 1))
+    mid = data.draw(st.integers(lo, hi))
+    hits = uniform_hits(shapes, seed, lo, hi)
+    assert hits == uniform_hits_reference(shapes, seed, lo, hi)
+    # chunking a trial range keeps the counts
+    assert [p + q for p, q in zip(uniform_hits(shapes, seed, lo, mid),
+                                  uniform_hits(shapes, seed, mid, hi))] == hits
 
 
 def test_shape_process():

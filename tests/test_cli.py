@@ -246,6 +246,32 @@ def test_tree_depth_is_bounded(capsys, spec):
     assert "tree depth must be between 1 and 10" in err
 
 
+@pytest.mark.parametrize("doc, names", [
+    ("5", 'JSON object with a "kind" field'),
+    ("[]", 'JSON object with a "kind" field'),
+    ('{"kind":"explicit","bits":[[1]],"maxLevel":3}',
+     '"bits" entry [1] is not an [x, y, b] triple'),
+    # a float coordinate was truncated to an int, a string one refused
+    # in int()'s words
+    ('{"kind":"explicit","bits":[[1.5,2,1]],"maxLevel":3}',
+     '"bits" entry [1.5, 2, 1] is not an [x, y, b] triple'),
+    ('{"kind":"explicit","bits":[["a",2,1]],"maxLevel":3}',
+     '"bits" entry [\'a\', 2, 1] is not an [x, y, b] triple'),
+    ('{"kind":"explicit","bits":5,"maxLevel":3}',
+     '"bits" is a list of [x, y, b] triples'),
+])
+def test_refused_ordering_document_names_the_problem(capsys, tmp_path, doc,
+                                                      names):
+    (tmp_path / "f.json").write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["block", "--x", "2", "--y", "2", "--ordering",
+              f"@{tmp_path / 'f.json'}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert names in err
+
+
 def test_load_ordering_forms():
     assert load_ordering("constant1").bit(2, 2) == 1
     assert load_ordering("seeded:4").fingerprint().startswith("seeded:4")

@@ -19,8 +19,9 @@ from adiclab.factoring import (ALT_CAP, CDToken, _Combiner,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
-                      decode_reference, periodic_reference, phase1_reference,
-                      phase2_reference, seeds)
+                      combine_packed_reference, decode_reference,
+                      periodic_reference, phase1_reference, phase2_reference,
+                      seeds)
 
 
 def test_decompose_worked_example():
@@ -220,6 +221,26 @@ _ALTERNATING_WORDS = st.lists(
 def test_combine_alt_is_alt_state_of_concatenation(u, v, cap):
     assert combine_alt(alt_state(u, cap), alt_state(v, cap), cap) == \
         alt_state(u + v, cap)
+
+
+@st.composite
+def _packed_pairs(draw):
+    """Two packed states with every field in 0..cap, and the cap."""
+    cap = draw(st.integers(3, 31))
+
+    def state():
+        fields = st.integers(0, cap)
+        return (draw(st.integers(0, 7)) | draw(fields) << 3
+                | draw(fields) << 8 | draw(fields) << 13 | draw(fields) << 18)
+
+    return state(), state(), cap
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_packed_pairs())
+def test_combiner_matches_reference(pair):
+    a, b, cap = pair
+    assert _Combiner(cap)[a << 24 | b] == combine_packed_reference(a, b, cap)
 
 
 def test_alt_state_of_extremal_alternation_blocks():
