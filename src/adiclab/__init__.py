@@ -14,12 +14,12 @@ from .core import (BOTH_EXTREMAL, MAX, MIN, OrderingTable, PathPrefix, Vertex,
                    binomial, column_size, constant_ordering,
                    count_extremal_prefixes, cylinder_measure, doubling_level,
                    explicit_ordering, extreme_path, make_ordering,
-                   ordering_from_json, rank, rule_ordering, seeded_ordering,
-                   tree_embedding_ordering, unrank)
+                   minimal_continuation, ordering_from_json, rank,
+                   rule_ordering, seeded_ordering, tree_embedding_ordering,
+                   unrank)
 from .adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
-                   kink_return_time, kink_verify, minimal_continuation,
-                   orbit_coding, predecessor, successor,
-                   weakmixing_row_check, weakmixing_vertex_search)
+                   kink_return_time, kink_verify, orbit_coding, predecessor,
+                   successor, weakmixing_row_check, weakmixing_vertex_search)
 from .coding import (CylSymbol, basic_block, basic_block_k,
                      big_language_count, enumerate_blocks, faithfulness_probe,
                      language_words, stabilized_complexity, symbol_census)

@@ -10,75 +10,52 @@ import math
 from typing import NamedTuple
 
 from .coding import CylSymbol
-from .core import (A_STEP, B_STEP, MIN, OrderingTable, PathPrefix, Vertex,
-                   binomial, column_size, extreme_path, rank, unrank)
+from .core import (A_STEP, B_STEP, MAX, MIN, OrderingTable, PathPrefix,
+                   binomial, column_size, extreme_path, minimal_continuation,
+                   rank, unrank)
 from .errors import (BoundExceeded, KinkPreconditionFailed, MaximalPrefix,
                      MinimalPrefix, NotFound, WindowEscapesColumn)
+
+
+def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
+    """Move `steps` in place to the next path (side 1) or the previous one
+    (side 0) to the same terminal vertex.
+
+    `side` indexes `xi.parents`: the lowest edge that does not come from
+    its range's maximal (side 1) or minimal (side 0) parent is swapped for
+    the edge from that parent, and the steps below it are refilled with
+    the path extremal on the other side.  A boundary vertex has one parent
+    on both sides, so its edge never pivots.  Returns False, leaving
+    `steps` as they are, when no edge pivots.
+    """
+    x = y = 0
+    for i, s in enumerate(steps):
+        src = (x, y)
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+        new = xi.parents(x, y)[side]
+        if new != src:
+            steps[i] = A_STEP if new[0] < x else B_STEP
+            steps[:i] = extreme_path(xi, new, (MAX, MIN)[side]).steps
+            return True
+    return False
 
 
 def successor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     """The next-larger path to the same terminal vertex (rank + 1)."""
     steps = list(p.steps)
-    x = y = 0
-    for i, s in enumerate(steps):
-        if s == A_STEP:
-            x += 1
-        else:
-            y += 1
-        if x > 0 and y > 0 and s != xi.bit(x, y):
-            # this edge is minimal, hence non-maximal: pivot here
-            flipped = 1 - s
-            steps[i] = flipped
-            src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
-            steps[:i] = extreme_path(xi, src, MIN).steps
-            return PathPrefix(tuple(steps))
-    raise MaximalPrefix(f"maximal path to {tuple(p.terminal)}")
+    if not _pivot(xi, steps, 1):
+        raise MaximalPrefix(f"maximal path to {tuple(p.terminal)}")
+    return PathPrefix(tuple(steps))
 
 
 def predecessor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     """Inverse of `successor`; raises MinimalPrefix at the column bottom."""
     steps = list(p.steps)
-    x = y = 0
-    for i, s in enumerate(steps):
-        if s == A_STEP:
-            x += 1
-        else:
-            y += 1
-        if x > 0 and y > 0 and s == xi.bit(x, y):
-            # this edge is maximal, hence non-minimal: pivot here
-            flipped = 1 - s
-            steps[i] = flipped
-            src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
-            steps[:i] = extreme_path(xi, src, "max").steps
-            return PathPrefix(tuple(steps))
-    raise MinimalPrefix(f"minimal path to {tuple(p.terminal)}")
-
-
-def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPrefix:
-    """Extend p to `level` following minimal edges, biased off the boundary.
-
-    From a side vertex the interior-pointing edge is taken even when not
-    minimal, so continuations never run along the diagram's sides (side
-    paths have no consistent factoring scheme and a trivial orbit window).
-    Among two minimal interior edges the b step is preferred; when neither
-    is minimal the b step is taken anyway.  The choice only has to be
-    deterministic.
-    """
-    steps = list(p.steps)
-    x, y = p.terminal
-    while x + y < level:
-        if x == 0 and y > 0:
-            s = A_STEP
-        elif (y == 0 and x > 0) or xi.bit(x, y + 1) == 0 \
-                or xi.bit(x + 1, y) != 1:
-            s = B_STEP
-        else:
-            s = A_STEP
-        steps.append(s)
-        if s == A_STEP:
-            x += 1
-        else:
-            y += 1
+    if not _pivot(xi, steps, 0):
+        raise MinimalPrefix(f"minimal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
 
 
@@ -105,12 +82,11 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
     if r + t0 < 0 or r + t1 >= size:
         raise WindowEscapesColumn(
             f"window [{t0},{t1}] leaves column of {tuple(p.terminal)}")
-    q = unrank(xi, p.terminal, r + t0)
-    out = []
-    for t in range(t0, t1 + 1):
-        out.append(path_symbol(xi, q, k))
-        if t < t1:
-            q = successor(xi, q)
+    steps = list(unrank(xi, p.terminal, r + t0).steps)
+    out = [path_symbol(xi, PathPrefix(tuple(steps[:k])), k)]
+    for _ in range(t1 - t0):
+        _pivot(xi, steps, 1)
+        out.append(path_symbol(xi, PathPrefix(tuple(steps[:k])), k))
     return tuple(out)
 
 

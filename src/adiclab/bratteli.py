@@ -19,6 +19,8 @@ from typing import Optional
 from .core import OrderingTable
 from .errors import MalformedInput, ShapeMismatch
 
+EXACT_ORDER_BUDGET = 10**6  # edge orders `exact_uniform_probability` tries
+
 
 @dataclass(frozen=True)
 class OrderedDiagram:
@@ -224,8 +226,7 @@ def random_ordering(shape: Shape, rng) -> tuple:
     return tuple(words)
 
 
-def exact_uniform_probability(shape: Shape,
-                              budget: int = 10**6) -> Optional[Fraction]:
+def exact_uniform_probability(shape: Shape) -> Optional[Fraction]:
     """Probability that a uniform random order on the shape is uniformly
     ordered; exhaustive over edge permutations when feasible.
 
@@ -235,7 +236,7 @@ def exact_uniform_probability(shape: Shape,
     total = 1
     for t in range(shape.target_count):
         total *= factorial(shape.in_degree(t))
-    if total <= budget:
+    if total <= EXACT_ORDER_BUDGET:
         per_target = [list(itertools.permutations(range(shape.in_degree(t))))
                       for t in range(shape.target_count)]
         edge_lists = [shape.in_edges(t) for t in range(shape.target_count)]

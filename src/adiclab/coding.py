@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, explicit_ordering, rank, seeded_ordering)
+                   column_size, explicit_ordering, minimal_continuation, rank,
+                   seeded_ordering)
 from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
+BIT_BUDGET = 20  # free bits a restricted-block enumeration may vary
 
 
 class CylSymbol(NamedTuple):
@@ -197,7 +199,7 @@ def symbol_census(w: str):
     return ca, cb, None
 
 
-def iter_restricted_blocks(x: int, y: int, bit_budget: int = 20):
+def iter_restricted_blocks(x: int, y: int):
     """Yield (bits, block) over all restricted orderings of the (x, y) box.
 
     Restricted means the rows into (u, 1) and (1, v) are ordered left to
@@ -207,16 +209,16 @@ def iter_restricted_blocks(x: int, y: int, bit_budget: int = 20):
     if x < 1 or y < 1:
         raise ValueError("x, y >= 1")
     free = [(u, v) for u in range(2, x + 1) for v in range(2, y + 1)]
-    if len(free) > bit_budget:
-        raise SizeCap(f"{len(free)} free bits exceed budget {bit_budget}")
+    if len(free) > BIT_BUDGET:
+        raise SizeCap(f"{len(free)} free bits exceed budget {BIT_BUDGET}")
     for choice in itertools.product((0, 1), repeat=len(free)):
         bits = dict(zip(free, choice))
         yield bits, basic_block(explicit_ordering(bits, x + y), x, y)
 
 
-def enumerate_blocks(x: int, y: int, bit_budget: int = 20) -> set:
+def enumerate_blocks(x: int, y: int) -> set:
     """All basic blocks at (x, y) over the restricted orderings."""
-    return {word for _, word in iter_restricted_blocks(x, y, bit_budget)}
+    return {word for _, word in iter_restricted_blocks(x, y)}
 
 
 def _tail(s: str, m: int) -> str:
@@ -305,13 +307,12 @@ def stabilized_complexity(xi: OrderingTable, n: int, max_level: int = 80):
     return counts[-1], max_level, False
 
 
-def big_language_count(n: int, level_cap: int, ordering_budget: int,
-                       seed: int = 0) -> int:
+def big_language_count(n: int, level_cap: int, ordering_budget: int) -> int:
     """Lower bound on the number of n-words across all orderings.
 
-    Samples `ordering_budget` seeded orderings, and when n is a triangular
-    length (k+1)(k+2)/2 also enumerates the restricted (k, 2) block family,
-    whose 2^(k-1) members all have length exactly n.
+    Samples the seeded orderings 0 .. `ordering_budget` - 1, and when n is
+    a triangular length (k+1)(k+2)/2 also enumerates the restricted (k, 2)
+    block family, whose 2^(k-1) members all have length exactly n.
     """
     words = set()
     k = 2
@@ -320,7 +321,7 @@ def big_language_count(n: int, level_cap: int, ordering_budget: int,
     if (k + 1) * (k + 2) // 2 == n:
         words |= enumerate_blocks(k, 2)
     for t in range(ordering_budget):
-        words |= language_words(seeded_ordering(seed + t), n, level_cap)
+        words |= language_words(seeded_ordering(t), n, level_cap)
     return len(words)
 
 
@@ -365,8 +366,6 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     time 0 that stays inside both columns.  The separation coordinate is
     reported per pair; NOT-SEPARATED pairs carry coordinate None.
     """
-    from .adic import minimal_continuation
-
     if k > L:
         raise ValueError("k <= L required")
     deep = L + delta

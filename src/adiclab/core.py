@@ -15,6 +15,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Optional
 
 from .errors import AlphaOutOfRange, MissingBit, RankOutOfRange
@@ -186,16 +187,20 @@ class OrderingTable:
 
 
 def constant_ordering(bit: int) -> OrderingTable:
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+    if type(bit) is not int or bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, not {bit!r}")
     return OrderingTable(lambda x, y: bit, {"kind": "constant", "bit": bit},
                          f"constant:{bit}")
 
 
 def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
     """Deterministic random ordering; `bias` is the probability of bit 0."""
-    if not isinstance(seed, int) or not 0 <= bias <= 1:
-        raise ValueError("the seed is an integer and the bias a probability")
+    if type(seed) is not int:
+        raise ValueError(f"the seed is an integer, not {seed!r}")
+    if isinstance(bias, bool) or not isinstance(bias, Real) \
+            or not 0 <= bias <= 1:
+        raise ValueError(f"the seed is an integer and the bias a probability, "
+                         f"not {bias!r}")
     threshold = int(float(bias) * 2.0**64)
     return OrderingTable(
         _memoized(lambda x, y: _seeded_bit(seed, x, y, threshold)),
@@ -205,8 +210,11 @@ def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
 
 def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
     """Finite table; unlisted interior vertices up to max_level get `default`."""
-    if not isinstance(max_level, int) or default not in (0, 1):
-        raise ValueError("max_level is an integer and default a bit")
+    if type(max_level) is not int:
+        raise ValueError(f"the level bound maxLevel is an integer, "
+                         f"not {max_level!r}")
+    if type(default) is not int or default not in (0, 1):
+        raise ValueError(f"default is a bit, not {default!r}")
     bits = {(int(x), int(y)): int(b) for (x, y), b in dict(bits).items()}
     for (x, y), b in bits.items():
         if x < 1 or y < 1 or x + y > max_level or b not in (0, 1):
@@ -251,8 +259,9 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
     The tree has about 4^depth edges, so depth is bounded by
     TREE_MAX_DEPTH.
     """
-    if not 1 <= depth <= TREE_MAX_DEPTH:
-        raise ValueError(f"tree depth must be between 1 and {TREE_MAX_DEPTH}")
+    if type(depth) is not int or not 1 <= depth <= TREE_MAX_DEPTH:
+        raise ValueError(f"tree depth must be between 1 and {TREE_MAX_DEPTH}, "
+                         f"not {depth!r}")
     bits = {}
 
     def add_edge(src: Vertex, step: int):
@@ -324,6 +333,30 @@ def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
         rev.append(A_STEP if u[0] < x else B_STEP)
         x, y = u
     return PathPrefix(tuple(reversed(rev)))
+
+
+def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPrefix:
+    """Extend p to `level` following minimal edges, biased off the boundary.
+
+    From a side vertex the interior-pointing edge is taken even when not
+    minimal, so continuations never run along the diagram's sides (side
+    paths have no consistent factoring scheme and a trivial orbit window).
+    Among two minimal interior edges the b step is preferred; when neither
+    is minimal the b step is taken anyway.  The choice only has to be
+    deterministic.
+    """
+    steps = list(p.steps)
+    x, y = p.terminal
+    while x + y < level:
+        here = (x, y)
+        if y and (x == 0 or (xi.parents(x + 1, y)[0] == here
+                             and xi.parents(x, y + 1)[0] != here)):
+            steps.append(A_STEP)
+            x += 1
+        else:
+            steps.append(B_STEP)
+            y += 1
+    return PathPrefix(tuple(steps))
 
 
 def rank(xi: OrderingTable, p: PathPrefix) -> int:

@@ -20,6 +20,8 @@ from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
                      LevelBelowK, ParseError, SizeCap)
 
+SCHEME_COUNT_LIMIT = 16  # split-scheme counts are capped at this value
+
 
 class CDToken(NamedTuple):
     """C tokens are a^i b, D tokens are a b^j; indexes of 1 never occur."""
@@ -199,15 +201,14 @@ def _blocks_by_level(xi, k, levels):
     return table
 
 
-def factorization_scheme_counts(xi: OrderingTable, k: int, n: int,
-                                limit: int = 16):
+def factorization_scheme_counts(xi: OrderingTable, k: int, n: int):
     """Count split schemes of every level-n block down to each level m.
 
     A scheme repeatedly cuts a block word into two words that are both
     basic blocks one level down (single-letter boundary blocks persist
     unsplit), until level m is reached.  The canonical factorization is
     always one such scheme; the map reports how many exist in total,
-    capped at `limit`.
+    capped at `SCHEME_COUNT_LIMIT`.
     """
     if not 1 <= k <= n:
         raise ValueError("1 <= k <= n")
@@ -230,7 +231,7 @@ def factorization_scheme_counts(xi: OrderingTable, k: int, n: int,
                 head, tail = word[:cut], word[cut:]
                 if head in below and tail in below:
                     total += count(head, lvl - 1, m, memo) * count(tail, lvl - 1, m, memo)
-                    if total >= limit:
+                    if total >= SCHEME_COUNT_LIMIT:
                         break
         memo[key] = total
         return total
@@ -525,7 +526,6 @@ class ExclusionVerdict:
 
 
 def alternation_exclusion(L: int, j: int, exact_level: int = 7,
-                          cap: int = ALT_CAP,
                           max_bytes: Optional[int] = None) -> ExclusionVerdict:
     """Two-phase check that no basic block contains both (ab)^j and (ba)^j.
 
@@ -536,12 +536,11 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     (a state some block realizes) when phase 1 flags, else phase 2's.
     `max_bytes` caps phase 2's pair sets (SizeCap).
     """
-    if 2 * j + 1 > cap:
-        raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap {cap}")
-    if cap > 31:
-        raise CapExceeded("packed states support caps up to 31")
+    if 2 * j + 1 > ALT_CAP:
+        raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap "
+                          f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, exact_level)
-    comb = _Combiner(cap)
+    comb = _Combiner(ALT_CAP)
     exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, comb)
     dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
     verdict = ExclusionVerdict(j, e_level, L, exact_ok, dp_ok)
@@ -553,9 +552,9 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     return verdict
 
 
-def reachable_alt_states(L: int, cap: int = ALT_CAP):
+def reachable_alt_states(L: int):
     """Phase-2 reachable sets as AltState tuples, for soundness probes."""
-    _, reach, _ = _phase2_reachable(1, L, _Combiner(cap))
+    _, reach, _ = _phase2_reachable(1, L, _Combiner(ALT_CAP))
     return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from adiclab.adic import KinkCase, minimal_continuation
 from adiclab.bratteli import uniform_base
-from adiclab.coding import (FaithfulnessReport, PairSeparation, basic_block,
-                            block_word_k, cyl_offsets)
+from adiclab.coding import (CylSymbol, FaithfulnessReport, PairSeparation,
+                            basic_block, block_word_k, cyl_offsets)
 from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
                           Vertex, binomial, column_size, explicit_ordering,
                           ordered_parents, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
 from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
-                            KinkPreconditionFailed, ParseError)
+                            KinkPreconditionFailed, MaximalPrefix,
+                            MinimalPrefix, ParseError, WindowEscapesColumn)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
                                _pack, _unpack, alt_state, decompose_CD)
 
@@ -308,6 +309,84 @@ def kink_classify_reference(xi, p):
     a2 = "max" if _step_is_maximal(xi, other_step, other_mid) else "min"
     a3 = "LR" if gamma_step == A_STEP else "RL"
     return KinkCase(a1, a2, a3)
+
+
+# Reference Vershik dynamics: the successor and predecessor as two walks
+# that compare each step with `xi.bit`, the minimal continuation on
+# `xi.bit`, and the orbit coding built a `PathPrefix` at a time through
+# the reference successor.
+
+def successor_reference(xi, p):
+    steps = list(p.steps)
+    x = y = 0
+    for i, s in enumerate(steps):
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+        if x > 0 and y > 0 and s != xi.bit(x, y):
+            flipped = 1 - s
+            steps[i] = flipped
+            src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
+            steps[:i] = extreme_path_reference(xi, src, MIN).steps
+            return PathPrefix(tuple(steps))
+    raise MaximalPrefix(f"maximal path to {tuple(p.terminal)}")
+
+
+def predecessor_reference(xi, p):
+    steps = list(p.steps)
+    x = y = 0
+    for i, s in enumerate(steps):
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+        if x > 0 and y > 0 and s == xi.bit(x, y):
+            flipped = 1 - s
+            steps[i] = flipped
+            src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
+            steps[:i] = extreme_path_reference(xi, src, "max").steps
+            return PathPrefix(tuple(steps))
+    raise MinimalPrefix(f"minimal path to {tuple(p.terminal)}")
+
+
+def minimal_continuation_reference(xi, p, level):
+    steps = list(p.steps)
+    x, y = p.terminal
+    while x + y < level:
+        if x == 0 and y > 0:
+            s = A_STEP
+        elif (y == 0 and x > 0) or xi.bit(x, y + 1) == 0 \
+                or xi.bit(x + 1, y) != 1:
+            s = B_STEP
+        else:
+            s = A_STEP
+        steps.append(s)
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+    return PathPrefix(tuple(steps))
+
+
+def orbit_coding_reference(xi, p, k, window):
+    t0, t1 = window
+    if k > len(p):
+        raise ValueError("k must not exceed the prefix length")
+    if t1 < t0:
+        raise ValueError("empty window")
+    r = rank_reference(xi, p)
+    if r + t0 < 0 or r + t1 >= column_size(p.terminal):
+        raise WindowEscapesColumn(
+            f"window [{t0},{t1}] leaves column of {tuple(p.terminal)}")
+    q = unrank_reference(xi, p.terminal, r + t0)
+    out = []
+    for t in range(t0, t1 + 1):
+        head = q.prefix(k)
+        out.append(CylSymbol(k, head.terminal.y, rank_reference(xi, head) + 1))
+        if t < t1:
+            q = successor_reference(xi, q)
+    return tuple(out)
 
 
 # Reference state combine: the packed-state concatenation rule written with

@@ -17,7 +17,9 @@ from adiclab.errors import (KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, WindowEscapesColumn)
 
 from conftest import (all_paths, kink_classify_reference, letters_from_k1,
-                      orderings, seeds)
+                      minimal_continuation_reference, orbit_coding_reference,
+                      orderings, predecessor_reference, seeds,
+                      successor_reference)
 
 
 def test_successor_two_element_column():
@@ -227,6 +229,66 @@ def test_minimal_continuation_leaves_boundary():
     ext = minimal_continuation(xi, PathPrefix.from_word("aaa"), 10)
     assert ext.terminal.y >= 1
     assert minimal_continuation(xi, ext, len(ext)) == ext
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=orderings(), steps=st.lists(st.integers(0, 1), max_size=40))
+def test_successor_and_predecessor_match_reference(xi, steps):
+    p = PathPrefix(tuple(steps))
+    assert _outcome(successor, xi, p) == _outcome(successor_reference, xi, p)
+    assert _outcome(predecessor, xi, p) == \
+        _outcome(predecessor_reference, xi, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=orderings(), steps=st.lists(st.integers(0, 1), max_size=60),
+       level=st.integers(0, 60))
+def test_minimal_continuation_matches_reference(xi, steps, level):
+    p = PathPrefix(tuple(steps))
+    assert minimal_continuation(xi, p, level) == \
+        minimal_continuation_reference(xi, p, level)
+
+
+@st.composite
+def column_windows(draw, max_level):
+    """(vertex, rank, t0, t1, k): an in-column window of at most 300 steps
+    around the path of that rank, and a k up to the level."""
+    level = draw(st.integers(1, max_level))
+    x = draw(st.integers(0, level))
+    v = Vertex(x, level - x)
+    size = column_size(v)
+    r = draw(st.integers(0, size - 1))
+    t0 = draw(st.integers(-r, size - 1 - r))
+    t1 = draw(st.integers(t0, min(t0 + 299, size - 1 - r)))
+    return v, r, t0, t1, draw(st.integers(0, level))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=orderings(), window=column_windows(20))
+def test_orbit_coding_matches_reference(xi, window):
+    v, r, t0, t1, k = window
+    p = unrank(xi, v, r)
+    assert orbit_coding(xi, p, k, (t0, t1)) == \
+        orbit_coding_reference(xi, p, k, (t0, t1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=orderings(), window=column_windows(12))
+def test_orbit_coding_is_a_slice_of_the_k_block(xi, window):
+    # the k-block is built by concatenation, with no successor in sight
+    v, r, t0, t1, k = window
+    k = min(max(k, 1), 8)  # the k-blocks exist for 1 <= k <= 8
+    p = unrank(xi, v, r)
+    block = basic_block_k(xi, k, v.x, v.y)
+    assert orbit_coding(xi, p, k, (t0, t1)) == block[r + t0:r + t1 + 1]
 
 
 def test_binom_mod_lucas():

@@ -259,6 +259,22 @@ def test_tree_depth_is_bounded(capsys, spec):
      '"bits" entry [\'a\', 2, 1] is not an [x, y, b] triple'),
     ('{"kind":"explicit","bits":5,"maxLevel":3}',
      '"bits" is a list of [x, y, b] triples'),
+    # booleans were read as the integers 1 and 0, strings refused in
+    # Python's words
+    ('{"kind":"constant","bit":true}', "bit must be 0 or 1, not True"),
+    ('{"kind":"tree","depth":true}',
+     "tree depth must be between 1 and 10, not True"),
+    ('{"kind":"tree","depth":"3"}',
+     "tree depth must be between 1 and 10, not '3'"),
+    ('{"kind":"seeded","seed":true}', "the seed is an integer, not True"),
+    ('{"kind":"seeded","seed":1,"bias":"x"}',
+     "the bias a probability, not 'x'"),
+    ('{"kind":"seeded","seed":1,"bias":true}',
+     "the bias a probability, not True"),
+    ('{"kind":"explicit","bits":[],"maxLevel":true}',
+     "maxLevel is an integer, not True"),
+    ('{"kind":"explicit","bits":[],"maxLevel":7,"default":true}',
+     "default is a bit, not True"),
 ])
 def test_refused_ordering_document_names_the_problem(capsys, tmp_path, doc,
                                                       names):
@@ -270,6 +286,14 @@ def test_refused_ordering_document_names_the_problem(capsys, tmp_path, doc,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert names in err
+
+
+def test_alternation_j_above_the_cap_names_the_largest_j(capsys):
+    code, out = run(capsys, ["alternation", "--j", "10"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["kind"] == "resource-cap"
+    assert "the largest j is 9" in doc["error"]
 
 
 def test_load_ordering_forms():
