@@ -10,9 +10,9 @@ import math
 from typing import NamedTuple
 
 from .coding import CylSymbol
-from .core import (A_STEP, B_STEP, MAX, MIN, OrderingTable, PathPrefix,
-                   binomial, column_size, extreme_path, minimal_continuation,
-                   rank, unrank)
+from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
+                   column_size, extreme_steps, minimal_continuation, rank,
+                   rank_steps, unrank)
 from .errors import (BoundExceeded, KinkPreconditionFailed, MaximalPrefix,
                      MinimalPrefix, NotFound, WindowEscapesColumn)
 
@@ -28,6 +28,7 @@ def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
     on both sides, so its edge never pivots.  Returns False, leaving
     `steps` as they are, when no edge pivots.
     """
+    parents = xi.parents
     x = y = 0
     for i, s in enumerate(steps):
         src = (x, y)
@@ -35,10 +36,10 @@ def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
             x += 1
         else:
             y += 1
-        new = xi.parents(x, y)[side]
+        new = parents(x, y)[side]
         if new != src:
             steps[i] = A_STEP if new[0] < x else B_STEP
-            steps[:i] = extreme_path(xi, new, (MAX, MIN)[side]).steps
+            steps[:i] = extreme_steps(xi, new, 1 - side)
             return True
     return False
 
@@ -59,11 +60,14 @@ def predecessor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     return PathPrefix(tuple(steps))
 
 
+def _head_symbol(xi: OrderingTable, head: tuple, k: int) -> CylSymbol:
+    # the head's b steps are the m of its terminal (k - m, m)
+    return CylSymbol(k, sum(head), rank_steps(xi, head) + 1)
+
+
 def path_symbol(xi: OrderingTable, p: PathPrefix, k: int) -> CylSymbol:
     """Cylinder symbol named by the first k edges of p."""
-    head = p.prefix(k)
-    m = head.terminal.y
-    return CylSymbol(k, m, rank(xi, head) + 1)
+    return _head_symbol(xi, p.steps[:k], k)
 
 
 def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
@@ -83,10 +87,16 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
         raise WindowEscapesColumn(
             f"window [{t0},{t1}] leaves column of {tuple(p.terminal)}")
     steps = list(unrank(xi, p.terminal, r + t0).steps)
-    out = [path_symbol(xi, PathPrefix(tuple(steps[:k])), k)]
-    for _ in range(t1 - t0):
-        _pivot(xi, steps, 1)
-        out.append(path_symbol(xi, PathPrefix(tuple(steps[:k])), k))
+    symbols = {}  # head steps -> symbol; at most 2^k heads recur
+    out = []
+    for t in range(t1 - t0 + 1):
+        if t:
+            _pivot(xi, steps, 1)
+        head = tuple(steps[:k])
+        sym = symbols.get(head)
+        if sym is None:
+            sym = symbols[head] = _head_symbol(xi, head, k)
+        out.append(sym)
     return tuple(out)
 
 

@@ -371,21 +371,28 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     deep = L + delta
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
-    ranks = [rank(xi, e) for e in extended]
     codings = {}  # the k-block of each column: one cylinder id per path
+    # each path's column coding, rank and steps left in the column, and
+    # its word, computed once before the pair loop
+    placed = []
     for e in extended:
         v = e.terminal
-        if v not in codings:
-            word = block_word_k(xi, k, v.x, v.y)
-            assert len(word) == column_size(v)
-            codings[v] = word
+        column = codings.get(v)
+        if column is None:
+            column = block_word_k(xi, k, v.x, v.y)
+            assert len(column) == column_size(v)
+            codings[v] = column
+        r = rank(xi, e)
+        placed.append((column, r, len(column) - r))
+    words = [p.word() for p in paths]
     report = FaithfulnessReport(k=k, level=L, delta=delta)
-    for i in range(len(paths)):
-        si, ri = codings[extended[i].terminal], ranks[i]
-        for j in range(i + 1, len(paths)):
-            sj, rj = codings[extended[j].terminal], ranks[j]
+    pairs = report.pairs
+    for i, (si, ri, fi) in enumerate(placed):
+        wi = words[i]
+        for j in range(i + 1, len(placed)):
+            sj, rj, fj = placed[j]
             back = min(ri, rj)
-            fwd = min(len(si) - ri, len(sj) - rj)
+            fwd = min(fi, fj)
             wa = si[ri - back:ri + fwd]
             wb = sj[rj - back:rj + fwd]
             coord = None
@@ -398,6 +405,5 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
                     if d < back and wa[back - 1 - d] != wb[back - 1 - d]:
                         coord = -1 - d
                         break
-            report.pairs.append(PairSeparation(paths[i].word(), paths[j].word(),
-                                               coord, (-back, fwd - 1)))
+            pairs.append(PairSeparation(wi, words[j], coord, (-back, fwd - 1)))
     return report

@@ -64,7 +64,8 @@ class PathPrefix:
     steps: tuple
 
     def __post_init__(self):
-        if any(s not in (A_STEP, B_STEP) for s in self.steps):
+        steps = self.steps
+        if steps.count(A_STEP) + steps.count(B_STEP) != len(steps):
             raise ValueError("steps must be 0 (a) or 1 (b)")
 
     def __len__(self):
@@ -108,15 +109,6 @@ def ordered_parents(x: int, y: int, bit) -> tuple:
     return (x - 1, y), (x, y - 1)
 
 
-def _seeded_bit(seed: int, x: int, y: int, threshold: int) -> int:
-    # Counter-based: a keyed hash of (seed, x, y), so lazy queries in any
-    # order agree and parallel traversals are reproducible.
-    digest = hashlib.blake2b(struct.pack("<QQQ", seed & (2**64 - 1), x, y),
-                             digest_size=8).digest()
-    u = int.from_bytes(digest, "little")
-    return 0 if u < threshold else 1
-
-
 def _memoized(fn):
     """`fn` behind a memo; the memo is only ever extended under a lock."""
     memo = {}
@@ -154,11 +146,11 @@ class OrderingTable:
 
     def bit(self, x: int, y: int):
         """Order bit at (x, y); BOTH_EXTREMAL for boundary vertices."""
+        if x > 0 and y > 0:
+            return self._lookup(x, y)
         if x < 0 or y < 0 or (x == 0 and y == 0):
             raise ValueError(f"no incoming edges at ({x}, {y})")
-        if x == 0 or y == 0:
-            return BOTH_EXTREMAL
-        return self._lookup(x, y)
+        return BOTH_EXTREMAL
 
     def parents(self, x: int, y: int) -> tuple:
         """Sources of the (minimal, maximal) incoming edges of (x, y).
@@ -194,18 +186,38 @@ def constant_ordering(bit: int) -> OrderingTable:
 
 
 def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
-    """Deterministic random ordering; `bias` is the probability of bit 0."""
+    """Deterministic random ordering; `bias` is the probability of bit 0.
+
+    The seed is a u64.  The bits depend on the bias only as a float, so
+    the spec and the fingerprint carry `float(bias)`.
+    """
     if type(seed) is not int:
         raise ValueError(f"the seed is an integer, not {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"the seed is an integer from 0 to 2^64 - 1, "
+                         f"not {seed}")
     if isinstance(bias, bool) or not isinstance(bias, Real) \
             or not 0 <= bias <= 1:
         raise ValueError(f"the seed is an integer and the bias a probability, "
                          f"not {bias!r}")
-    threshold = int(float(bias) * 2.0**64)
-    return OrderingTable(
-        _memoized(lambda x, y: _seeded_bit(seed, x, y, threshold)),
-        {"kind": "seeded", "seed": seed, "bias": bias},
-        f"seeded:{seed}:{bias!r}")
+    bias = float(bias)
+    threshold = int(bias * 2.0**64)
+    # one blake2b state holds the packed seed; each bit feeds (x, y) to a
+    # copy, which hashes the same 24 bytes as (seed, x, y) packed at once
+    keyed = hashlib.blake2b(struct.pack("<Q", seed), digest_size=8)
+    pack = struct.Struct("<QQ").pack
+    from_bytes = int.from_bytes
+
+    def bit(x, y):
+        # Counter-based: a keyed hash of (seed, x, y), so lazy queries in
+        # any order agree and parallel traversals are reproducible.
+        h = keyed.copy()
+        h.update(pack(x, y))
+        return 0 if from_bytes(h.digest(), "little") < threshold else 1
+
+    return OrderingTable(_memoized(bit),
+                         {"kind": "seeded", "seed": seed, "bias": bias},
+                         f"seeded:{seed}:{bias!r}")
 
 
 def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
@@ -325,14 +337,21 @@ def ordering_from_json(text: str) -> OrderingTable:
 
 def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
     """The unique all-minimal (or all-maximal) path from the root to v."""
-    side = 0 if which == MIN else 1
+    return PathPrefix(tuple(extreme_steps(xi, v, 0 if which == MIN else 1)))
+
+
+def extreme_steps(xi: OrderingTable, v, side: int) -> list:
+    """Steps of `extreme_path` as a list; `side` indexes `xi.parents`
+    (0 minimal, 1 maximal)."""
+    parents = xi.parents
     x, y = v
     rev = []
     while x or y:
-        u = xi.parents(x, y)[side]
+        u = parents(x, y)[side]
         rev.append(A_STEP if u[0] < x else B_STEP)
         x, y = u
-    return PathPrefix(tuple(reversed(rev)))
+    rev.reverse()
+    return rev
 
 
 def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPrefix:
@@ -345,12 +364,13 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
     is minimal the b step is taken anyway.  The choice only has to be
     deterministic.
     """
+    parents = xi.parents
     steps = list(p.steps)
     x, y = p.terminal
     while x + y < level:
         here = (x, y)
-        if y and (x == 0 or (xi.parents(x + 1, y)[0] == here
-                             and xi.parents(x, y + 1)[0] != here)):
+        if y and (x == 0 or (parents(x + 1, y)[0] == here
+                             and parents(x, y + 1)[0] != here)):
             steps.append(A_STEP)
             x += 1
         else:
@@ -361,19 +381,26 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
 
 def rank(xi: OrderingTable, p: PathPrefix) -> int:
     """Position of p among all root paths to its terminal, in the xi order."""
+    return rank_steps(xi, p.steps)
+
+
+def rank_steps(xi: OrderingTable, steps) -> int:
+    """`rank` of the path with the given steps."""
+    parents = xi.parents
+    comb = math.comb
     r = 0
     x = y = 0
-    for s in p.steps:
+    for s in steps:
         src = (x, y)
         if s == A_STEP:
             x += 1
         else:
             y += 1
         if x and y:
-            low, high = xi.parents(x, y)
+            low, high = parents(x, y)
             if high == src:
                 # every path through the minimal parent comes first
-                r += binomial(x + y - 1, low[0])
+                r += comb(x + y - 1, low[0])
     return r
 
 
@@ -383,12 +410,14 @@ def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
     total = column_size(v)
     if not 0 <= r < total:
         raise RankOutOfRange(f"rank {r} not in [0, {total}) at {tuple(v)}")
+    parents = xi.parents
+    comb = math.comb
     x, y = v
     rev = []
     while x or y:
         # on the boundary low == high and r == 0 < C(n - 1, 0)
-        low, high = xi.parents(x, y)
-        below = binomial(x + y - 1, low[0])
+        low, high = parents(x, y)
+        below = comb(x + y - 1, low[0])
         if r < below:
             u = low
         else:
@@ -441,7 +470,8 @@ def count_extremal_prefixes(xi: OrderingTable, level: int, which: str,
     if horizon is None:
         horizon = level + 16
     side = 0 if which == MIN else 1
+    parents = xi.parents
     alive = {(horizon - y, y) for y in range(horizon + 1)}
     for _ in range(horizon - level):
-        alive = {xi.parents(x, y)[side] for x, y in alive}
+        alive = {parents(x, y)[side] for x, y in alive}
     return len(alive)

@@ -49,6 +49,16 @@ def seeds(count, base=0):
     return [seeded_ordering(base + t) for t in range(count)]
 
 
+def seeded_bit_reference(seed, x, y, bias):
+    """The seeded bit at interior (x, y): 0 when the blake2b hash of the
+    24 bytes (seed, x, y) falls below bias * 2^64, else 1."""
+    threshold = int(float(bias) * 2.0**64)
+    digest = hashlib.blake2b(struct.pack("<QQQ", seed & (2**64 - 1), x, y),
+                             digest_size=8).digest()
+    u = int.from_bytes(digest, "little")
+    return 0 if u < threshold else 1
+
+
 @st.composite
 def orderings(draw):
     """A seeded, explicit or tree ordering with bits up to level 60."""

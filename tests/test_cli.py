@@ -267,6 +267,9 @@ def test_tree_depth_is_bounded(capsys, spec):
     ('{"kind":"tree","depth":"3"}',
      "tree depth must be between 1 and 10, not '3'"),
     ('{"kind":"seeded","seed":true}', "the seed is an integer, not True"),
+    # a seed outside the u64 range the bits are keyed by
+    ('{"kind":"seeded","seed":-5}',
+     "the seed is an integer from 0 to 2^64 - 1, not -5"),
     ('{"kind":"seeded","seed":1,"bias":"x"}',
      "the bias a probability, not 'x'"),
     ('{"kind":"seeded","seed":1,"bias":true}',

@@ -14,7 +14,7 @@ from adiclab.errors import AlphaOutOfRange, MissingBit, RankOutOfRange
 
 from conftest import (all_paths, column_paths, count_extremal_reference,
                       extreme_path_reference, orderings, rank_reference,
-                      seeds, unrank_reference)
+                      seeded_bit_reference, seeds, unrank_reference)
 
 
 def pascal_table(n_max):
@@ -60,6 +60,35 @@ def test_ordering_kinds_and_bits():
         constant_ordering(2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       bias=st.sampled_from([0, 0.25, 0.5, 1]) | st.floats(0, 1),
+       x=st.integers(1, 2**20), y=st.integers(1, 2**20))
+def test_seeded_bit_matches_reference(seed, bias, x, y):
+    assert seeded_ordering(seed, bias).bit(x, y) == \
+        seeded_bit_reference(seed, x, y, bias)
+
+
+def test_seeded_identity_is_the_float_bias():
+    for bias, same in ((1, 1.0), (0, 0.0), (Fraction(1, 2), 0.5)):
+        xi, again = seeded_ordering(1, bias), seeded_ordering(1, same)
+        assert xi.fingerprint() == again.fingerprint() == f"seeded:1:{same!r}"
+        assert xi.to_json() == again.to_json()
+        assert [xi.bit(x, 3) for x in range(1, 20)] == \
+            [again.bit(x, 3) for x in range(1, 20)]
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**70])
+def test_seed_outside_u64_refused(seed):
+    with pytest.raises(ValueError, match="seed is an integer from 0 to 2"):
+        seeded_ordering(seed)
+
+
+def test_seed_u64_ends_accepted():
+    for seed in (0, 2**64 - 1):
+        assert seeded_ordering(seed).fingerprint() == f"seeded:{seed}:0.5"
+
+
 def test_ordering_json_roundtrip():
     for doc in ({"kind": "constant", "bit": 1},
                 {"kind": "seeded", "seed": 9, "bias": 0.25},
@@ -83,6 +112,18 @@ def test_path_prefix_basics():
     assert p.word() == "aab"
     assert p.vertex_at(2) == Vertex(2, 0)
     assert len(PathPrefix(())) == 0
+
+
+@pytest.mark.parametrize("steps", [(2,), (-1,), ("a",), (None,), (0.5,),
+                                   (0, 2, 1)])
+def test_path_prefix_refuses_non_steps(steps):
+    with pytest.raises(ValueError, match="steps must be 0"):
+        PathPrefix(steps)
+
+
+@pytest.mark.parametrize("steps", [(), (0,), (1, 0, 1)])
+def test_path_prefix_accepts_steps(steps):
+    assert PathPrefix(steps).steps == steps
 
 
 def test_extreme_paths():
