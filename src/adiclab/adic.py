@@ -65,8 +65,14 @@ def _head_symbol(xi: OrderingTable, head: tuple, k: int) -> CylSymbol:
     return CylSymbol(k, sum(head), rank_steps(xi, head) + 1)
 
 
+def _check_k(p: PathPrefix, k: int) -> None:
+    if not 0 <= k <= len(p):
+        raise ValueError("k must not exceed the prefix length")
+
+
 def path_symbol(xi: OrderingTable, p: PathPrefix, k: int) -> CylSymbol:
-    """Cylinder symbol named by the first k edges of p."""
+    """Cylinder symbol named by the first k edges of p (0 <= k <= len(p))."""
+    _check_k(p, k)
     return _head_symbol(xi, p.steps[:k], k)
 
 
@@ -77,8 +83,7 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
     otherwise WindowEscapesColumn is raised and the caller should deepen p.
     """
     t0, t1 = window
-    if k > len(p):
-        raise ValueError("k must not exceed the prefix length")
+    _check_k(p, k)
     if t1 < t0:
         raise ValueError("empty window")
     r = rank(xi, p)

@@ -390,6 +390,26 @@ def _flagged(state: int, need: int) -> bool:
     return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
 
 
+def _swap(s: int) -> int:
+    """The letter swap σ on packed states: the state of a word with a and b
+    exchanged (lc and rc flip, maxab and maxba trade places)."""
+    return (s & 0x1FFF ^ 6) | ((s >> 13) & 31) << 18 | ((s >> 18) & 31) << 13
+
+
+def _first_flagged(vectors, n: int, comb: _Combiner, need: int):
+    """The first flagged level-n state a loop over every bit pattern of
+    every vector would meet: per vector, its bit-0 states by ascending x,
+    then its bit-1 states."""
+    sa, sb = _boundary_states(comb.cap)
+    for vec in vectors:
+        ext = (sb,) + vec + (sa,)
+        adjacent = list(zip(ext, ext[1:]))
+        for state in ([comb[q << 24 | p] for p, q in adjacent]
+                      + [comb[p << 24 | q] for p, q in adjacent]):
+            if _flagged(state, need):
+                return state
+
+
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
@@ -398,37 +418,49 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
     (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings.
 
     Each interior vertex has one candidate state per bit, and the next
-    vectors are every combination of them.  The flag check meets a
-    vector's bit-0 states by ascending x, then its bit-1 states, and the
-    next vectors are inserted in the order of the bit patterns (the bit at
-    x = 1 varying fastest): the witness is the first flagged state a loop
-    over every bit pattern of every vector would meet.  The states at
-    `level` are flag-checked, but no vectors past it are built.
+    vectors are every combination of them, inserted in the order of the
+    bit patterns (the bit at x = 1 varying fastest).  Each level
+    flag-checks the set of distinct states it built; the last level builds
+    no vectors, only the states of the distinct adjacent parent pairs.  A
+    flagged level names as witness the first flagged state a loop over
+    every bit pattern of every vector would meet (`_first_flagged`).
     """
     need = 2 * j
     sa, sb = _boundary_states(comb.cap)
     vectors = {()}
     for n in range(2, level + 1):
-        nxt = set()
-        for vec in vectors:
-            ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
-            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
-            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
-            for state in zero + one:
-                if _flagged(state, need):
-                    return False, n, _unpack(state)
-            if n == level:
-                continue  # nothing reads the vectors past the last level
-            options = [(s0,) if s0 == s1 else (s0, s1)
-                       for s0, s1 in zip(reversed(zero), reversed(one))]
-            nxt.update(map(_REVERSED, itertools.product(*options)))
+        nxt, states = set(), set()
+        if n == level:
+            parents = set()
+            for vec in vectors:
+                ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+                parents.update(zip(ext, ext[1:]))
+            for p, q in parents:
+                states.add(comb[q << 24 | p])
+                states.add(comb[p << 24 | q])
+        else:
+            for vec in vectors:
+                ext = (sb,) + vec + (sa,)
+                adjacent = list(zip(ext, ext[1:]))
+                zero = [comb[q << 24 | p] for p, q in adjacent]
+                one = [comb[p << 24 | q] for p, q in adjacent]
+                states.update(zero)
+                states.update(one)
+                options = [(s0,) if s0 == s1 else (s0, s1)
+                           for s0, s1 in zip(reversed(zero), reversed(one))]
+                nxt.update(map(_REVERSED, itertools.product(*options)))
+        for state in states:
+            if _flagged(state, need):
+                return False, n, _unpack(_first_flagged(vectors, n, comb,
+                                                        need))
         vectors = nxt
     return True, level, None
 
 
-# Bytes held per phase-2 pair: its tuple and set slot plus its share of the
-# per-level groupings and the combine memo (160-210 under tracemalloc on
-# CPython 3.11, levels 6-12).
+# Bytes per phase-2 pair, counted over the pairs of both halves of a level
+# although only about half are stored: a pair's tuple and set slot plus its
+# share of the per-level groupings and the combine memo (160-210 under
+# tracemalloc on CPython 3.11, levels 6-12, when every pair was stored).
 PAIR_BYTES = 200
 
 
@@ -451,19 +483,30 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     m of (children of pairs ending in m) x (children of pairs starting
     with m).
 
+    The reflection (x, y) -> (y, x), which flips every bit and swaps a and
+    b, maps orderings to orderings, and the combine commutes with the
+    letter swap σ (`_swap`).  So the pairs of a level at position n - 1 - i
+    are {(σb, σa) for (a, b) at position i}, and the reach set of (y, x)
+    is the σ-image of that of (x, y): only the positions of the lower half
+    of each level (and its middle one) are built, and the rest of `reach`
+    is filled by σ.
+
     Returns (excluded, reach, witness): reach maps each vertex to the set
     of packed states seen for it; witness is None, or (level, state) for
     the first flagged level, its flagged vertex of least y and that
     vertex's least flagged packed state.  With `max_bytes`, raises SizeCap
-    once a level's pairs would hold more than that (PAIR_BYTES a pair).
+    once a level's pairs, both halves counted, would hold more than that
+    (PAIR_BYTES a pair).
     """
     need = 2 * j
     sa, sb = _boundary_states(comb.cap)
     reach = {(1, 0): {sa}, (0, 1): {sb}}
     witness = None
-    # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1)
+    # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
+    # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
     pairs = [{(sa, sb)}]
     for n in range(1, level):
+        half = n // 2  # level n + 1 is built at positions 0..half
         by_left, by_right = [], []
         for cur in pairs:
             left, right = {}, {}
@@ -473,12 +516,16 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
                 right.setdefault(b, set()).update(kids)
             by_left.append(left)
             by_right.append(right)
+        if n % 2 == 0:
+            # level n's pairs at position half, not stored, mirror those
+            # at half - 1
+            by_left.append({_swap(m): {_swap(s) for s in kids}
+                            for m, kids in by_right[half - 1].items()})
         # new pairs and their left and right projections, by position
         first = set().union(*by_left[0].values())
-        last = set().union(*by_right[n - 1].values())
         pairs = [{(sa, c) for c in first}]
         lproj, rproj = [{sa}], [first]
-        for i in range(1, n):
+        for i in range(1, half + 1):
             cur, lo, hi = set(), set(), set()
             left = by_left[i]
             for m, rs in by_right[i - 1].items():
@@ -490,23 +537,35 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
             pairs.append(cur)
             lproj.append(lo)
             rproj.append(hi)
-        pairs.append({(c, sb) for c in last})
         if max_bytes is not None:
-            held = PAIR_BYTES * sum(map(len, pairs))
+            count = 2 * sum(map(len, pairs))
+            if n % 2 == 0:
+                count -= len(pairs[half])  # the middle pair is its own mirror
+            held = PAIR_BYTES * count
             if held > max_bytes:
                 raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
                               f"{held} bytes, over the {max_bytes}-byte cap")
-        lproj.append(last)
-        rproj.append({sb})
-        reach[(n + 1, 0)] = {sa}
-        reach[(0, n + 1)] = {sb}
-        for pos in range(1, n + 1):
+        top = n + 1
+        reach[(top, 0)] = {sa}
+        reach[(0, top)] = {sb}
+        for pos in range(1, half + 1):
             states = lproj[pos] | rproj[pos - 1]
-            reach[(n + 1 - pos, pos)] = states
-            if witness is None:
-                hits = [s for s in states if _flagged(s, need)]
+            reach[(top - pos, pos)] = states
+            reach[(pos, top - pos)] = {_swap(s) for s in states}
+        if n % 2:
+            # the middle vertex: the pairs on its right mirror those on
+            # its left
+            mid = rproj[half]
+            reach[(half + 1, half + 1)] = mid | {_swap(s) for s in mid}
+        if witness is None:
+            # a flagged vertex's mirror is flagged too (σ swaps maxab and
+            # maxba), so the least flagged y lies in the lower half
+            for pos in range(1, top // 2 + 1):
+                hits = [s for s in reach[(top - pos, pos)]
+                        if _flagged(s, need)]
                 if hits:
-                    witness = n + 1, _unpack(min(hits))
+                    witness = top, _unpack(min(hits))
+                    break
     return witness is None, reach, witness
 
 

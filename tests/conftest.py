@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import struct
+from operator import itemgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
                           tree_embedding_ordering, unrank)
 from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, MaximalPrefix,
-                            MinimalPrefix, ParseError, WindowEscapesColumn)
+                            MinimalPrefix, ParseError, SizeCap,
+                            WindowEscapesColumn)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
                                _pack, _unpack, alt_state, decompose_CD)
 
@@ -522,6 +524,93 @@ def phase2_reference(j, level, cap):
                         if _reference_flagged(v, need):
                             excluded = False
     return excluded, reach
+
+
+# The alternation phases as they stood before phase 2 built half of each
+# level and phase 1's last level combined each parent pair once: every
+# vector's states are flag-checked in loop order, and phase 2 builds and
+# groups every position of every level.
+
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
+def phase1_exact_reference(j, level, comb):
+    """(excluded, witness level, witness state), checking each vector's
+    bit-0 states by ascending x, then its bit-1 states."""
+    need = 2 * j
+    sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
+    vectors = {()}
+    for n in range(2, level + 1):
+        nxt = set()
+        for vec in vectors:
+            ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
+            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
+            for state in zero + one:
+                if _reference_flagged(state, need):
+                    return False, n, _unpack(state)
+            if n == level:
+                continue
+            options = [(s0,) if s0 == s1 else (s0, s1)
+                       for s0, s1 in zip(reversed(zero), reversed(one))]
+            nxt.update(map(_REVERSED, itertools.product(*options)))
+        vectors = nxt
+    return True, level, None
+
+
+def phase2_reachable_reference(j, level, comb, max_bytes=None):
+    """(excluded, reach, witness) with every position of every level built;
+    SizeCap once a level's pairs hold more than `max_bytes` at 200 bytes a
+    pair."""
+    need = 2 * j
+    sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
+    reach = {(1, 0): {sa}, (0, 1): {sb}}
+    witness = None
+    pairs = [{(sa, sb)}]
+    for n in range(1, level):
+        by_left, by_right = [], []
+        for cur in pairs:
+            left, right = {}, {}
+            for a, b in cur:
+                kids = comb[a << 24 | b], comb[b << 24 | a]
+                left.setdefault(a, set()).update(kids)
+                right.setdefault(b, set()).update(kids)
+            by_left.append(left)
+            by_right.append(right)
+        first = set().union(*by_left[0].values())
+        last = set().union(*by_right[n - 1].values())
+        pairs = [{(sa, c) for c in first}]
+        lproj, rproj = [{sa}], [first]
+        for i in range(1, n):
+            cur, lo, hi = set(), set(), set()
+            left = by_left[i]
+            for m, rs in by_right[i - 1].items():
+                ls = left.get(m)
+                if ls is not None:
+                    cur.update(itertools.product(rs, ls))
+                    lo |= rs
+                    hi |= ls
+            pairs.append(cur)
+            lproj.append(lo)
+            rproj.append(hi)
+        pairs.append({(c, sb) for c in last})
+        if max_bytes is not None:
+            held = 200 * sum(map(len, pairs))
+            if held > max_bytes:
+                raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
+                              f"{held} bytes, over the {max_bytes}-byte cap")
+        lproj.append(last)
+        rproj.append({sb})
+        reach[(n + 1, 0)] = {sa}
+        reach[(0, n + 1)] = {sb}
+        for pos in range(1, n + 1):
+            states = lproj[pos] | rproj[pos - 1]
+            reach[(n + 1 - pos, pos)] = states
+            if witness is None:
+                hits = [s for s in states if _reference_flagged(s, need)]
+                if hits:
+                    witness = n + 1, _unpack(min(hits))
+    return witness is None, reach, witness
 
 
 # Reference block parsers: the periodic search over every block at every

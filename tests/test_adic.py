@@ -330,3 +330,20 @@ def test_path_symbol_names_the_prefix():
     sym = path_symbol(xi, p, 2)
     assert sym.k == 2 and sym.m == 1
     assert sym.s == rank(xi, PathPrefix.from_word("ab")) + 1
+
+
+def test_path_symbol_and_orbit_coding_refuse_k_outside_the_path():
+    xi = seeded_ordering(1)
+    p = PathPrefix.from_word("abbaab")
+    for k in (-1, len(p) + 1):
+        with pytest.raises(ValueError, match="k must not exceed the prefix"):
+            path_symbol(xi, p, k)
+        with pytest.raises(ValueError, match="k must not exceed the prefix"):
+            orbit_coding(xi, p, k, (0, 0))
+    # the two ends: the empty head and the whole path
+    assert path_symbol(xi, p, 0) == CylSymbol(0, 0, 1)
+    assert path_symbol(xi, p, len(p)) == \
+        CylSymbol(len(p), 3, rank(xi, p) + 1)
+    assert orbit_coding(xi, p, 0, (0, 0)) == (CylSymbol(0, 0, 1),)
+    assert orbit_coding(xi, p, len(p), (0, 0)) == \
+        (path_symbol(xi, p, len(p)),)

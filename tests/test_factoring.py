@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from adiclab.coding import basic_block, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
-from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError
-from adiclab.factoring import (ALT_CAP, CDToken, _Combiner,
+from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError, SizeCap
+from adiclab.factoring import (ALT_CAP, CDToken, _Combiner, _pack,
                                _phase1_exact, _phase2_reachable,
-                               _present_prefix,
+                               _present_prefix, _swap,
                                alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD, factor_block,
                                factorization_scheme_counts, intersection_probe,
@@ -20,8 +20,9 @@ from adiclab.factoring import (ALT_CAP, CDToken, _Combiner,
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
                       combine_packed_reference, decode_reference,
-                      periodic_reference, phase1_reference, phase2_reference,
-                      seeds)
+                      periodic_reference, phase1_exact_reference,
+                      phase1_reference, phase2_reachable_reference,
+                      phase2_reference, seeds)
 
 
 def test_decompose_worked_example():
@@ -296,6 +297,79 @@ def test_phase2_matches_reference(j):
                                                      _Combiner(ALT_CAP))
         assert (excluded, reach) == phase2_reference(j, level, ALT_CAP)
         assert (witness is None) == excluded
+
+
+_SWAP_LETTERS = str.maketrans("ab", "ba")
+
+
+@st.composite
+def _orderings_to_level_12(draw):
+    """A seeded ordering, or an explicit one with random bits to level 12."""
+    if draw(st.booleans()):
+        return seeded_ordering(draw(st.integers(0, 2**63 - 1)),
+                               draw(st.sampled_from([0.5, 0.1, 0.9])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return explicit_ordering({(x, n - x): rng.randrange(2)
+                              for n in range(2, 13) for x in range(1, n)}, 12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_orderings_to_level_12())
+def test_reflection_maps_orderings_to_orderings(xi):
+    # (x, y) -> (y, x) with every bit flipped is an ordering whose blocks
+    # are xi's with a and b swapped: the symmetry phase 2 builds half on
+    mirror = explicit_ordering({(y, x): 1 - xi.bit(x, y)
+                                for n in range(2, 13)
+                                for x in range(1, n) for y in [n - x]}, 12)
+    for n in range(1, 13):
+        for x in range(n + 1):
+            assert basic_block(mirror, n - x, x) == \
+                basic_block(xi, x, n - x).translate(_SWAP_LETTERS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_ALTERNATING_WORDS, st.text("ab", min_size=1, max_size=60)),
+       st.integers(3, 31))
+def test_letter_swap_is_the_state_of_the_swapped_word(w, cap):
+    assert _swap(_pack(alt_state(w, cap))) == \
+        _pack(alt_state(w.translate(_SWAP_LETTERS), cap))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_packed_pairs())
+def test_combiner_commutes_with_the_letter_swap(pair):
+    a, b, cap = pair
+    assert _Combiner(cap)[_swap(a) << 24 | _swap(b)] == \
+        _swap(combine_packed_reference(a, b, cap))
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_phases_match_their_full_level_references(j):
+    comb = _Combiner(ALT_CAP)
+    for level in range(1, 8):
+        assert _phase1_exact(j, level, comb) == \
+            phase1_exact_reference(j, level, comb)
+    for level in range(1, 12 if j == 9 else 11):
+        assert _phase2_reachable(j, level, comb) == \
+            phase2_reachable_reference(j, level, comb)
+
+
+# the number of phase-2 pairs, both halves counted, at levels 2..10
+_PAIR_COUNTS = [4, 13, 64, 392, 1794, 6813, 18440, 38673, 76256]
+
+
+@pytest.mark.parametrize("level, count", enumerate(_PAIR_COUNTS, start=2))
+def test_phase2_size_cap_matches_reference(level, count):
+    comb = _Combiner(ALT_CAP)
+    under = 200 * count - 1
+    message = (f"phase 2 pairs at level {level} hold about {200 * count} "
+               f"bytes, over the {under}-byte cap")
+    for phase2 in (_phase2_reachable, phase2_reachable_reference):
+        with pytest.raises(SizeCap) as caught:
+            phase2(9, level, comb, under)
+        assert str(caught.value) == message
+    assert _phase2_reachable(9, level, comb, 200 * count) == \
+        phase2_reachable_reference(9, level, comb, 200 * count)
 
 
 def test_phase2_contains_exact_states():
