@@ -7,19 +7,16 @@ single root vertex.
 """
 
 import hashlib
-import itertools
 import json
 import random
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 from typing import Optional
 
 from .core import OrderingTable
 from .errors import MalformedInput, ShapeMismatch
-
-EXACT_ORDER_BUDGET = 10**6  # edge orders `exact_uniform_probability` tries
 
 
 @dataclass(frozen=True)
@@ -226,31 +223,30 @@ def random_ordering(shape: Shape, rng) -> tuple:
     return tuple(words)
 
 
-def exact_uniform_probability(shape: Shape) -> Optional[Fraction]:
-    """Probability that a uniform random order on the shape is uniformly
-    ordered; exhaustive over edge permutations when feasible.
+def _multinomial(counts) -> int:
+    """Number of distinct words with the given letter counts."""
+    return factorial(sum(counts)) // prod(map(factorial, counts))
 
-    For one edge between every source-target pair this equals
-    r! / (r!)^V with r the common in-degree and V the target count.
+
+def exact_uniform_probability(shape: Shape) -> Fraction:
+    """Probability that a uniform random order on the shape is uniformly
+    ordered.
+
+    Target t's word is uniform over the multinomial(c_t) words of its
+    composition c_t (its edge count from each source).  The level is
+    uniform iff every word is u^(q_t) for one word u; taking u as long as
+    possible, its composition is e, e_s = gcd_t m[s][t].  So the uniform
+    outcomes are the multinomial(e) words u when every c_t = q_t * e, and
+    there are none otherwise.
     """
-    total = 1
-    for t in range(shape.target_count):
-        total *= factorial(shape.in_degree(t))
-    if total <= EXACT_ORDER_BUDGET:
-        per_target = [list(itertools.permutations(range(shape.in_degree(t))))
-                      for t in range(shape.target_count)]
-        edge_lists = [shape.in_edges(t) for t in range(shape.target_count)]
-        good = 0
-        for combo in itertools.product(*per_target):
-            words = [tuple(edge_lists[t][i] for i in perm)
-                     for t, perm in enumerate(combo)]
-            if uniform_base(words) is not None:
-                good += 1
-        return Fraction(good, total)
-    if all(m == 1 for row in shape.multiplicity for m in row):
-        r = shape.source_count
-        return Fraction(factorial(r), factorial(r) ** shape.target_count)
-    return None
+    rows = shape.multiplicity
+    e = [gcd(*row) for row in rows]
+    for c in zip(*rows):
+        q = c[0] // e[0]
+        if any(m != q * es for m, es in zip(c, e)):
+            return Fraction(0)
+    return Fraction(_multinomial(e),
+                    prod(_multinomial(c) for c in zip(*rows)))
 
 
 @dataclass
@@ -258,7 +254,7 @@ class MonteCarloLevel:
     shape: Shape
     trials: int
     uniform_hits: int
-    exact: Optional[Fraction]
+    exact: Fraction
 
     @property
     def frequency(self):
@@ -276,8 +272,6 @@ class MonteCarloReport:
         sums = []
         acc = Fraction(0)
         for lvl in self.levels:
-            if lvl.exact is None:
-                return sums
             acc += lvl.exact
             sums.append(acc)
         return sums
@@ -326,8 +320,7 @@ def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
 
 def monte_carlo_report(shapes, trials: int, seed: int,
                        hits) -> MonteCarloReport:
-    """Report of per-shape `hits` over `trials` trials, with exact values
-    where computable."""
+    """Report of per-shape `hits` over `trials` trials, with exact values."""
     return MonteCarloReport(seed, [
         MonteCarloLevel(shape, trials, h, exact_uniform_probability(shape))
         for shape, h in zip(shapes, hits)])
@@ -335,7 +328,7 @@ def monte_carlo_report(shapes, trials: int, seed: int,
 
 def monte_carlo_uniform(shapes, trials: int, seed: int) -> MonteCarloReport:
     """Empirical uniform-level frequency per shape, with exact values and
-    Borel-Cantelli partial sums where computable."""
+    Borel-Cantelli partial sums."""
     if trials < 1:
         raise ValueError("trials >= 1")
     return monte_carlo_report(shapes, trials, seed,

@@ -166,7 +166,7 @@ def cmd_montecarlo(args):
     out = {"seed": args.seed, "trials": args.trials, "levels": [],
            "partial_sums": [str(s) for s in report.partial_sums]}
     for idx, lvl in enumerate(report.levels):
-        exact = str(lvl.exact) if lvl.exact is not None else None
+        exact = str(lvl.exact)
         out["levels"].append({"level": idx, "frequency": lvl.frequency,
                               "uniform": lvl.uniform_hits, "exact": exact})
         rows.append((idx, lvl.frequency, exact))

@@ -516,27 +516,23 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
                 right.setdefault(b, set()).update(kids)
             by_left.append(left)
             by_right.append(right)
+        # the children of the pairs at position i are the reach set of the
+        # level-(n + 1) vertex at position i + 1
+        children = [set().union(*left.values()) for left in by_left]
         if n % 2 == 0:
             # level n's pairs at position half, not stored, mirror those
             # at half - 1
             by_left.append({_swap(m): {_swap(s) for s in kids}
                             for m, kids in by_right[half - 1].items()})
-        # new pairs and their left and right projections, by position
-        first = set().union(*by_left[0].values())
-        pairs = [{(sa, c) for c in first}]
-        lproj, rproj = [{sa}], [first]
+        pairs = [{(sa, c) for c in children[0]}]
         for i in range(1, half + 1):
-            cur, lo, hi = set(), set(), set()
+            cur = set()
             left = by_left[i]
             for m, rs in by_right[i - 1].items():
                 ls = left.get(m)
                 if ls is not None:
                     cur.update(itertools.product(rs, ls))
-                    lo |= rs
-                    hi |= ls
             pairs.append(cur)
-            lproj.append(lo)
-            rproj.append(hi)
         if max_bytes is not None:
             count = 2 * sum(map(len, pairs))
             if n % 2 == 0:
@@ -549,14 +545,12 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
         reach[(top, 0)] = {sa}
         reach[(0, top)] = {sb}
         for pos in range(1, half + 1):
-            states = lproj[pos] | rproj[pos - 1]
-            reach[(top - pos, pos)] = states
-            reach[(pos, top - pos)] = {_swap(s) for s in states}
+            reach[(top - pos, pos)] = children[pos - 1]
+            reach[(pos, top - pos)] = {_swap(s) for s in children[pos - 1]}
         if n % 2:
-            # the middle vertex: the pairs on its right mirror those on
-            # its left
-            mid = rproj[half]
-            reach[(half + 1, half + 1)] = mid | {_swap(s) for s in mid}
+            # the middle vertex; the middle pair is its own mirror, so its
+            # children are σ-closed
+            reach[(half + 1, half + 1)] = children[half]
         if witness is None:
             # a flagged vertex's mirror is flagged too (σ swaps maxab and
             # maxba), so the least flagged y lies in the lower half

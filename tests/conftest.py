@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 import struct
+from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 
 import pytest
@@ -734,3 +736,21 @@ def uniform_hits_reference(shapes, seed, lo, hi):
                 count += 1
         hits.append(count)
     return hits
+
+
+def exact_uniform_probability_reference(shape):
+    """The uniform-level probability by enumerating all prod_t deg_t! edge
+    orders: the share whose target words are powers of one word."""
+    degrees = [shape.in_degree(t) for t in range(shape.target_count)]
+    per_target = [list(itertools.permutations(range(d))) for d in degrees]
+    edge_lists = [shape.in_edges(t) for t in range(shape.target_count)]
+    good = 0
+    for combo in itertools.product(*per_target):
+        words = [tuple(edge_lists[t][i] for i in perm)
+                 for t, perm in enumerate(combo)]
+        if uniform_base(words) is not None:
+            good += 1
+    total = 1
+    for d in degrees:
+        total *= factorial(d)
+    return Fraction(good, total)

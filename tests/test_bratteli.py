@@ -16,7 +16,8 @@ from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
 from adiclab.errors import ShapeMismatch
 
-from conftest import uniform_hits_reference
+from conftest import (exact_uniform_probability_reference,
+                      uniform_hits_reference)
 
 
 def uniform_level_diagram():
@@ -227,15 +228,61 @@ def test_shape_and_random_ordering():
 def test_exact_uniform_probability():
     assert exact_uniform_probability(Shape.constant(2, 2, 1)) == Fraction(1, 2)
     assert exact_uniform_probability(Shape.constant(2, 3, 1)) == Fraction(1, 4)
-    # closed form matches exhaustive enumeration on small constant shapes
+    # r! / (r!)^v on the constant shapes matches exhaustive enumeration
     for r in (2, 3):
         for v in (2, 3):
             shape = Shape.constant(r, v, 1)
-            exhaustive = exact_uniform_probability(shape)
+            exhaustive = exact_uniform_probability_reference(shape)
             closed = Fraction(math.factorial(r), math.factorial(r) ** v)
-            assert exhaustive == closed
+            assert exhaustive == closed == exact_uniform_probability(shape)
     # multi-edge single-source shape: every ordering is uniform
     assert exact_uniform_probability(Shape(((2, 2),))) == 1
+    # shapes past the 10^6 edge orders an enumeration could afford
+    assert exact_uniform_probability(Shape(((3, 3, 3), (3, 3, 3)))) == \
+        Fraction(1, 400)
+    assert exact_uniform_probability(
+        Shape(((4, 8, 12), (6, 12, 18), (2, 4, 6)))) == \
+        Fraction(1, 225507821372610200424000)
+    # no common word: target 1 has no edge from source 1
+    assert exact_uniform_probability(Shape(((1, 1), (1, 0)))) == 0
+
+
+@st.composite
+def _enumerable_shapes(draw):
+    """A shape of 1-3 sources and targets, multiplicities 0-3, whose
+    prod_t deg_t! edge orders number at most 10^4.
+
+    Half the shapes have proportional columns, so that several targets
+    are often uniform together; the others often have zero entries.
+    """
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = draw(st.lists(st.integers(1, 3), min_size=s, max_size=s))
+        scale = draw(st.lists(st.integers(1, 3 // max(base)),
+                              min_size=t, max_size=t))
+        rows = [[m * k for k in scale] for m in base]
+    else:
+        rows = [draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
+                for _ in range(s)]
+    for row in rows:  # every source and target needs an edge
+        if not any(row):
+            row[0] = 1
+    for c in range(t):
+        if not any(row[c] for row in rows):
+            rows[0][c] = 1
+    while math.prod(math.factorial(sum(c)) for c in zip(*rows)) > 10**4:
+        # the largest column has an entry above 1 (its degree is over 3)
+        c = max(range(t), key=lambda c: sum(row[c] for row in rows))
+        r = max(range(s), key=lambda r: rows[r][c])
+        rows[r][c] -= 1
+    return Shape(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_enumerable_shapes())
+def test_exact_uniform_probability_matches_enumeration(shape):
+    assert exact_uniform_probability(shape) == \
+        exact_uniform_probability_reference(shape)
 
 
 def test_monte_carlo_exact_and_determinism():
@@ -248,6 +295,17 @@ def test_monte_carlo_exact_and_determinism():
     for lvl, p in zip(rep1.levels, (0.5, 0.25)):
         sigma = math.sqrt(p * (1 - p) / lvl.trials)
         assert abs(lvl.frequency - p) <= 4 * sigma
+
+
+def test_partial_sums_cover_every_level():
+    # ((3,3,3),(3,3,3)) has 9!^3 edge orders; ((1,1),(1,0)) has P = 0
+    shapes = [Shape.constant(2, 2, 1), Shape(((3, 3, 3), (3, 3, 3))),
+              Shape(((1, 1), (1, 0)))]
+    rep = monte_carlo_uniform(shapes, 10, seed=3)
+    assert [lvl.exact for lvl in rep.levels] == \
+        [Fraction(1, 2), Fraction(1, 400), 0]
+    assert rep.partial_sums == [Fraction(1, 2), Fraction(201, 400),
+                                Fraction(201, 400)]
 
 
 def test_monte_carlo_single_target():

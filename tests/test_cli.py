@@ -117,6 +117,20 @@ def test_montecarlo_command(tmp_path, capsys):
                         "400", "--seed", "5", "--threads", "2"]) == (0, out)
 
 
+def test_montecarlo_exact_past_enumeration(tmp_path, capsys):
+    # ((3,3,3),(3,3,3)) has 9!^3 edge orders, yet its exact value prints
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps({"shapes": [[[3, 3, 3], [3, 3, 3]],
+                                           [[1, 1], [1, 1]]]}))
+    code, out = run(capsys, ["montecarlo", "--shapes", str(path),
+                             "--trials", "100", "--seed", "1"])
+    assert code == 0
+    assert '"exact": "1/400"' in out
+    doc = json.loads(out)
+    assert [lvl["exact"] for lvl in doc["levels"]] == ["1/400", "1/2"]
+    assert doc["partial_sums"] == ["1/400", "201/400"]
+
+
 def test_montecarlo_rejects_zero_trials(tmp_path, capsys):
     path = tmp_path / "shapes.json"
     path.write_text(json.dumps({"shapes": [[[1, 1], [1, 1]]]}))

@@ -156,6 +156,19 @@ def test_column_coding_matches_successor_sweep():
                         successor_sweep(xi, x, level - x, k), (xi, x, k)
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), data=st.data())
+def test_column_coding_matches_successor_sweep_property(xi, data):
+    # sweep = concatenation on random columns: the k-block at (x, y) from
+    # the block store against the column swept path by path
+    level = data.draw(st.integers(1, 14))
+    x = data.draw(st.integers(0, level))
+    k = data.draw(st.integers(1, min(level, 8)))  # ids and masks fit a byte
+    assert column_coding(xi, x, level - x, k) == \
+        successor_sweep(xi, x, level - x, k)
+
+
 def test_column_coding_k1_is_basic_block():
     for xi in seeds(3, base=30):
         for level in range(1, 11):
