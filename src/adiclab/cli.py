@@ -242,6 +242,11 @@ def cmd_kink(args):
 def cmd_alternation(args):
     require_at_least("--max-level", args.max_level, 1)
     require_at_least("--j", args.j, 1)
+    largest = (factoring.ALT_CAP - 1) // 2
+    if args.j > largest:
+        raise BadValue(f"--j {args.j} has runs of 2j letters past the "
+                       f"saturation cap {factoring.ALT_CAP}; the largest j "
+                       f"is {largest}")
     max_bytes = None if args.max_mem is None else args.max_mem << 20
     verdict = factoring.alternation_exclusion(args.max_level, args.j,
                                               max_bytes=max_bytes)

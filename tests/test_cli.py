@@ -163,8 +163,8 @@ def test_smallshift_command(capsys):
 
 def test_alternation_cap_exit_code(capsys):
     code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "20"])
-    assert code == 3
-    assert json.loads(out)["kind"] == "resource-cap"
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
 
 
 def test_alternation_memory_cap_exit_code(capsys):
@@ -307,9 +307,9 @@ def test_refused_ordering_document_names_the_problem(capsys, tmp_path, doc,
 
 def test_alternation_j_above_the_cap_names_the_largest_j(capsys):
     code, out = run(capsys, ["alternation", "--j", "10"])
-    assert code == 3
+    assert code == 2
     doc = json.loads(out)
-    assert doc["kind"] == "resource-cap"
+    assert doc["kind"] == "usage"
     assert "the largest j is 9" in doc["error"]
 
 
