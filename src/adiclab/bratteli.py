@@ -128,10 +128,6 @@ class OdometerCertificate:
     searched_depth: int
     message: str = ""
 
-    @property
-    def cuts(self):
-        return [0] + [end for _, end, _ in self.segments]
-
 
 def odometer_certificate(d: OrderedDiagram, search_depth: int) -> OdometerCertificate:
     """Greedy search for a telescoping making every level uniformly ordered.

@@ -1,15 +1,18 @@
 """Batch command-line front end.
 
 Every command is deterministic: randomized commands require an explicit
-seed and identical invocations produce byte-identical output.  Exit codes:
-0 when no assertion-bearing check failed, 1 when one did, 2 for usage
-errors, 3 for resource-cap aborts.
+seed and identical invocations produce byte-identical output.  Each
+command takes only the flags it honours: `--max-mem` on `block` and
+`alternation`, `--format json|csv` on the tables `complexity` and
+`montecarlo`; `--threads` is accepted everywhere and used by `kink` and
+`montecarlo`.  Exit codes: 0 when no assertion-bearing check failed, 1
+when one did, 2 for usage errors, 3 for resource-cap aborts.
 """
 
 import argparse
 import csv
-import io
 import json
+import os
 import re
 import sys
 
@@ -53,25 +56,15 @@ def load_ordering(text: str) -> OrderingTable:
     raise argparse.ArgumentTypeError(f"cannot parse ordering {text!r}")
 
 
-def emit(args, doc, table=None):
-    """Print a report; CSV is only available for tabular commands."""
-    if args.format == "json":
+def emit(doc, fmt="json", rows=None, columns=()):
+    """Print a report as JSON, or as CSV: a header of `columns`, then
+    those fields of each row in the list doc[rows]."""
+    if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
-    elif args.format == "csv":
-        if table is None:
-            raise UsageError("this command has no CSV form")
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in table:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
-    else:
-        for key, value in sorted(doc.items()):
-            print(f"{key}: {value}")
-
-
-class UsageError(Exception):
-    pass
+        return
+    writer = csv.writer(sys.stdout)
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in doc[rows])
 
 
 class BadValue(Exception):
@@ -83,7 +76,15 @@ def require_at_least(flag, value, low):
         raise BadValue(f"{flag} must be at least {low}, got {value}")
 
 
+def max_bytes(args):
+    """The --max-mem cap in bytes, None when it is not given."""
+    if args.max_mem is not None:
+        require_at_least("--max-mem", args.max_mem, 1)
+        return args.max_mem << 20
+
+
 def cmd_block(args):
+    cap = max_bytes(args)
     xi = args.ordering
     x, y = args.x, args.y
     require_at_least("--x", x, 0)
@@ -91,8 +92,7 @@ def cmd_block(args):
     require_at_least("--x + --y", x + y, 1)
     if args.k is not None and not 1 <= args.k <= 8:
         raise BadValue(f"--k must be between 1 and 8, got {args.k}")
-    if args.max_mem is not None:
-        block_store(xi, args.max_mem << 20)
+    block_store(xi, cap)
     doc = {"vertex": [x, y], "length": binomial(x + y, x)}
     if args.k in (None, 1):
         word = basic_block(xi, x, y)
@@ -110,7 +110,7 @@ def cmd_block(args):
         syms = coding.basic_block_k(xi, args.k, x, y)
         doc.update(k=args.k, block=[[s.k, s.m, s.s] for s in syms])
         ok = len(syms) == doc["length"]
-    emit(args, doc)
+    emit(doc)
     return 0 if ok else 1
 
 
@@ -119,12 +119,12 @@ def cmd_decode(args):
         tokens = factoring.decompose_CD(args.word)
         vertex, table = factoring.decode_ordering(args.word)
     except AdiclabError as exc:
-        emit(args, {"error": str(exc)})
+        emit({"error": str(exc)})
         return 1
     bits = sorted((x, y, table.bit(x, y)) for x in range(2, vertex.x + 1)
                   for y in range(2, vertex.y + 1))
-    emit(args, {"vertex": list(vertex), "tokens": [str(t) for t in tokens],
-                "bits": [list(b) for b in bits]})
+    emit({"vertex": list(vertex), "tokens": [str(t) for t in tokens],
+          "bits": [list(b) for b in bits]})
     return 0
 
 
@@ -132,14 +132,12 @@ def cmd_complexity(args):
     require_at_least("--nmin", args.nmin, 1)
     require_at_least("--level", args.level, 1)
     xi = args.ordering
-    rows = [("n", "count", "stabilized", "level")]
     doc = {"ordering": xi.fingerprint(), "rows": []}
     for n in range(args.nmin, args.nmax + 1):
         count, lvl, stab = stabilized_complexity(xi, n, args.level)
         doc["rows"].append({"n": n, "count": count, "stabilized": stab,
                             "level": lvl})
-        rows.append((n, count, stab, lvl))
-    emit(args, doc, table=rows)
+    emit(doc, args.format, "rows", ("n", "count", "stabilized", "level"))
     return 0
 
 
@@ -147,9 +145,9 @@ def cmd_odometer(args):
     with open(args.diagram) as fh:
         diagram = bratteli.OrderedDiagram.from_json(fh.read())
     cert = bratteli.odometer_certificate(diagram, args.depth)
-    emit(args, {"found": cert.found, "message": cert.message,
-                "segments": [[a, b, list(base)] for a, b, base in cert.segments],
-                "depth": cert.searched_depth})
+    emit({"found": cert.found, "message": cert.message,
+          "segments": [[a, b, list(base)] for a, b, base in cert.segments],
+          "depth": cert.searched_depth})
     return 0
 
 
@@ -158,23 +156,22 @@ def cmd_montecarlo(args):
     with open(args.shapes) as fh:
         shapes = bratteli.shapes_from_json(fh.read())
     jobs = [(shapes, args.seed, lo, hi)
-            for lo, hi in _chunks(args.trials, max(args.threads, 1))]
-    parts = _run_parallel(bratteli.uniform_hits, jobs, args.threads)
+            for lo, hi in _chunks(args.trials, args.threads)]
+    parts = _run_parallel(bratteli.uniform_hits, jobs)
     report = bratteli.monte_carlo_report(shapes, args.trials, args.seed,
                                          map(sum, zip(*parts)))
-    rows = [("level", "frequency", "exact")]
-    out = {"seed": args.seed, "trials": args.trials, "levels": [],
+    out = {"seed": args.seed, "trials": args.trials,
+           "levels": [{"level": idx, "frequency": lvl.frequency,
+                       "uniform": lvl.uniform_hits, "exact": str(lvl.exact)}
+                      for idx, lvl in enumerate(report.levels)],
            "partial_sums": [str(s) for s in report.partial_sums]}
-    for idx, lvl in enumerate(report.levels):
-        exact = str(lvl.exact)
-        out["levels"].append({"level": idx, "frequency": lvl.frequency,
-                              "uniform": lvl.uniform_hits, "exact": exact})
-        rows.append((idx, lvl.frequency, exact))
-    emit(args, out, table=rows)
+    emit(out, args.format, "levels", ("level", "frequency", "exact"))
     return 0
 
 
-def _chunks(total: int, parts: int):
+def _chunks(total: int, threads: int):
+    """Trial ranges covering range(total), at most one per thread and per CPU."""
+    parts = min(threads, os.cpu_count() or 1)
     step = (total + parts - 1) // parts
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -191,12 +188,13 @@ def _kink_worker(seed, lo, hi, max_n, max_level):
     return hits, failures
 
 
-def _run_parallel(worker, jobs, threads):
-    if threads <= 1 or len(jobs) <= 1:
+def _run_parallel(worker, jobs):
+    """worker(*job) for each job; one process per job when there are several."""
+    if len(jobs) <= 1:
         return [worker(*j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(worker, *zip(*jobs)))
 
 
@@ -226,20 +224,20 @@ def cmd_kink(args):
     require_at_least("--trials", args.trials, 1)
     require_at_least("--max-n", args.max_n, 2)
     jobs = [(args.seed, lo, hi, args.max_n, args.max_level)
-            for lo, hi in _chunks(args.trials, max(args.threads, 1))]
+            for lo, hi in _chunks(args.trials, args.threads)]
     hits = {}
     failures = 0
-    for part_hits, part_failures in _run_parallel(_kink_worker, jobs,
-                                                  args.threads):
+    for part_hits, part_failures in _run_parallel(_kink_worker, jobs):
         failures += part_failures
         for case, count in part_hits.items():
             hits[case] = hits.get(case, 0) + count
-    emit(args, {"trials": args.trials, "failures": failures,
-                "cases": dict(sorted(hits.items()))})
+    emit({"trials": args.trials, "failures": failures,
+          "cases": dict(sorted(hits.items()))})
     return 0 if failures == 0 else 1
 
 
 def cmd_alternation(args):
+    cap = max_bytes(args)
     require_at_least("--max-level", args.max_level, 1)
     require_at_least("--j", args.j, 1)
     largest = (factoring.ALT_CAP - 1) // 2
@@ -247,9 +245,8 @@ def cmd_alternation(args):
         raise BadValue(f"--j {args.j} has runs of 2j letters past the "
                        f"saturation cap {factoring.ALT_CAP}; the largest j "
                        f"is {largest}")
-    max_bytes = None if args.max_mem is None else args.max_mem << 20
     verdict = factoring.alternation_exclusion(args.max_level, args.j,
-                                              max_bytes=max_bytes)
+                                              max_bytes=cap)
     xi, xi_prime = factoring.small_subshift_orderings()
     doc = {
         "j": args.j,
@@ -266,7 +263,7 @@ def cmd_alternation(args):
     if not verdict.excluded:
         doc.update(witness_level=verdict.witness_level,
                    witness_state=verdict.witness_state._asdict())
-    emit(args, doc)
+    emit(doc)
     return 0 if verdict.excluded else 1
 
 
@@ -279,9 +276,9 @@ def cmd_smallshift(args):
     common = sorted(factoring.intersection_probe(xi, xi_prime, args.n,
                                                  args.level))
     stray = [w for w in common if not _SMALL_ORBITS.fullmatch(w)]
-    emit(args, {"n": args.n, "level": args.level, "common": len(common),
-                "expected_orbit_subwords": len(common) - len(stray),
-                "stray_words": stray})
+    emit({"n": args.n, "level": args.level, "common": len(common),
+          "expected_orbit_subwords": len(common) - len(stray),
+          "stray_words": stray})
     return 0 if not stray else 1
 
 
@@ -290,16 +287,18 @@ def build_parser():
         prog="adiclab",
         description="Batch tools for arbitrarily ordered Pascal adic systems")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    common.add_argument("--max-mem", type=int, metavar="MIB", default=None,
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker process cap for kink and montecarlo, "
+                        "bounded by the CPU count")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-mem", type=int, metavar="MIB", default=None,
                         help="cap for the block memo and the alternation "
                         "search's pair sets, in MiB")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("block", parents=[common],
+    p = sub.add_parser("block", parents=[common, capped],
                        help="basic block and symbol census at a vertex")
     p.add_argument("--ordering", type=load_ordering, required=True)
     p.add_argument("--x", type=int, required=True)
@@ -312,7 +311,7 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("complexity", parents=[common],
+    p = sub.add_parser("complexity", parents=[common, table],
                        help="language complexity table with stabilization")
     p.add_argument("--ordering", type=load_ordering, required=True)
     p.add_argument("--nmin", type=int, required=True)
@@ -326,7 +325,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(func=cmd_odometer)
 
-    p = sub.add_parser("montecarlo", parents=[common],
+    p = sub.add_parser("montecarlo", parents=[common, table],
                        help="uniform-ordering frequencies over a shape file")
     p.add_argument("--shapes", required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -341,7 +340,7 @@ def build_parser():
     p.add_argument("--max-level", type=int, default=64)
     p.set_defaults(func=cmd_kink)
 
-    p = sub.add_parser("alternation", parents=[common],
+    p = sub.add_parser("alternation", parents=[common, capped],
                        help="two-phase (ab)^j / (ba)^j exclusion verdict")
     p.add_argument("--max-level", type=int, default=12)
     p.add_argument("--j", type=int, default=9)
@@ -359,15 +358,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_mem is not None:
-            require_at_least("--max-mem", args.max_mem, 1)
+        require_at_least("--threads", args.threads, 1)
         return args.func(args)
     except CAP_ERRORS as exc:
         print(json.dumps({"error": str(exc), "kind": "resource-cap"},
                          sort_keys=True))
         return 3
-    except UsageError as exc:
-        parser.error(str(exc))  # exits 2
     except BadValue as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))
         return 2

@@ -623,10 +623,6 @@ class RunContextReport:
     contexts: Counter = field(default_factory=Counter)
     clipped: Counter = field(default_factory=Counter)
 
-    @property
-    def context_words(self):
-        return set(self.contexts)
-
 
 def _runs(w: str):
     out = []

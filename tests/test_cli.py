@@ -1,7 +1,10 @@
 import argparse
+import concurrent.futures
 import contextlib
+import csv
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -83,6 +86,79 @@ def test_csv_rejected_for_non_tables(capsys):
     with pytest.raises(SystemExit) as err:
         main(["decode", "--word", "aab", "--format", "csv"])
     assert err.value.code == 2
+
+
+# the least argv each command accepts, files under {tmp}
+_MINIMAL_ARGV = {
+    "block": ["--ordering", "constant0", "--x", "1", "--y", "1"],
+    "decode": ["--word", "aab"],
+    "complexity": ["--ordering", "constant0", "--nmin", "1", "--nmax", "2"],
+    "odometer": ["--diagram", "{tmp}/diagram.json"],
+    "montecarlo": ["--shapes", "{tmp}/shapes.json", "--trials", "5",
+                   "--seed", "1"],
+    "kink": ["--trials", "5", "--seed", "1"],
+    "alternation": ["--max-level", "4", "--j", "3"],
+    "smallshift": ["--n", "4", "--level", "6"],
+}
+_CAPPED = {"block", "alternation"}
+_TABLES = {"complexity", "montecarlo"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((c, ["--max-mem", "64"]) for c in sorted(set(_MINIMAL_ARGV) - _CAPPED)),
+    *((c, ["--format", "json"]) for c in sorted(set(_MINIMAL_ARGV) - _TABLES)),
+    *((c, ["--format", "text"]) for c in sorted(_MINIMAL_ARGV)),
+])
+def test_commands_refuse_flags_they_do_not_honour(capsys, tmp_path, command,
+                                                  flag):
+    (tmp_path / "diagram.json").write_text('{"coding": [[[0]]]}')
+    (tmp_path / "shapes.json").write_text('{"shapes": [[[1, 1], [1, 1]]]}')
+    argv = [command] + [a.replace("{tmp}", str(tmp_path))
+                        for a in _MINIMAL_ARGV[command]]
+    # the argv without the flag runs
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv + flag)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert flag[0] in captured.err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_threads_are_bounded_by_the_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    argv = ["kink", "--trials", "40", "--seed", "2"]
+    serial = run(capsys, argv + ["--threads", "1"])
+    assert _SerialPool.sizes == []
+    assert run(capsys, argv + ["--threads", "1000000"]) == serial
+    assert _SerialPool.sizes == [3]
+    assert run(capsys, argv + ["--threads", "2"]) == serial
+    assert _SerialPool.sizes == [3, 2]
+    code, out = run(capsys, argv + ["--threads", "0"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+    assert _SerialPool.sizes == [3, 2]
 
 
 def test_odometer_command(tmp_path, capsys):
@@ -409,6 +485,9 @@ _ORDERINGS = st.sampled_from([
     '{"kind":"explicit","bits":[],"maxLevel":"x"}'])
 
 
+_FORMATS = st.sampled_from(["json", "csv"])
+
+
 @st.composite
 def _argvs(draw, files):
     def some_file(valid):  # the valid one half of the time
@@ -420,20 +499,23 @@ def _argvs(draw, files):
                                     "alternation", "smallshift"]))
     flags = {
         "block": [("--ordering", _ORDERINGS), ("--x", _small(-2, 4)),
-                  ("--y", _small(-2, 4)), ("--k", _small(-1, 9))],
+                  ("--y", _small(-2, 4)), ("--k", _small(-1, 9)),
+                  ("--max-mem", _small(0, 64))],
         "decode": [("--word", st.text("abc", max_size=12))],
         "complexity": [("--ordering", _ORDERINGS), ("--nmin", _small(-1, 4)),
-                       ("--nmax", _small(-1, 6)), ("--level", _small())],
+                       ("--nmax", _small(-1, 6)), ("--level", _small()),
+                       ("--format", _FORMATS)],
         "odometer": [("--diagram", some_file("diagram.json")),
                      ("--depth", _small(-1, 4))],
         "montecarlo": [("--shapes", some_file("shapes.json")),
-                       ("--trials", _small(-1, 50)), ("--seed", _small(0, 9))],
+                       ("--trials", _small(-1, 50)), ("--seed", _small(0, 9)),
+                       ("--format", _FORMATS)],
         "kink": [("--trials", _small(-1, 50)), ("--seed", _small(0, 9)),
                  ("--max-n", _small()), ("--max-level", _small())],
-        "alternation": [("--max-level", _small()), ("--j", _small(-1, 10))],
+        "alternation": [("--max-level", _small()), ("--j", _small(-1, 10)),
+                        ("--max-mem", _small(0, 64))],
         "smallshift": [("--n", _small()), ("--level", _small())],
-    }[command] + [("--max-mem", _small(0, 64)),
-                  ("--threads", st.sampled_from(["1", "2"]))]
+    }[command] + [("--threads", st.sampled_from(["0", "1", "2"]))]
     argv = [command]
     for flag, values in flags:
         if draw(st.integers(0, 7)):  # each flag is left out now and then
@@ -455,7 +537,13 @@ def test_argv_fuzz_exits_cleanly(json_files, data):
             code, rejected = exc.code, True
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
-    if not rejected:
+    if rejected:
+        return
+    if code == 0 and "--format" in argv and \
+            argv[argv.index("--format") + 1] == "csv":
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert len({len(row) for row in rows}) == 1
+    else:
         json.loads(out.getvalue())
 
 
