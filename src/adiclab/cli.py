@@ -170,7 +170,7 @@ def cmd_montecarlo(args):
 
 
 def _chunks(total: int, threads: int):
-    """Trial ranges covering range(total), at most one per thread and per CPU."""
+    """At most min(threads, CPU count) trial ranges covering range(total)."""
     parts = min(threads, os.cpu_count() or 1)
     step = (total + parts - 1) // parts
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -189,7 +189,7 @@ def _kink_worker(seed, lo, hi, max_n, max_level):
 
 
 def _run_parallel(worker, jobs):
-    """worker(*job) for each job; one process per job when there are several."""
+    """worker(*job) per job, one process per job when there are several."""
     if len(jobs) <= 1:
         return [worker(*j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor
