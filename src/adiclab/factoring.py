@@ -8,6 +8,7 @@ subshift.
 """
 
 import itertools
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -88,12 +89,15 @@ def _between(idx, lo: int, hi: int):
 
 
 def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
-                    starts: dict, where: dict):
+                    seen: dict, starts: dict, where: dict):
     """Recover the bit at (u, v) from w[lo:hi] = B(u, v), then recurse.
 
     A segment cut at token starts of w holds exactly w's tokens between
     them, so C_u and D_v are looked up in `where`; a cut inside a token
-    (only in a corrupt word) re-tokenizes the segment.
+    (only in a corrupt word) re-tokenizes the segment.  `seen` maps each
+    interior vertex to the text of its first segment whose subtree
+    decoded: a later segment of the right length with that same text
+    decodes to the same tokens and bits, so it returns at once.
     """
     if hi - lo != binomial(u + v, u):
         raise InconsistentLengths(
@@ -106,6 +110,9 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
     if u == 1:
         if w[lo:hi] != "a" + "b" * v:
             raise ParseError(f"expected D{v}", lo)
+        return
+    text = seen.get((u, v))
+    if text is not None and w.startswith(text, lo):
         return
     c, d = CDToken("C", u), CDToken("D", v)
     t_lo, t_hi = starts.get(lo), starts.get(hi)
@@ -125,8 +132,10 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
         raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
     first, second = ordered_parents(u, v, bit)
     cut = lo + binomial(first[0] + first[1], first[0])
-    _decode_segment(w, lo, cut, first[0], first[1], bits, starts, where)
-    _decode_segment(w, cut, hi, second[0], second[1], bits, starts, where)
+    _decode_segment(w, lo, cut, first[0], first[1], bits, seen, starts, where)
+    _decode_segment(w, cut, hi, second[0], second[1], bits, seen, starts,
+                    where)
+    seen[(u, v)] = w[lo:hi]
 
 
 def decode_ordering(w: str):
@@ -135,8 +144,9 @@ def decode_ordering(w: str):
     Returns (vertex, table): the vertex whose block w is, and an explicit
     ordering table carrying the recovered interior bits (rows stay left
     to right).  Raises ParseError / InconsistentLengths when w is not a
-    restricted-ordering basic block.  w is tokenized once; the segments
-    are read off its token index.
+    restricted-ordering basic block.  w is tokenized once and the
+    segments are read off its token index; each vertex's segment is
+    decoded once, and a later segment with the same text is skipped.
     """
     if w == "a":
         return Vertex(1, 0), explicit_ordering({}, max_level=1)
@@ -149,7 +159,7 @@ def decode_ordering(w: str):
     x = max((t.index for t in tokens if t.kind == "C"), default=1)
     y = max((t.index for t in tokens if t.kind == "D"), default=1)
     bits = {}
-    _decode_segment(w, 0, len(w), x, y, bits, *_token_index(tokens))
+    _decode_segment(w, 0, len(w), x, y, bits, {}, *_token_index(tokens))
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
 
 
@@ -624,66 +634,58 @@ class RunContextReport:
     clipped: Counter = field(default_factory=Counter)
 
 
-def _runs(w: str):
-    out = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] != w[i - 1]:
-            out.append((w[start], start, i - start))
-            start = i
-    return out
+_RUN = re.compile("a+|b+")
 
 
-def _scan_block_contexts(w: str, l: int, inner: str, report: RunContextReport):
-    runs = _runs(w)
-    outer = _flip(inner)
-    t = 0
-    while t < len(runs):
-        c, start, length = runs[t]
-        if c != inner or length != l or t == 0 or t == len(runs) - 1:
-            t += 1
-            continue
+def _run_end(w: str, pos: int) -> int:
+    """The end of the letter run that starts at w[pos]."""
+    return _RUN.match(w, pos).end()
+
+
+def _scan_block_contexts(w: str, l: int, inner: str, runs_of_l,
+                         report: RunContextReport):
+    """Tally the contexts in one block.  `runs_of_l` matches the maximal
+    inner runs of exactly l letters with an outer letter on each side."""
+    n = len(w)
+    cluster_end = 0
+    for m in runs_of_l.finditer(w):
+        start, end = m.span()
+        if start < cluster_end:
+            continue  # a chained run of a cluster already tallied
         # cluster: chain of exactly-l inner runs linked by single outers;
         # a chained run must still have an outer run after it
-        end_t = t
-        while (end_t + 3 < len(runs) and runs[end_t + 1][2] == 1
-               and runs[end_t + 2][0] == inner and runs[end_t + 2][2] == l):
-            end_t += 2
-        left = runs[t - 1]
-        right = runs[end_t + 1]
-        span_lo = left[1] + left[2] - 1  # single left delimiter character
-        span_hi = right[1]               # first character of right delimiter
+        while (end + 1 + l < n and w[end + 1] == inner
+               and _run_end(w, end + 1) == end + 1 + l):
+            end += 1 + l
+        cluster_end = span_hi = end  # first character of right delimiter
         clipped = False
-        prev_len = l
-        rdi = end_t + 1
-        if right[2] == 1:
+        delim_end = _run_end(w, end)
+        if delim_end == end + 1:
             # absorb following (inner run + outer) units, non-increasing
+            prev_len = l
             while True:
-                if rdi + 1 >= len(runs):
+                if delim_end == n:
                     clipped = True  # delimiter ends the block
                     break
-                nxt = runs[rdi + 1]
-                if nxt[0] != inner or not (l - 1 <= nxt[2] <= prev_len):
+                run_end = _run_end(w, delim_end)
+                if not l - 1 <= run_end - delim_end <= prev_len:
                     break
-                if rdi + 2 >= len(runs):
+                if run_end == n:
                     clipped = True  # absorbed run reaches the block edge
                     break
-                span_hi = runs[rdi + 2][1]
-                prev_len = nxt[2]
-                rdi += 2
-        else:
+                span_hi = run_end
+                prev_len = run_end - delim_end
+                delim_end = _run_end(w, run_end)
+        elif delim_end < n:
             # right delimiter is a longer outer run: absorb it and one run
-            if rdi + 1 < len(runs):
-                nxt = runs[rdi + 1]
-                span_hi = nxt[1] + nxt[2] - 1
-                if rdi + 2 >= len(runs):
-                    clipped = True
-            else:
-                span_hi = right[1] + right[2] - 1
-                clipped = True
-        word = w[span_lo:span_hi + 1]
+            run_end = _run_end(w, delim_end)
+            span_hi = run_end - 1
+            clipped = run_end == n
+        else:
+            span_hi = delim_end - 1
+            clipped = True
+        word = w[start - 1:span_hi + 1]  # from the single left delimiter
         (report.clipped if clipped else report.contexts)[word] += 1
-        t = end_t + 1
 
 
 def run_context_report(xi: OrderingTable, l: int, L: int,
@@ -693,17 +695,21 @@ def run_context_report(xi: OrderingTable, l: int, L: int,
     Scans every basic block up to level L.  An occurrence is grown to the
     right through non-increasing runs of length >= l-1 and through the
     closing run of the opposite letter; occurrences whose growth hits a
-    block edge are tallied separately as clipped.
+    block edge are tallied separately as clipped.  One regex scan of each
+    block finds its l-runs, and only the runs next to them are measured.
     """
     if l <= 6:
         raise ValueError("l > 6")
     if pattern not in ("bab-run", "aba-run"):
         raise ValueError("pattern is 'bab-run' or 'aba-run'")
     inner = "a" if pattern == "bab-run" else "b"
+    outer = _flip(inner)
+    runs_of_l = re.compile(f"(?<={outer}){inner}{{{l}}}(?={outer})")
     report = RunContextReport(pattern, l, L)
     for n in range(2, L + 1):
         for x in range(1, n):
-            _scan_block_contexts(basic_block(xi, x, n - x), l, inner, report)
+            _scan_block_contexts(basic_block(xi, x, n - x), l, inner,
+                                 runs_of_l, report)
     return report
 
 

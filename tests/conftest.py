@@ -22,7 +22,8 @@ from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             MinimalPrefix, ParseError, SizeCap,
                             WindowEscapesColumn)
 from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
-                               _pack, _unpack, alt_state, decompose_CD)
+                               RunContextReport, _pack, _unpack, alt_state,
+                               decompose_CD)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -616,8 +617,9 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
 
 
 # Reference block parsers: the periodic search over every block at every
-# level with a binary search for the minimal absent length, and the decoder
-# that re-tokenizes every segment.
+# level with a binary search for the minimal absent length, the decoder
+# that re-tokenizes every segment, and the run-context scan that walks a
+# list of every run of the block.
 
 def periodic_reference(xi, p, L, words=None):
     """`periodic_exclusion` by scanning the whole corpus for each window."""
@@ -709,6 +711,80 @@ def decode_reference(w):
     bits = {}
     _decode_segment_reference(w, 0, len(w), x, y, bits)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
+
+
+def _runs(w):
+    """(letter, start, length) of every maximal run of w, left to right."""
+    out = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] != w[i - 1]:
+            out.append((w[start], start, i - start))
+            start = i
+    return out
+
+
+def scan_block_contexts_reference(w, l, inner, report):
+    """Tally the run contexts of one block by walking its run list."""
+    runs = _runs(w)
+    t = 0
+    while t < len(runs):
+        c, start, length = runs[t]
+        if c != inner or length != l or t == 0 or t == len(runs) - 1:
+            t += 1
+            continue
+        # cluster: chain of exactly-l inner runs linked by single outers;
+        # a chained run must still have an outer run after it
+        end_t = t
+        while (end_t + 3 < len(runs) and runs[end_t + 1][2] == 1
+               and runs[end_t + 2][0] == inner and runs[end_t + 2][2] == l):
+            end_t += 2
+        left = runs[t - 1]
+        right = runs[end_t + 1]
+        span_lo = left[1] + left[2] - 1  # single left delimiter character
+        span_hi = right[1]               # first character of right delimiter
+        clipped = False
+        prev_len = l
+        rdi = end_t + 1
+        if right[2] == 1:
+            # absorb following (inner run + outer) units, non-increasing
+            while True:
+                if rdi + 1 >= len(runs):
+                    clipped = True  # delimiter ends the block
+                    break
+                nxt = runs[rdi + 1]
+                if nxt[0] != inner or not (l - 1 <= nxt[2] <= prev_len):
+                    break
+                if rdi + 2 >= len(runs):
+                    clipped = True  # absorbed run reaches the block edge
+                    break
+                span_hi = runs[rdi + 2][1]
+                prev_len = nxt[2]
+                rdi += 2
+        else:
+            # right delimiter is a longer outer run: absorb it and one run
+            if rdi + 1 < len(runs):
+                nxt = runs[rdi + 1]
+                span_hi = nxt[1] + nxt[2] - 1
+                if rdi + 2 >= len(runs):
+                    clipped = True
+            else:
+                span_hi = right[1] + right[2] - 1
+                clipped = True
+        word = w[span_lo:span_hi + 1]
+        (report.clipped if clipped else report.contexts)[word] += 1
+        t = end_t + 1
+
+
+def run_context_report_reference(xi, l, L, pattern="bab-run"):
+    """`run_context_report` over the run list of every block."""
+    inner = "a" if pattern == "bab-run" else "b"
+    report = RunContextReport(pattern, l, L)
+    for n in range(2, L + 1):
+        for x in range(1, n):
+            scan_block_contexts_reference(basic_block(xi, x, n - x), l, inner,
+                                          report)
+    return report
 
 
 # Reference Monte Carlo loop: every target of every trial shuffled by a

@@ -66,6 +66,15 @@ def test_decode_command(capsys):
     assert [3, 2, 0] in doc["bits"]
 
 
+@pytest.mark.parametrize("word, vertex", [("a", [1, 0]), ("b", [0, 1]),
+                                          ("ab", [1, 1])])
+def test_decode_blocks_without_tokens(capsys, word, vertex):
+    # the level-1 and level-2 blocks decode, but have no C/D tokenization
+    code, out = run(capsys, ["decode", "--word", word])
+    assert code == 0
+    assert json.loads(out) == {"vertex": vertex, "bits": [], "tokens": []}
+
+
 def test_decode_failure_exit_code(capsys):
     code, out = run(capsys, ["decode", "--word", "ba"])
     assert code == 1
