@@ -116,13 +116,10 @@ def cmd_block(args):
 
 def cmd_decode(args):
     try:
-        vertex, table = factoring.decode_ordering(args.word)
+        vertex, table, tokens = factoring._decode_with_tokens(args.word)
     except AdiclabError as exc:
         emit({"error": str(exc)})
         return 1
-    # the blocks a, b and ab of levels 1 and 2 have no C/D tokenization;
-    # every longer block that decodes has one
-    tokens = factoring.decompose_CD(args.word) if len(args.word) > 2 else []
     bits = sorted((x, y, table.bit(x, y)) for x in range(2, vertex.x + 1)
                   for y in range(2, vertex.y + 1))
     emit({"vertex": list(vertex), "tokens": [str(t) for t in tokens],

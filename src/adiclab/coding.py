@@ -5,9 +5,10 @@ the two parent blocks in the order the bit at (x, y) dictates; row and
 column vertices carry the one-letter blocks "a" and "b".  Blocks of the
 k-coding follow the same recurrence down to the cylinder ids at level k.
 The language of an ordering is approximated from below by the set of
-fixed-length windows seen in basic blocks up to a level bound; windows
-inside deep blocks are collected without materializing them, from child
-prefixes and suffixes around each concatenation junction.
+fixed-length windows seen in basic blocks up to a level bound; every
+block adds only the windows across its concatenation junction, built
+from the suffix of its first child and the prefix of its second, so no
+block is materialized.
 """
 
 import itertools
@@ -228,11 +229,12 @@ def _tail(s: str, m: int) -> str:
 class _LanguageScan:
     """Collects n-windows of all basic blocks, level by level.
 
-    `_ends[v]` is the (head, tail) of the block at v: the whole block twice
-    while it is short enough to hold a window plus context, otherwise its
-    first and last n - 1 letters.  Short blocks add all their windows;
-    longer blocks add only the windows spanning their junction, built from
-    the tail of the first child and the head of the second.
+    `_ends[v]` is the (head, tail) of the block at v: its first and last
+    n - 1 letters, or the whole block when it is shorter.  Every block adds
+    only the windows across its junction, built from the tail of the first
+    child and the head of the second: a window inside a child was added
+    with that child, and one across the junction takes at most n - 1
+    letters from each side.
     """
 
     def __init__(self, xi: OrderingTable, n: int):
@@ -240,7 +242,6 @@ class _LanguageScan:
             raise ValueError("n >= 1")
         self.xi = xi
         self.n = n
-        self.short_cap = max(2 * n, 4)
         self.words = set()
         self.level = 0
         self._ends = {}
@@ -262,17 +263,10 @@ class _LanguageScan:
                 self._add_windows("a")
                 self._add_windows("b")
             for x in range(1, lvl):
-                y = lvl - x
-                c1, c2 = self.xi.parents(x, y)
+                c1, c2 = self.xi.parents(x, lvl - x)
                 (h1, t1), (h2, t2) = ends[c1], ends[c2]
-                if binomial(lvl, x) <= self.short_cap:
-                    # the children of a short block are short too
-                    text = h1 + h2
-                    ends[(x, y)] = (text, text)
-                    self._add_windows(text)
-                else:
-                    self._add_windows(_tail(t1, m) + h2[:m])
-                    ends[(x, y)] = ((h1 + h2)[:m], _tail(t1 + t2, m))
+                self._add_windows(_tail(t1, m) + h2[:m])
+                ends[(x, lvl - x)] = ((h1 + h2)[:m], _tail(t1 + t2, m))
 
     def count(self):
         return len(self.words)

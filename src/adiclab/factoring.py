@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -93,8 +94,9 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
     """Recover the bit at (u, v) from w[lo:hi] = B(u, v), then recurse.
 
     A segment cut at token starts of w holds exactly w's tokens between
-    them, so C_u and D_v are looked up in `where`; a cut inside a token
-    (only in a corrupt word) re-tokenizes the segment.  `seen` maps each
+    them, so C_u and D_v are looked up in `where`.  A valid block is its
+    tokens' concatenation, so every cut lies on a token start; a bound
+    inside a token is a ParseError at that bound.  `seen` maps each
     interior vertex to the text of its first segment whose subtree
     decoded: a later segment of the right length with that same text
     decodes to the same tokens and bits, so it returns at once.
@@ -114,15 +116,12 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
     text = seen.get((u, v))
     if text is not None and w.startswith(text, lo):
         return
-    c, d = CDToken("C", u), CDToken("D", v)
     t_lo, t_hi = starts.get(lo), starts.get(hi)
     if t_lo is None or t_hi is None:
-        tokens = decompose_CD(w[lo:hi])
-        pos_c = [t for t, tok in enumerate(tokens) if tok == c]
-        pos_d = [t for t, tok in enumerate(tokens) if tok == d]
-    else:
-        pos_c = _between(where.get(c, ()), t_lo, t_hi)
-        pos_d = _between(where.get(d, ()), t_lo, t_hi)
+        raise ParseError(f"segment for ({u},{v}) cuts a token",
+                         lo if t_lo is None else hi)
+    pos_c = _between(where.get(CDToken("C", u), ()), t_lo, t_hi)
+    pos_d = _between(where.get(CDToken("D", v), ()), t_lo, t_hi)
     if len(pos_c) != 1 or len(pos_d) != 1:
         raise ParseError(f"C{u} and D{v} must appear exactly once in "
                          f"the segment for ({u},{v})", lo)
@@ -148,19 +147,26 @@ def decode_ordering(w: str):
     segments are read off its token index; each vertex's segment is
     decoded once, and a later segment with the same text is skipped.
     """
+    vertex, table, _ = _decode_with_tokens(w)
+    return vertex, table
+
+
+def _decode_with_tokens(w: str):
+    """`decode_ordering` plus the C/D tokens of w; the blocks a, b and ab
+    of levels 1 and 2 have none."""
     if w == "a":
-        return Vertex(1, 0), explicit_ordering({}, max_level=1)
+        return Vertex(1, 0), explicit_ordering({}, max_level=1), []
     if w == "b":
-        return Vertex(0, 1), explicit_ordering({}, max_level=1)
+        return Vertex(0, 1), explicit_ordering({}, max_level=1), []
     if w == "ab":
         # C1 = D1; the block of (1, 1) under the restriction
-        return Vertex(1, 1), explicit_ordering({}, max_level=2)
+        return Vertex(1, 1), explicit_ordering({}, max_level=2), []
     tokens = decompose_CD(w)
     x = max((t.index for t in tokens if t.kind == "C"), default=1)
     y = max((t.index for t in tokens if t.kind == "D"), default=1)
     bits = {}
     _decode_segment(w, 0, len(w), x, y, bits, {}, *_token_index(tokens))
-    return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
+    return Vertex(x, y), explicit_ordering(bits, max_level=x + y), tokens
 
 
 def factor_block(xi: OrderingTable, k: int, source, m: int):
@@ -193,22 +199,34 @@ def factor_block(xi: OrderingTable, k: int, source, m: int):
             unroll(*parent)
 
     unroll(x, y)
-    if k == 1:
-        return [(v, basic_block(xi, v.x, v.y)) for v in vertices]
-    return [(v, block_word_k(xi, k, v.x, v.y)) for v in vertices]
+    return [(v, _block(xi, k, v.x, v.y)) for v in vertices]
 
 
-def _blocks_by_level(xi, k, levels):
-    """word -> vertex map per level (blocks at one level are distinct)."""
-    table = {}
-    for lvl in levels:
-        words = {}
-        for x in range(lvl + 1):
-            y = lvl - x
-            word = basic_block(xi, x, y) if k == 1 else block_word_k(xi, k, x, y)
-            words[word] = Vertex(x, y)
-        table[lvl] = words
-    return table
+def _block(xi: OrderingTable, k: int, x: int, y: int):
+    """The block at (x, y) of the k-coding: letters when k = 1."""
+    return basic_block(xi, x, y) if k == 1 else block_word_k(xi, k, x, y)
+
+
+def _one_step_splits(word, below: dict):
+    """Index tuples of the level-below blocks that `word` splits into in
+    one step, in cut order: two blocks, or a one-letter block persisting
+    unsplit.  `below` maps each level-below block to its x."""
+    if len(word) == 1:
+        return [(below[word],)] if word in below else []
+    return [(below[word[:cut]], below[word[cut:]])
+            for cut in range(1, len(word))
+            if word[:cut] in below and word[cut:] in below]
+
+
+def _scheme_count(splits, counts: list) -> int:
+    """Schemes of a block from its one-step splits and the scheme counts
+    of the level-below blocks, stopping once the total reaches the cap."""
+    total = 0
+    for parts in splits:
+        total += prod(counts[i] for i in parts)
+        if total >= SCHEME_COUNT_LIMIT:
+            break
+    return total
 
 
 def factorization_scheme_counts(xi: OrderingTable, k: int, n: int):
@@ -218,39 +236,25 @@ def factorization_scheme_counts(xi: OrderingTable, k: int, n: int):
     basic blocks one level down (single-letter boundary blocks persist
     unsplit), until level m is reached.  The canonical factorization is
     always one such scheme; the map reports how many exist in total,
-    capped at `SCHEME_COUNT_LIMIT`.
+    capped at `SCHEME_COUNT_LIMIT`.  Each block's one-step splits are
+    found once, and every m counts up from them level by level.
     """
     if not 1 <= k <= n:
         raise ValueError("1 <= k <= n")
-    levels = _blocks_by_level(xi, k, range(k, n + 1))
-    counts = {}
-
-    def count(word, lvl, m, memo):
-        if lvl == m:
-            return 1
-        key = (lvl, word)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        below = levels[lvl - 1]
-        if len(word) == 1:
-            total = count(word, lvl - 1, m, memo) if word in below else 0
-        else:
-            total = 0
-            for cut in range(1, len(word)):
-                head, tail = word[:cut], word[cut:]
-                if head in below and tail in below:
-                    total += count(head, lvl - 1, m, memo) * count(tail, lvl - 1, m, memo)
-                    if total >= SCHEME_COUNT_LIMIT:
-                        break
-        memo[key] = total
-        return total
-
-    for x in range(n + 1):
-        word = next(w for w, v in levels[n].items() if v == (x, n - x))
-        for m in range(k, n):
-            counts[(Vertex(x, n - x), m)] = count(word, n, m, {})
-    return counts
+    words = [_block(xi, k, x, k - x) for x in range(k + 1)]
+    splits = []  # per level above k: each block's one-step splits, by x
+    for lvl in range(k + 1, n + 1):
+        below = {word: x for x, word in enumerate(words)}
+        words = [_block(xi, k, x, lvl - x) for x in range(lvl + 1)]
+        splits.append([_one_step_splits(word, below) for word in words])
+    top = {}
+    for m in range(k, n):
+        counts = [1] * (m + 1)
+        for level in splits[m - k:]:
+            counts = [_scheme_count(s, counts) for s in level]
+        top[m] = counts
+    return {(Vertex(x, n - x), m): top[m][x]
+            for x in range(n + 1) for m in range(k, n)}
 
 
 def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:

@@ -21,9 +21,9 @@ from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, ParseError, SizeCap,
                             WindowEscapesColumn)
-from adiclab.factoring import (CDToken, PeriodicEvidence, PeriodicReport,
-                               RunContextReport, _pack, _unpack, alt_state,
-                               decompose_CD)
+from adiclab.factoring import (SCHEME_COUNT_LIMIT, CDToken, PeriodicEvidence,
+                               PeriodicReport, RunContextReport, _pack,
+                               _unpack, alt_state, decompose_CD)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -711,6 +711,121 @@ def decode_reference(w):
     bits = {}
     _decode_segment_reference(w, 0, len(w), x, y, bits)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
+
+
+def _blocks_by_level(xi, k, levels):
+    """word -> vertex map per level (blocks at one level are distinct)."""
+    table = {}
+    for lvl in levels:
+        words = {}
+        for x in range(lvl + 1):
+            y = lvl - x
+            word = basic_block(xi, x, y) if k == 1 else block_word_k(xi, k, x, y)
+            words[word] = Vertex(x, y)
+        table[lvl] = words
+    return table
+
+
+def factorization_scheme_counts_reference(xi, k, n):
+    """`factorization_scheme_counts` recounting each block's splits from
+    scratch for every (vertex, m), with a fresh memo each time."""
+    if not 1 <= k <= n:
+        raise ValueError("1 <= k <= n")
+    levels = _blocks_by_level(xi, k, range(k, n + 1))
+    counts = {}
+
+    def count(word, lvl, m, memo):
+        if lvl == m:
+            return 1
+        key = (lvl, word)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        below = levels[lvl - 1]
+        if len(word) == 1:
+            total = count(word, lvl - 1, m, memo) if word in below else 0
+        else:
+            total = 0
+            for cut in range(1, len(word)):
+                head, tail = word[:cut], word[cut:]
+                if head in below and tail in below:
+                    total += count(head, lvl - 1, m, memo) * count(tail, lvl - 1, m, memo)
+                    if total >= SCHEME_COUNT_LIMIT:
+                        break
+        memo[key] = total
+        return total
+
+    for x in range(n + 1):
+        word = next(w for w, v in levels[n].items() if v == (x, n - x))
+        for m in range(k, n):
+            counts[(Vertex(x, n - x), m)] = count(word, n, m, {})
+    return counts
+
+
+def _tail(s, m):
+    return s[-m:] if m else ""
+
+
+class LanguageScanReference:
+    """The language scan that stores each block short enough to hold a
+    window plus context (length <= max(2n, 4)) whole and re-adds all its
+    windows; longer blocks add only their junction windows."""
+
+    def __init__(self, xi, n):
+        self.xi = xi
+        self.n = n
+        self.short_cap = max(2 * n, 4)
+        self.words = set()
+        self.level = 0
+        self._ends = {}
+
+    def _add_windows(self, text):
+        n = self.n
+        for i in range(len(text) - n + 1):
+            self.words.add(text[i:i + n])
+
+    def advance_to(self, level):
+        ends = self._ends
+        m = self.n - 1
+        while self.level < level:
+            self.level += 1
+            lvl = self.level
+            ends[(lvl, 0)] = ("a", "a")
+            ends[(0, lvl)] = ("b", "b")
+            if lvl == 1:
+                self._add_windows("a")
+                self._add_windows("b")
+            for x in range(1, lvl):
+                y = lvl - x
+                c1, c2 = self.xi.parents(x, y)
+                (h1, t1), (h2, t2) = ends[c1], ends[c2]
+                if binomial(lvl, x) <= self.short_cap:
+                    text = h1 + h2
+                    ends[(x, y)] = (text, text)
+                    self._add_windows(text)
+                else:
+                    self._add_windows(_tail(t1, m) + h2[:m])
+                    ends[(x, y)] = ((h1 + h2)[:m], _tail(t1 + t2, m))
+
+
+def language_words_reference(xi, n, L):
+    """`language_words` over the reference scan."""
+    scan = LanguageScanReference(xi, n)
+    scan.advance_to(max(L, 1))
+    return scan.words
+
+
+def stabilized_complexity_reference(xi, n, max_level):
+    """`stabilized_complexity` over the reference scan."""
+    scan = LanguageScanReference(xi, n)
+    counts = []
+    for lvl in range(1, max_level + 1):
+        scan.advance_to(lvl)
+        counts.append(len(scan.words))
+        if (len(counts) >= 3 and counts[-1] > 0
+                and counts[-1] == counts[-2] == counts[-3]):
+            return counts[-1], lvl, True
+    return counts[-1], max_level, False
 
 
 def _runs(w):

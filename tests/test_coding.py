@@ -14,8 +14,9 @@ from adiclab.errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 from adiclab.factoring import small_subshift_orderings
 
 from conftest import (WORKED_BLOCK, column_coding, faithfulness_reference,
-                      letters_from_k1, orderings, project_symbol_to_letter,
-                      seeds, successor_sweep)
+                      language_words_reference, letters_from_k1, orderings,
+                      project_symbol_to_letter, seeds,
+                      stabilized_complexity_reference, successor_sweep)
 
 
 def brute_language(xi, n, L):
@@ -206,8 +207,19 @@ def test_language_words_match_brute_force():
           suppress_health_check=[HealthCheck.too_slow])
 @given(xi=orderings(), n=st.integers(1, 10), L=st.integers(1, 12))
 def test_language_words_match_brute_force_property(xi, n, L):
-    # short_cap = max(2n, 4): every n meets short and long blocks by L = 12
+    # by L = 12 every n <= 10 meets blocks no longer than a window and
+    # blocks longer than their junction text of 2n - 2 letters
     assert language_words(xi, n, L) == brute_language(xi, n, L)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), n=st.integers(1, 24), L=st.integers(1, 30))
+def test_language_scan_matches_reference_property(xi, n, L):
+    # beyond the brute force's reach: the scan that stores short blocks whole
+    assert language_words(xi, n, L) == language_words_reference(xi, n, L)
+    assert stabilized_complexity(xi, n, L) == \
+        stabilized_complexity_reference(xi, n, L)
 
 
 def test_language_words_basics_and_monotone():

@@ -3,14 +3,15 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from adiclab.coding import basic_block, iter_restricted_blocks
+from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
-from adiclab.errors import CapExceeded, InvalidPeriodWord, ParseError, SizeCap
-from adiclab.factoring import (ALT_CAP, CDToken, RunContextReport,
-                               _Combiner, _pack, _phase1_exact,
+from adiclab.errors import (AdiclabError, CapExceeded, InvalidPeriodWord,
+                            ParseError, SizeCap)
+from adiclab.factoring import (ALT_CAP, SCHEME_COUNT_LIMIT, CDToken,
+                               RunContextReport, _Combiner, _pack, _phase1_exact,
                                _phase2_reachable, _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
@@ -22,6 +23,7 @@ from adiclab.factoring import (ALT_CAP, CDToken, RunContextReport,
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
                       combine_packed_reference, decode_reference,
+                      factorization_scheme_counts_reference, orderings,
                       periodic_reference, phase1_exact_reference,
                       phase1_reference, phase2_reachable_reference,
                       phase2_reference, run_context_report_reference,
@@ -143,21 +145,47 @@ def test_decode_matches_reference(x, y, mask, kind, i, j, letter):
     bits = {uv: mask >> t & 1 for t, uv in enumerate(free)}
     word = basic_block(explicit_ordering(bits, x + y), x, y)
     word = _mutate(word, kind, i, j, letter)
-    assert _decode_outcome(decode_ordering, word) == \
-        _decode_outcome(decode_reference, word)
+    got = _decode_outcome(decode_ordering, word)
+    want = _decode_outcome(decode_reference, word)
+    if got[0] is ParseError and "cuts a token" in got[1]:
+        # a valid block cuts only at token starts, so the reference,
+        # which re-tokenizes the segment, must fail too
+        assert isinstance(want[0], type) and issubclass(want[0], AdiclabError)
+    else:
+        assert got == want
+
+
+def _token_starts(word):
+    starts, offset = {0}, 0
+    for tok in decompose_CD(word):
+        offset += tok.index + 1
+        starts.add(offset)
+    return starts
 
 
 # words of valid tokens and a consistent length in which a cut falls inside
-# a token, so a segment has to be tokenized on its own
-@pytest.mark.parametrize("word", [
-    "aababbbabb", "aabaaababbbabbabbabb", "aaababbaabaababbbabb",
-    "aaaababbaaabaab", "aaabaababbbaababbabb", "aaababbbabbabbaabaab",
-    "abbbabbbabbbaaababbbbabbbabbaababbb",
-])
+# a token, with the segment's vertex and the offset of the cut
+CUT_INSIDE_TOKEN = {
+    "aababbbabb": ("(2,2)", 6),
+    "aabaaababbbabbabbabb": ("(3,2)", 10),
+    "aaababbaabaababbbabb": ("(2,2)", 16),
+    "aaaababbaaabaab": ("(2,2)", 11),
+    "aaabaababbbaababbabb": ("(3,2)", 10),
+    "aaababbbabbabbaabaab": ("(3,2)", 10),
+    "abbbabbbabbbaaababbbbabbbabbaababbb": ("(3,3)", 20),
+}
+
+
+@pytest.mark.parametrize("word", CUT_INSIDE_TOKEN)
 def test_decode_cut_inside_token_matches_reference(word):
+    vertex, position = CUT_INSIDE_TOKEN[word]
     got = _decode_outcome(decode_ordering, word)
-    assert got == _decode_outcome(decode_reference, word)
-    assert isinstance(got[0], type) and issubclass(got[0], ParseError)
+    assert got == (ParseError,
+                   f"segment for {vertex} cuts a token (at {position})",
+                   position)
+    assert position not in _token_starts(word)
+    want = _decode_outcome(decode_reference, word)
+    assert isinstance(want[0], type) and issubclass(want[0], ParseError)
 
 
 def test_factor_block(worked_ordering):
@@ -201,6 +229,50 @@ def test_unique_factorization_k1_restricted_box3():
         xi = explicit_ordering(dict(zip(free, choice)), max_level=6)
         for n in range(2, 7):
             assert unique_factorization_check(xi, 1, n)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), k=st.integers(1, 3), data=st.data())
+def test_scheme_counts_match_reference_property(xi, k, data):
+    n = data.draw(st.integers(k, 8), label="n")
+    assert factorization_scheme_counts(xi, k, n) == \
+        factorization_scheme_counts_reference(xi, k, n)
+
+
+class _AnyParents:
+    """Not an ordering: each vertex concatenates the blocks of two vertices
+    of the level below drawn at random.  Such blocks split in many ways,
+    which no ordering's blocks do."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def parents(self, x, y):
+        rng = random.Random(f"{self.seed}/{x}/{y}")
+        lvl = x + y - 1
+        return tuple((i, lvl - i)
+                     for i in (rng.randint(0, lvl), rng.randint(0, lvl)))
+
+
+def test_scheme_counts_match_reference_on_many_splits():
+    seen = set()
+    for seed in range(200):
+        xi = _AnyParents(seed)
+        for k in (1, 2, 3):
+            block = basic_block if k == 1 else \
+                lambda xi, x, y: block_word_k(xi, k, x, y)
+            for n in range(k, 9):
+                # the reference needs the blocks of each level distinct
+                if any(len({block(xi, x, lvl - x) for x in range(lvl + 1)})
+                       <= lvl for lvl in range(k, n + 1)):
+                    continue
+                got = factorization_scheme_counts(xi, k, n)
+                assert got == factorization_scheme_counts_reference(xi, k, n)
+                seen.update(got.values())
+    # several splits, and totals that reach and pass the cap
+    assert {2, 3, SCHEME_COUNT_LIMIT} <= seen
+    assert max(seen) > SCHEME_COUNT_LIMIT
 
 
 def test_factorization_counts_report_mode():
