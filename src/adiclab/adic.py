@@ -14,7 +14,7 @@ from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
                    column_size, extreme_steps, minimal_continuation, rank,
                    rank_steps, unrank)
 from .errors import (BoundExceeded, KinkPreconditionFailed, MaximalPrefix,
-                     MinimalPrefix, NotFound, WindowEscapesColumn)
+                     MinimalPrefix, WindowEscapesColumn)
 
 
 def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
@@ -68,12 +68,6 @@ def _head_symbol(xi: OrderingTable, head: tuple, k: int) -> CylSymbol:
 def _check_k(p: PathPrefix, k: int) -> None:
     if not 0 <= k <= len(p):
         raise ValueError("k must not exceed the prefix length")
-
-
-def path_symbol(xi: OrderingTable, p: PathPrefix, k: int) -> CylSymbol:
-    """Cylinder symbol named by the first k edges of p (0 <= k <= len(p))."""
-    _check_k(p, k)
-    return _head_symbol(xi, p.steps[:k], k)
 
 
 def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
@@ -227,22 +221,3 @@ def weakmixing_row_check(q: int, s: int, bound: int = 2**20) -> bool:
         if binom_mod(n, k, q) != ((-1) ** k * (k + 1)) % q:
             return False
     return all(binom_mod(big - 1, t, q) != 0 for t in range(big))
-
-
-def weakmixing_vertex_search(q: int, s: int) -> int:
-    """Smallest j with q not dividing j+1, q dividing j+2, and all four
-    return-time values at n = q^s - 2 nonzero mod q."""
-    _check_prime(q)
-    if q**s < 4:
-        raise ValueError("q^s >= 4 required")
-    n = q**s - 2
-    for j in range(n + 1):
-        if (j + 1) % q == 0 or (j + 2) % q != 0:
-            continue
-        values = (binom_mod(n, j, q),
-                  binom_mod(n + 1, j + 1, q),
-                  binom_mod(n + 1, j, q),
-                  (binom_mod(n + 1, j, q) + binom_mod(n, j + 1, q)) % q)
-        if all(v != 0 for v in values):
-            return j
-    raise NotFound(f"no admissible j for q={q}, s={s}")

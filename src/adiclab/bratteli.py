@@ -16,7 +16,7 @@ from math import factorial, gcd, prod
 from typing import Optional
 
 from .core import OrderingTable
-from .errors import MalformedInput, ShapeMismatch
+from .errors import MalformedInput
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,6 @@ class OrderedDiagram:
         if doc.get("levels") and doc["levels"] != diagram.level_sizes:
             raise MalformedInput("levels field disagrees with coding shape")
         return diagram
-
-
-def vertex_coding(d: OrderedDiagram, n: int, w: int) -> tuple:
-    """c(w): sources of the incoming edges of w in increasing edge order."""
-    return d.coding(n, w)
 
 
 def _primitive_root(word: tuple) -> tuple:
@@ -209,16 +204,6 @@ def shapes_from_json(text: str) -> list:
         raise MalformedInput(f"bad shapes field: {exc}") from exc
 
 
-def random_ordering(shape: Shape, rng) -> tuple:
-    """One ordered level: an independent uniform edge order per target."""
-    words = []
-    for t in range(shape.target_count):
-        edges = shape.in_edges(t)
-        rng.shuffle(edges)
-        words.append(tuple(edges))
-    return tuple(words)
-
-
 def _multinomial(counts) -> int:
     """Number of distinct words with the given letter counts."""
     return factorial(sum(counts)) // prod(map(factorial, counts))
@@ -329,63 +314,6 @@ def monte_carlo_uniform(shapes, trials: int, seed: int) -> MonteCarloReport:
         raise ValueError("trials >= 1")
     return monte_carlo_report(shapes, trials, seed,
                               uniform_hits(shapes, seed, 0, trials))
-
-
-@dataclass(frozen=True)
-class OrderedShape:
-    """A shape together with a fixed edge order (its target coding words)."""
-
-    source_count: int
-    words: tuple
-
-    def __post_init__(self):
-        used = {s for w in self.words for s in w}
-        if used != set(range(self.source_count)):
-            raise ShapeMismatch("ordered shape sources not surjective")
-
-    @property
-    def target_count(self):
-        return len(self.words)
-
-
-@dataclass
-class ShapeProcessReport:
-    diagram: OrderedDiagram
-    uniform_levels: int
-    sampled: int
-
-    @property
-    def frequency(self):
-        return self.uniform_levels / self.sampled
-
-
-def shape_process(alphabet, weights, N: int, seed: int) -> ShapeProcessReport:
-    """Sample N ordered shapes i.i.d. and stack them into a diagram.
-
-    All alphabet shapes must have equal source and target counts so that
-    consecutive samples fit; a root connector level is prepended.  The
-    report counts how many sampled levels are uniformly ordered (a
-    positive frequency is the finite shadow of the recurrence argument
-    that yields an odometer almost surely).
-    """
-    alphabet = list(alphabet)
-    if not alphabet:
-        raise ValueError("empty alphabet")
-    v = alphabet[0].source_count
-    for s in alphabet:
-        if s.source_count != v or s.target_count != v:
-            raise ShapeMismatch("alphabet shapes must be square and equal")
-    key = hashlib.blake2b(struct.pack("<QQ", seed & (2**64 - 1), N),
-                          digest_size=8).digest()
-    rng = random.Random(int.from_bytes(key, "little"))
-    samples = rng.choices(alphabet, weights=list(weights), k=N)
-    levels = [tuple((0,) for _ in range(v))]  # root connector
-    uniform = 0
-    for s in samples:
-        levels.append(s.words)
-        if uniform_base(s.words) is not None:
-            uniform += 1
-    return ShapeProcessReport(OrderedDiagram(tuple(levels)), uniform, N)
 
 
 def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:

@@ -129,6 +129,7 @@ def cmd_decode(args):
 
 def cmd_complexity(args):
     require_at_least("--nmin", args.nmin, 1)
+    require_at_least("--nmax", args.nmax, args.nmin)
     require_at_least("--level", args.level, 1)
     xi = args.ordering
     doc = {"ordering": xi.fingerprint(), "rows": []}
@@ -141,6 +142,7 @@ def cmd_complexity(args):
 
 
 def cmd_odometer(args):
+    require_at_least("--depth", args.depth, 1)
     with open(args.diagram) as fh:
         diagram = bratteli.OrderedDiagram.from_json(fh.read())
     cert = bratteli.odometer_certificate(diagram, args.depth)
@@ -271,6 +273,7 @@ _SMALL_ORBITS = re.compile(r"a*|b*|a*ba*|b*ab*")
 
 def cmd_smallshift(args):
     require_at_least("--n", args.n, 1)
+    require_at_least("--level", args.level, 1)
     xi, xi_prime = factoring.small_subshift_orderings()
     common = sorted(factoring.intersection_probe(xi, xi_prime, args.n,
                                                  args.level))

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, explicit_ordering, minimal_continuation, rank,
-                   seeded_ordering)
+                   column_size, explicit_ordering, minimal_continuation, rank)
 from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
@@ -299,24 +298,6 @@ def stabilized_complexity(xi: OrderingTable, n: int, max_level: int = 80):
                 and counts[-1] == counts[-2] == counts[-3]):
             return counts[-1], lvl, True
     return counts[-1], max_level, False
-
-
-def big_language_count(n: int, level_cap: int, ordering_budget: int) -> int:
-    """Lower bound on the number of n-words across all orderings.
-
-    Samples the seeded orderings 0 .. `ordering_budget` - 1, and when n is
-    a triangular length (k+1)(k+2)/2 also enumerates the restricted (k, 2)
-    block family, whose 2^(k-1) members all have length exactly n.
-    """
-    words = set()
-    k = 2
-    while (k + 1) * (k + 2) // 2 < n:
-        k += 1
-    if (k + 1) * (k + 2) // 2 == n:
-        words |= enumerate_blocks(k, 2)
-    for t in range(ordering_budget):
-        words |= language_words(seeded_ordering(t), n, level_cap)
-    return len(words)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Pascal graph geometry: edge orderings, finite paths, ranks, and measures.
+"""Pascal graph geometry: edge orderings, finite paths and ranks.
 
 Vertices are pairs (x, y) with level x + y; edges go from (x, y) to
 (x+1, y) ("a" step) and to (x, y+1) ("b" step).  An ordering assigns one
@@ -14,11 +14,10 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Real
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import AlphaOutOfRange, MissingBit, RankOutOfRange
+from .errors import MissingBit, RankOutOfRange
 
 MIN = "min"
 MAX = "max"
@@ -249,13 +248,6 @@ def rule_ordering(rule, name: str) -> OrderingTable:
     return OrderingTable(_memoized(rule), None, f"rule:{name}")
 
 
-def doubling_level(d: int) -> int:
-    """Level of the d-th doubling stage of the tree embedding (2 leaves at d=1)."""
-    if d < 1:
-        raise ValueError("d >= 1")
-    return 2 ** (d + 1) - 1
-
-
 #: Largest tree depth; depth 10 already stores about 700,000 bits.
 TREE_MAX_DEPTH = 10
 
@@ -307,7 +299,7 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
 
 
 def make_ordering(spec) -> OrderingTable:
-    """Build a table from a JSON-style dict (see `ordering_from_json`)."""
+    """Build a table from a JSON-style dict."""
     if not isinstance(spec, dict):
         raise ValueError('an ordering is a JSON object with a "kind" field')
     kind = spec["kind"]
@@ -329,10 +321,6 @@ def make_ordering(spec) -> OrderingTable:
     if kind == "tree":
         return tree_embedding_ordering(spec["depth"])
     raise ValueError(f"unknown ordering kind {kind!r}")
-
-
-def ordering_from_json(text: str) -> OrderingTable:
-    return make_ordering(json.loads(text))
 
 
 def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
@@ -426,52 +414,3 @@ def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
         rev.append(A_STEP if u[0] < x else B_STEP)
         x, y = u
     return PathPrefix(tuple(reversed(rev)))
-
-
-def compare_paths(xi: OrderingTable, p: PathPrefix, q: PathPrefix) -> int:
-    """Order two equal-length paths to the same vertex (-1, 0, or 1).
-
-    Comparison finds the highest level where the edges differ; the smaller
-    path is the one whose edge there is smaller in the xi order.
-    """
-    if len(p) != len(q) or p.terminal != q.terminal:
-        raise ValueError("paths must have equal length and terminal")
-    if p.steps == q.steps:
-        return 0
-    k = max(i for i in range(len(p)) if p.steps[i] != q.steps[i])
-    tgt = p.vertex_at(k + 1)
-    assert tgt == q.vertex_at(k + 1)
-    return -1 if xi.parents(*tgt)[0] == p.vertex_at(k) else 1
-
-
-def cylinder_measure(alpha, p: PathPrefix) -> Fraction:
-    """Exact mu_alpha measure of the cylinder of p: alpha per b step,
-    1 - alpha per a step."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise AlphaOutOfRange(f"alpha={alpha} not in (0, 1)")
-    b = sum(p.steps)
-    return alpha**b * (1 - alpha) ** (len(p) - b)
-
-
-def count_extremal_prefixes(xi: OrderingTable, level: int, which: str,
-                            horizon: Optional[int] = None) -> int:
-    """Count level-`level` prefixes of infinite all-minimal (all-maximal) paths.
-
-    Each vertex carries at most one all-extremal prefix (the backward walk
-    along extremal incoming edges is forced), so this counts the vertices at
-    `level` from which an extremal continuation survives to `horizon`.
-    Continuation is checked by backward DP from the horizon (default
-    level + 16), which over-approximates the infinite condition: a vertex
-    survives when it is the extremal parent of a surviving vertex.
-    """
-    if level == 0:
-        return 1
-    if horizon is None:
-        horizon = level + 16
-    side = 0 if which == MIN else 1
-    parents = xi.parents
-    alive = {(horizon - y, y) for y in range(horizon + 1)}
-    for _ in range(horizon - level):
-        alive = {parents(x, y)[side] for x, y in alive}
-    return len(alive)

@@ -13,10 +13,6 @@ class RankOutOfRange(AdiclabError):
     """Requested rank is not in [0, C(x+y, x))."""
 
 
-class AlphaOutOfRange(AdiclabError):
-    """Measure parameter must lie strictly between 0 and 1."""
-
-
 class MaximalPrefix(AdiclabError):
     """The prefix is maximal in its column; the caller must deepen or stop."""
 
@@ -62,14 +58,6 @@ class ParseError(AdiclabError):
 
 class InconsistentLengths(AdiclabError):
     """A decode split boundary falls mid-token or lengths disagree."""
-
-
-class ShapeMismatch(AdiclabError):
-    """Consecutive shapes in a process do not fit together."""
-
-
-class NotFound(AdiclabError):
-    """A search completed without finding the requested object."""
 
 
 class BlockMemoryCap(AdiclabError):

@@ -1,10 +1,9 @@
 """Parsers and analyzers for restricted-ordering blocks and run structure.
 
 Covers the C/D tokenizer and its inverse (recovering an ordering from a
-block), canonical block factorizations and the uniqueness check for
-split schemes, the two-phase (ab)^j / (ba)^j exclusion search,
-run-context histograms, and the probes around the smallest common
-subshift.
+block), the count and uniqueness check of block split schemes, the
+two-phase (ab)^j / (ba)^j exclusion search, run-context histograms, and
+the probes around the smallest common subshift.
 """
 
 import itertools
@@ -20,7 +19,7 @@ from .coding import basic_block, block_word_k, language_words
 from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
                    ordered_parents, rule_ordering)
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
-                     LevelBelowK, ParseError, SizeCap)
+                     ParseError, SizeCap)
 
 SCHEME_COUNT_LIMIT = 16  # split-scheme counts are capped at this value
 
@@ -167,39 +166,6 @@ def _decode_with_tokens(w: str):
     bits = {}
     _decode_segment(w, 0, len(w), x, y, bits, {}, *_token_index(tokens))
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y), tokens
-
-
-def factor_block(xi: OrderingTable, k: int, source, m: int):
-    """Canonical factorization of the block at `source` into level-m blocks.
-
-    Unrolls the concatenation recurrence until every factor sits at level
-    m; boundary factors are reported at the level-m boundary vertex.
-    Returns a list of (vertex, block word) pairs whose words concatenate
-    back to the source block.
-    """
-    x, y = source
-    if m < k:
-        raise LevelBelowK(f"m={m} below k={k}")
-    if not k <= m <= x + y:
-        raise ValueError("need k <= m <= x + y")
-
-    vertices = []
-
-    def unroll(u, v):
-        if v == 0:
-            vertices.append(Vertex(m, 0))
-            return
-        if u == 0:
-            vertices.append(Vertex(0, m))
-            return
-        if u + v == m:
-            vertices.append(Vertex(u, v))
-            return
-        for parent in xi.parents(u, v):
-            unroll(*parent)
-
-    unroll(x, y)
-    return [(v, _block(xi, k, v.x, v.y)) for v in vertices]
 
 
 def _block(xi: OrderingTable, k: int, x: int, y: int):
@@ -617,12 +583,6 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     elif not dp_ok:
         verdict.witness_level, verdict.witness_state = dp_witness
     return verdict
-
-
-def reachable_alt_states(L: int):
-    """Phase-2 reachable sets as AltState tuples, for soundness probes."""
-    _, reach, _ = _phase2_reachable(1, L, _Combiner(ALT_CAP))
-    return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 
 # ---------------------------------------------------------------------------

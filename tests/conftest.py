@@ -21,9 +21,11 @@ from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, ParseError, SizeCap,
                             WindowEscapesColumn)
-from adiclab.factoring import (SCHEME_COUNT_LIMIT, CDToken, PeriodicEvidence,
-                               PeriodicReport, RunContextReport, _pack,
-                               _unpack, alt_state, decompose_CD)
+from adiclab.factoring import (ALT_CAP, SCHEME_COUNT_LIMIT, CDToken,
+                               PeriodicEvidence, PeriodicReport,
+                               RunContextReport, _Combiner, _pack,
+                               _phase2_reachable, _unpack, alt_state,
+                               decompose_CD)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -265,6 +267,22 @@ def rank_reference(xi, p):
             r += binomial(m.x + m.y, m.x)
         x, y = tgt
     return r
+
+
+def compare_paths(xi, p, q):
+    """Order two equal-length paths to the same vertex (-1, 0, or 1).
+
+    Comparison finds the highest level where the edges differ; the smaller
+    path is the one whose edge there is smaller in the xi order.
+    """
+    if len(p) != len(q) or p.terminal != q.terminal:
+        raise ValueError("paths must have equal length and terminal")
+    if p.steps == q.steps:
+        return 0
+    k = max(i for i in range(len(p)) if p.steps[i] != q.steps[i])
+    tgt = p.vertex_at(k + 1)
+    assert tgt == q.vertex_at(k + 1)
+    return -1 if xi.parents(*tgt)[0] == p.vertex_at(k) else 1
 
 
 def unrank_reference(xi, v, r):
@@ -614,6 +632,12 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
                 if hits:
                     witness = n + 1, _unpack(min(hits))
     return witness is None, reach, witness
+
+
+def reachable_alt_states(L):
+    """Phase-2 reachable sets as AltState tuples, for soundness probes."""
+    _, reach, _ = _phase2_reachable(1, L, _Combiner(ALT_CAP))
+    return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 
 # Reference block parsers: the periodic search over every block at every

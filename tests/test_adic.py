@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                           kink_return_time, kink_verify, minimal_continuation,
-                          orbit_coding, path_symbol, predecessor, successor,
-                          weakmixing_row_check, weakmixing_vertex_search)
+                          orbit_coding, predecessor, successor,
+                          weakmixing_row_check)
 from adiclab.coding import CylSymbol, basic_block, basic_block_k
 from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
@@ -85,8 +85,9 @@ def test_orbit_coding_negative_window():
     v = Vertex(3, 3)
     second = successor(xi, extreme_path(xi, v, MIN))
     back_and_here = orbit_coding(xi, second, 2, (-1, 0))
-    assert back_and_here[0] == path_symbol(xi, extreme_path(xi, v, MIN), 2)
-    assert back_and_here[1] == path_symbol(xi, second, 2)
+    for sym, p in zip(back_and_here, (extreme_path(xi, v, MIN), second)):
+        head = p.prefix(2)
+        assert sym == CylSymbol(2, head.terminal.y, rank(xi, head) + 1)
 
 
 def test_orbit_coding_full_column_equals_block_exhaustive():
@@ -312,38 +313,21 @@ def test_weakmixing_row_check():
         weakmixing_row_check(5, 3, bound=10)
 
 
-def test_weakmixing_vertex_search():
-    for q, s in ((2, 2), (3, 2), (5, 2), (7, 2)):
-        j = weakmixing_vertex_search(q, s)
-        n = q**s - 2
-        assert (j + 1) % q != 0 and (j + 2) % q == 0
-        for value in (binomial(n, j), binomial(n + 1, j + 1), binomial(n + 1, j),
-                      binomial(n + 1, j) + binomial(n, j + 1)):
-            assert value % q != 0
-    with pytest.raises(ValueError):
-        weakmixing_vertex_search(3, 0)
-
-
-def test_path_symbol_names_the_prefix():
+def test_orbit_coding_names_the_prefix():
     xi = seeded_ordering(9)
     p = PathPrefix.from_word("abab")
-    sym = path_symbol(xi, p, 2)
+    (sym,) = orbit_coding(xi, p, 2, (0, 0))
     assert sym.k == 2 and sym.m == 1
     assert sym.s == rank(xi, PathPrefix.from_word("ab")) + 1
 
 
-def test_path_symbol_and_orbit_coding_refuse_k_outside_the_path():
+def test_orbit_coding_refuses_k_outside_the_path():
     xi = seeded_ordering(1)
     p = PathPrefix.from_word("abbaab")
     for k in (-1, len(p) + 1):
         with pytest.raises(ValueError, match="k must not exceed the prefix"):
-            path_symbol(xi, p, k)
-        with pytest.raises(ValueError, match="k must not exceed the prefix"):
             orbit_coding(xi, p, k, (0, 0))
     # the two ends: the empty head and the whole path
-    assert path_symbol(xi, p, 0) == CylSymbol(0, 0, 1)
-    assert path_symbol(xi, p, len(p)) == \
-        CylSymbol(len(p), 3, rank(xi, p) + 1)
     assert orbit_coding(xi, p, 0, (0, 0)) == (CylSymbol(0, 0, 1),)
     assert orbit_coding(xi, p, len(p), (0, 0)) == \
-        (path_symbol(xi, p, len(p)),)
+        (CylSymbol(len(p), 3, rank(xi, p) + 1),)

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiclab.bratteli import (OrderedDiagram, OrderedShape,
-                              Shape, exact_uniform_probability,
+from adiclab.bratteli import (OrderedDiagram, Shape, exact_uniform_probability,
                               is_uniformly_ordered, monte_carlo_uniform,
                               odometer_certificate, pascal_as_diagram,
-                              random_ordering, shape_process, telescope,
-                              uniform_base, uniform_hits, vertex_coding)
+                              telescope, uniform_base, uniform_hits)
 from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
-from adiclab.errors import ShapeMismatch
 
 from conftest import (exact_uniform_probability_reference,
                       uniform_hits_reference)
@@ -45,8 +42,8 @@ def nonuniform_pair_diagram():
 
 def test_vertex_coding_and_uniform_level():
     d = uniform_level_diagram()
-    assert vertex_coding(d, 2, 1) == (1, 0, 2, 1, 0, 2)
-    assert vertex_coding(d, 1, 0) == (0,)
+    assert d.coding(2, 1) == (1, 0, 2, 1, 0, 2)
+    assert d.coding(1, 0) == (0,)
     assert is_uniformly_ordered(d, 2) == (1, 0, 2)
 
 
@@ -217,10 +214,6 @@ def test_shape_and_random_ordering():
     shape = Shape.constant(2, 3, 1)
     assert shape.in_degree(0) == 2
     assert shape.in_edges(1) == [0, 1]
-    rng = random.Random(0)
-    words = random_ordering(shape, rng)
-    assert len(words) == 3
-    assert all(sorted(w) == [0, 1] for w in words)
     with pytest.raises(ValueError):
         Shape(((0, 0), (1, 1)))
 
@@ -354,24 +347,13 @@ def test_uniform_hits_match_reference(shapes, seed, data):
                                   uniform_hits(shapes, seed, mid, hi))] == hits
 
 
-def test_shape_process():
-    uniform = OrderedShape(2, ((0, 1), (0, 1)))
-    swapped = OrderedShape(2, ((0, 1), (1, 0)))
-    report = shape_process([uniform, swapped], [1, 1], 200, seed=3)
-    assert report.sampled == 200
-    assert 0 < report.uniform_levels < 200
-    assert report.diagram.depth == 201
-    with pytest.raises(ShapeMismatch):
-        shape_process([OrderedShape(2, ((0, 1),))], [1], 10, seed=0)
-
-
 def test_pascal_as_diagram_matches_core():
     xi = seeded_ordering(13)
     d = pascal_as_diagram(xi, 8)
     for n in range(1, 9):
         for y in range(n + 1):
             x = n - y
-            word = vertex_coding(d, n, y)
+            word = d.coding(n, y)
             if x == 0 or y == 0:
                 assert len(word) == 1
             elif xi.bit(x, y) == 0:
@@ -385,7 +367,7 @@ def test_pascal_as_diagram_matches_core():
         ids = [path.vertex_at(lvl).y for lvl in range(1, 9)]
         cur = y
         for n in range(8, 0, -1):
-            word = vertex_coding(d, n, cur)
+            word = d.coding(n, cur)
             assert ids[n - 1] == cur
             cur = word[0]
 

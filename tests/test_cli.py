@@ -313,6 +313,12 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
       "--seed", "1"], "input"),
     (["alternation", "--max-level", "0"], "usage"),
     (["alternation", "--j", "0"], "usage"),
+    # the depth is refused before the (missing) diagram file is opened
+    (["odometer", "--diagram", "{tmp}/missing.json", "--depth", "-3"],
+     "usage"),
+    (["smallshift", "--level", "0"], "usage"),
+    (["complexity", "--ordering", "constant0", "--nmin", "3", "--nmax", "2"],
+     "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
-                            big_language_count, block_store, block_word_k,
+                            block_store, block_word_k,
                             enumerate_blocks, faithfulness_probe,
                             iter_restricted_blocks, language_words,
                             stabilized_complexity, symbol_census)
@@ -251,12 +251,6 @@ def test_complexity_not_stabilized_when_capped():
     assert not stab
     # three flat levels of no 12-window at all are no plateau
     assert stabilized_complexity(xi0, 12, 3) == (0, 3, False)
-
-
-def test_big_language_count():
-    assert big_language_count(1, 4, 1) == 2
-    assert big_language_count(21, 8, 0) >= 2**4   # (k, 2) family, k = 5
-    assert big_language_count(66, 4, 0) >= 2**9   # k = 10
 
 
 def test_faithfulness_probe_small():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
-                          column_size, compare_paths, constant_ordering,
-                          count_extremal_prefixes, cylinder_measure,
-                          doubling_level, explicit_ordering, extreme_path,
-                          make_ordering, ordering_from_json, rank,
-                          seeded_ordering, tree_embedding_ordering, unrank)
-from adiclab.errors import AlphaOutOfRange, MissingBit, RankOutOfRange
+                          column_size, constant_ordering, explicit_ordering,
+                          extreme_path, make_ordering, rank, seeded_ordering,
+                          tree_embedding_ordering, unrank)
+from adiclab.errors import MissingBit, RankOutOfRange
 
-from conftest import (all_paths, column_paths, count_extremal_reference,
-                      extreme_path_reference, orderings, rank_reference,
-                      seeded_bit_reference, seeds, unrank_reference)
+from conftest import (all_paths, column_paths, compare_paths,
+                      count_extremal_reference, extreme_path_reference,
+                      orderings, rank_reference, seeded_bit_reference, seeds,
+                      unrank_reference)
 
 
 def pascal_table(n_max):
@@ -98,7 +98,7 @@ def test_ordering_json_roundtrip():
                  "maxLevel": 5, "default": 1},
                 {"kind": "tree", "depth": 2}):
         xi = make_ordering(doc)
-        again = ordering_from_json(xi.to_json())
+        again = make_ordering(json.loads(xi.to_json()))
         probes = [(x, y) for x in range(1, 4) for y in range(1, 4)
                   if x + y <= 4]
         assert [xi.bit(x, y) for x, y in probes] == \
@@ -182,14 +182,6 @@ def test_path_arithmetic_matches_reference(xi, data):
     assert rank(xi, q) == rank_reference(xi, q)
 
 
-@settings(max_examples=100, deadline=None)
-@given(xi=orderings(), level=st.integers(0, 44),
-       which=st.sampled_from([MIN, MAX]))
-def test_count_extremal_prefixes_matches_reference(xi, level, which):
-    assert count_extremal_prefixes(xi, level, which) == \
-        count_extremal_reference(xi, level, which)
-
-
 def test_unrank_bounds():
     xi = seeded_ordering(1)
     v = Vertex(3, 2)
@@ -209,48 +201,11 @@ def test_order_totality_small():
                 assert compare_paths(xi, p, q) == -compare_paths(xi, q, p) != 0
 
 
-def test_cylinder_measure():
-    alpha = Fraction(1, 3)
-    assert cylinder_measure(alpha, PathPrefix(())) == 1
-    assert cylinder_measure(alpha, PathPrefix((0,))) == Fraction(2, 3)
-    assert cylinder_measure(alpha, PathPrefix((1,))) == Fraction(1, 3)
-    with pytest.raises(AlphaOutOfRange):
-        cylinder_measure(Fraction(7, 5), PathPrefix((0,)))
-
-
-def test_measure_additivity():
-    alpha = Fraction(3, 7)
-    xi = seeded_ordering(2)
-    for p in all_paths(6):
-        both = (cylinder_measure(alpha, p.extend((0,)))
-                + cylinder_measure(alpha, p.extend((1,))))
-        assert both == cylinder_measure(alpha, p)
-
-
-def test_minimal_cylinder_bound():
-    # sum over a level of minimal-path cylinder measures <= (n+1) s^n
-    alpha = Fraction(2, 5)
-    s = max(alpha, 1 - alpha)
-    xi = seeded_ordering(11)
-    for n in range(1, 21):
-        total = sum(cylinder_measure(alpha, extreme_path(xi, Vertex(x, n - x), MIN))
-                    for x in range(n + 1))
-        assert total <= (n + 1) * s**n
-
-
-def test_count_extremal_prefixes_constant0():
-    xi0 = constant_ordering(0)
-    assert count_extremal_prefixes(xi0, 0, MIN) == 1
-    for level in (1, 4, 9):
-        assert count_extremal_prefixes(xi0, level, MIN) == level + 1
-        assert count_extremal_prefixes(xi0, level, MAX) == level + 1
-
-
 def test_tree_embedding_doubles_minimal_prefixes():
     for d in (1, 2, 3):
         xi = tree_embedding_ordering(d)
-        level = doubling_level(d)
-        assert count_extremal_prefixes(xi, level, MIN) >= 2**d
+        level = 2 ** (d + 1) - 1
+        assert count_extremal_reference(xi, level, MIN) >= 2**d
 
 
 def test_tree_ordering_is_total_and_deterministic():

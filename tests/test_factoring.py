@@ -15,10 +15,10 @@ from adiclab.factoring import (ALT_CAP, SCHEME_COUNT_LIMIT, CDToken,
                                _phase2_reachable, _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
-                               decode_ordering, decompose_CD, factor_block,
+                               decode_ordering, decompose_CD,
                                factorization_scheme_counts, intersection_probe,
-                               periodic_exclusion, reachable_alt_states,
-                               run_context_report, small_subshift_orderings,
+                               periodic_exclusion, run_context_report,
+                               small_subshift_orderings,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
@@ -26,7 +26,8 @@ from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
                       factorization_scheme_counts_reference, orderings,
                       periodic_reference, phase1_exact_reference,
                       phase1_reference, phase2_reachable_reference,
-                      phase2_reference, run_context_report_reference,
+                      phase2_reference, reachable_alt_states,
+                      run_context_report_reference,
                       scan_block_contexts_reference, seeds)
 
 
@@ -186,35 +187,6 @@ def test_decode_cut_inside_token_matches_reference(word):
     assert position not in _token_starts(word)
     want = _decode_outcome(decode_reference, word)
     assert isinstance(want[0], type) and issubclass(want[0], ParseError)
-
-
-def test_factor_block(worked_ordering):
-    assert factor_block(worked_ordering, 1, (4, 3), 7) == \
-        [(Vertex(4, 3), WORKED_BLOCK)]
-    factors = factor_block(worked_ordering, 1, (4, 3), 6)
-    assert [v for v, _ in factors] == [Vertex(3, 3), Vertex(4, 2)]
-    assert "".join(w for _, w in factors) == WORKED_BLOCK
-
-
-def test_factor_block_concatenates_everywhere():
-    for xi in seeds(3):
-        for n in range(2, 13):
-            for x in range(1, n):
-                for m in range(1, n + 1):
-                    factors = factor_block(xi, 1, (x, n - x), m)
-                    joined = "".join(w for _, w in factors)
-                    assert joined == basic_block(xi, x, n - x)
-                    assert sum(len(w) for _, w in factors) == binomial(n, x)
-
-
-def test_factor_block_k3():
-    from adiclab.coding import block_word_k
-
-    xi = seeded_ordering(6)
-    factors = factor_block(xi, 3, (4, 2), 3)
-    assert b"".join(w for _, w in factors) == block_word_k(xi, 3, 4, 2)
-    with pytest.raises(Exception):
-        factor_block(xi, 3, (4, 2), 2)  # m below k
 
 
 def test_unique_factorization_k3_seeded():
