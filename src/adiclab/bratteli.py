@@ -8,7 +8,6 @@ single root vertex.
 
 import hashlib
 import json
-import random
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -258,36 +257,62 @@ class MonteCarloReport:
         return sums
 
 
-# (seed, trial, shape index, target): the blake2b key of one target's
-# generator
+# (seed, trial, shape index, target): the blake2b key of one target's bits
 _TRIAL_KEY = struct.Struct("<QQQQ").pack
+# the refill counter appended to a key
+_REFILL = struct.Struct("<Q").pack
 
 
 def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
     """Per shape, how many of the keyed trials lo..hi-1 order it uniformly.
 
-    Trial t draws its orders from (seed, t) alone, so splitting a trial
-    range into chunks and summing the hits gives the same counts.  Each
-    target's order comes from its own keyed generator, so a trial stops
-    drawing at its first target whose word is not a power of the first
-    word's primitive root (the test of `uniform_base`).
+    Each target's order is a Fisher-Yates shuffle of its in-edges, drawn
+    from the target's own bits: the 64-byte blake2b digest of its key
+    (seed, trial, shape, target) read as a little-endian int, and when
+    those run out, the digests of the key with an 8-byte counter 1, 2, ...
+    appended.  Index i takes the next k = (i+1).bit_length() bits, low bit
+    first, and draws again while their value is not below i + 1, so every
+    order is equally likely.  A trial's bits depend on (seed, trial)
+    alone, so splitting a trial range into chunks and summing the hits
+    gives the same counts, and a trial stops drawing at its first target
+    whose word is not a power of the first word's primitive root (the test
+    of `uniform_base`).
     """
-    rng = random.Random()
-    reseed, shuffle = rng.seed, rng.shuffle
     blake2b, from_bytes = hashlib.blake2b, int.from_bytes
     seed &= 2**64 - 1
     hits = []
     for lvl_idx, shape in enumerate(shapes):
-        edges = [shape.in_edges(t) for t in range(shape.target_count)]
+        # per target: its in-edges and the (i, k, k-bit mask) of each draw
+        targets = []
+        for t in range(shape.target_count):
+            in_edges = shape.in_edges(t)
+            draws = []
+            for i in range(len(in_edges) - 1, 0, -1):
+                k = (i + 1).bit_length()
+                draws.append((i, k, (1 << k) - 1))
+            targets.append((t, in_edges, draws))
         count = 0
         for trial in range(lo, hi):
             base = None
-            for t, in_edges in enumerate(edges):
-                key = blake2b(_TRIAL_KEY(seed, trial, lvl_idx, t),
-                              digest_size=8).digest()
-                reseed(from_bytes(key, "little"))
+            for t, in_edges, draws in targets:
                 word = in_edges[:]
-                shuffle(word)
+                if draws:
+                    key = _TRIAL_KEY(seed, trial, lvl_idx, t)
+                    pool = from_bytes(blake2b(key).digest(), "little")
+                    bits, refills = 512, 0
+                    for i, k, mask in draws:
+                        j = i + 1
+                        while j > i:
+                            if bits < k:
+                                refills += 1
+                                pool |= from_bytes(
+                                    blake2b(key + _REFILL(refills)).digest(),
+                                    "little") << bits
+                                bits += 512
+                            j = pool & mask
+                            pool >>= k
+                            bits -= k
+                        word[i], word[j] = word[j], word[i]
                 if base is None:
                     base = _primitive_root(word)
                 elif (len(word) % len(base)

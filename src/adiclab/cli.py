@@ -22,9 +22,11 @@ from .coding import basic_block, block_store, stabilized_complexity, symbol_cens
 from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
                    seeded_ordering, unrank)
 from .errors import (AdiclabError, BlockMemoryCap, BoundExceeded, CapExceeded,
-                     LevelBelowK, MalformedInput, MissingBit, SizeCap)
+                     LevelBelowK, MalformedInput, MissingBit, SizeCap,
+                     WindowEscapesColumn)
 
-CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, BoundExceeded, MemoryError)
+CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, BoundExceeded,
+              WindowEscapesColumn, MemoryError)
 INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
                 MalformedInput)
 
@@ -224,6 +226,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
 def cmd_kink(args):
     require_at_least("--trials", args.trials, 1)
     require_at_least("--max-n", args.max_n, 2)
+    require_at_least("--max-level", args.max_level, 1)
     jobs = [(args.seed, lo, hi, args.max_n, args.max_level)
             for lo, hi in _chunks(args.trials, args.threads)]
     hits = {}

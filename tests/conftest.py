@@ -926,16 +926,40 @@ def run_context_report_reference(xi, l, L, pattern="bab-run"):
     return report
 
 
-# Reference Monte Carlo loop: every target of every trial shuffled by a
-# fresh keyed generator, then the whole level tested with `uniform_base`.
+# Reference Monte Carlo loop: every target of every trial shuffled from its
+# own keyed bit stream, then the whole level tested with `uniform_base`.
 
-def _keyed_rng_perm(seed, trial, level, vertex, items):
-    """Deterministic shuffle keyed by (seed, trial, level, vertex)."""
-    key = hashlib.blake2b(struct.pack("<QQQQ", seed & (2**64 - 1), trial,
-                                      level, vertex), digest_size=8).digest()
-    rng = random.Random(int.from_bytes(key, "little"))
+def keyed_bits(key):
+    """The bits of blake2b(key), then of blake2b(key + counter) for the
+    8-byte little-endian counters 1, 2, ...; each 64-byte digest is read
+    as a little-endian int and given low bit first."""
+    for counter in itertools.count():
+        suffix = struct.pack("<Q", counter) if counter else b""
+        value = int.from_bytes(hashlib.blake2b(key + suffix).digest(), "little")
+        for b in range(512):
+            yield (value >> b) & 1
+
+
+def draw_index(bits, m):
+    """An index below m from the bit iterator `bits`: the value of the
+    next m.bit_length() bits, low bit first, drawn again while it is m or
+    more."""
+    k = m.bit_length()
+    while True:
+        value = sum(next(bits) << b for b in range(k))
+        if value < m:
+            return value
+
+
+def keyed_order_reference(seed, trial, level, vertex, items):
+    """Fisher-Yates shuffle of `items`, index i drawn below i + 1 from the
+    bits keyed by (seed, trial, level, vertex)."""
+    bits = keyed_bits(struct.pack("<QQQQ", seed & (2**64 - 1), trial, level,
+                                  vertex))
     items = list(items)
-    rng.shuffle(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = draw_index(bits, i + 1)
+        items[i], items[j] = items[j], items[i]
     return tuple(items)
 
 
@@ -945,7 +969,8 @@ def uniform_hits_reference(shapes, seed, lo, hi):
         edges = [shape.in_edges(t) for t in range(shape.target_count)]
         count = 0
         for trial in range(lo, hi):
-            words = tuple(_keyed_rng_perm(seed, trial, lvl_idx, t, edges[t])
+            words = tuple(keyed_order_reference(seed, trial, lvl_idx, t,
+                                                edges[t])
                           for t in range(shape.target_count))
             if uniform_base(words) is not None:
                 count += 1

@@ -13,8 +13,8 @@ from adiclab.bratteli import (OrderedDiagram, Shape, exact_uniform_probability,
 from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
 
-from conftest import (exact_uniform_probability_reference,
-                      uniform_hits_reference)
+from conftest import (draw_index, exact_uniform_probability_reference,
+                      keyed_order_reference, uniform_hits_reference)
 
 
 def uniform_level_diagram():
@@ -345,6 +345,47 @@ def test_uniform_hits_match_reference(shapes, seed, data):
     # chunking a trial range keeps the counts
     assert [p + q for p, q in zip(uniform_hits(shapes, seed, lo, mid),
                                   uniform_hits(shapes, seed, mid, hi))] == hits
+
+
+def test_index_draw_accepts_each_value_below_m_once():
+    # every k-bit pattern, low bit first, then a pattern of k zero bits
+    for m in range(2, 10):
+        k = m.bit_length()
+        accepted = []
+        for pattern in range(2 ** k):
+            bits = iter([(pattern >> b) & 1 for b in range(k)] + [0] * k)
+            value = draw_index(bits, m)
+            if pattern < m:
+                assert value == pattern
+                assert next(bits) == 0  # only k bits were read
+                accepted.append(value)
+            else:
+                assert value == 0
+                assert next(bits, None) is None  # rejected, drawn again
+        assert sorted(accepted) == list(range(m))
+
+
+def test_degree_3_orders_pass_chi_square():
+    # 60,000 keys, 10,000 expected per order; 20.52 is the 0.1% tail of
+    # chi-square with 5 degrees of freedom
+    counts = {}
+    for trial in range(60000):
+        order = keyed_order_reference(2026, trial, 0, 0, (0, 1, 2))
+        counts[order] = counts.get(order, 0) + 1
+    assert len(counts) == 6
+    chi2 = sum((c - 10000) ** 2 / 10000 for c in counts.values())
+    assert chi2 < 20.52
+
+
+def test_uniform_hits_match_reference_past_one_digest():
+    # each target has 100 in-edges, and its 99 draws read at least 573
+    # bits, so every order reads a refilled digest; a trial hits when both
+    # targets put their one source-1 edge at the same place
+    shapes = [Shape(((99, 99), (1, 1)))]
+    hits = [uniform_hits(shapes, 5, t, t + 1)[0] for t in range(1000)]
+    assert hits == [uniform_hits_reference(shapes, 5, t, t + 1)[0]
+                    for t in range(1000)]
+    assert sum(hits) > 0
 
 
 def test_pascal_as_diagram_matches_core():

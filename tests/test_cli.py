@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adiclab import cli
+from adiclab.adic import kink_verify
 from adiclab.cli import load_ordering, main
 
 from conftest import WORKED_BLOCK
@@ -238,6 +241,20 @@ def test_kink_rejects_zero_trials(capsys):
     assert json.loads(out)["kind"] == "usage"
 
 
+def test_kink_window_past_max_level_is_a_resource_cap(capsys, monkeypatch):
+    # no sampled configuration needs a deeper column, so each is checked
+    # at an offset past r_n that no column up to --max-level holds
+    monkeypatch.setattr(cli, "kink_verify",
+                        functools.partial(kink_verify, offset=10**6))
+    code = main(["kink", "--trials", "3", "--seed", "1", "--max-level", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    doc = json.loads(captured.out)
+    assert doc["kind"] == "resource-cap"
+    assert doc["error"] == "window does not fit below level 8"
+    assert "Traceback" not in captured.err
+
+
 def test_smallshift_command(capsys):
     # at the probe scale (n = 60, L = 20) only orbit subwords can be common
     code, out = run(capsys, ["smallshift"])
@@ -304,6 +321,7 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["complexity", "--ordering", "constant0", "--nmin", "1", "--nmax", "2",
       "--level", "0"], "usage"),
     (["kink", "--trials", "5", "--seed", "1", "--max-n", "1"], "usage"),
+    (["kink", "--trials", "5", "--seed", "1", "--max-level", "0"], "usage"),
     (["smallshift", "--n", "0"], "usage"),
     (["odometer", "--diagram", "{tmp}/shapes.json"], "input"),
     (["montecarlo", "--shapes", "{tmp}/diagram.json", "--trials", "5",
