@@ -321,7 +321,6 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["complexity", "--ordering", "constant0", "--nmin", "1", "--nmax", "2",
       "--level", "0"], "usage"),
     (["kink", "--trials", "5", "--seed", "1", "--max-n", "1"], "usage"),
-    (["kink", "--trials", "5", "--seed", "1", "--max-level", "0"], "usage"),
     (["smallshift", "--n", "0"], "usage"),
     (["odometer", "--diagram", "{tmp}/shapes.json"], "input"),
     (["montecarlo", "--shapes", "{tmp}/diagram.json", "--trials", "5",
@@ -337,6 +336,7 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["smallshift", "--level", "0"], "usage"),
     (["complexity", "--ordering", "constant0", "--nmin", "3", "--nmax", "2"],
      "usage"),
+    (["kink", "--trials", "5", "--seed", "1", "--max-level", "0"], "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
