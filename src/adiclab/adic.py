@@ -11,8 +11,7 @@ from typing import NamedTuple
 
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
-                   column_size, extreme_steps, minimal_continuation, rank,
-                   rank_steps, unrank)
+                   column_size, extreme_steps, rank, rank_steps, unrank)
 from .errors import (BoundExceeded, KinkPreconditionFailed, MaximalPrefix,
                      MinimalPrefix, WindowEscapesColumn)
 
@@ -156,31 +155,38 @@ def kink_return_time(case: KinkCase, n: int, j: int) -> int:
     raise ValueError(f"not a kink case: {case}")
 
 
-def kink_verify(xi: OrderingTable, p: PathPrefix, max_level: int = 64,
-                offset: int = 0) -> bool:
+def kink_verify(xi: OrderingTable, p: PathPrefix) -> bool:
     """Check that the r_n-th successor of p repeats its first n edges.
 
-    p is extended by its minimal continuation, doubling the level until the
-    r_n iterates fit inside one column (or max_level is hit).  With a
-    nonzero `offset` the check runs at T^offset of the extension instead,
-    which is how the r_n +/- 1 non-vacuity probes are driven.
+    p runs through interior (i, j) at level n = i + j and enters
+    (i + 1, j + 1) by its minimal edge.  T^(r_n)(p) is read in p's own
+    column, of size C = C(n + 2, j + 1) = C(n + 1, j) + C(n + 1, j + 1),
+    as the path of rank rank(p) + r_n.  That rank always exists:
+
+    - The last edge is minimal, so rank(p) = rank(p[:n + 1]).  That rank
+      is below C(n + 1, j) for LR with a1 = max, below C(n + 1, j + 1)
+      for RL with a1 = max, and below C(n, j) when a1 = min (the edge
+      out of (i, j) is minimal too, so rank(p) = rank(p[:n])).
+    - Add each case's r_n from `kink_return_time`, and use
+      C(n, j) < C(n + 1, j) (as j >= 1) and C(n, j) < C(n + 1, j + 1)
+      (as i >= 1):
+      (max, min, LR): below C(n + 1, j) + C(n, j) < C;
+      (max, min, RL): below C(n + 1, j + 1) + C(n, j) < C;
+      (max, max, LR): below C(n + 1, j) + C(n + 1, j + 1) = C;
+      (max, max, RL): below C(n + 1, j + 1) + C(n + 1, j) = C;
+      (min, min, LR): below C(n, j) + C(n + 1, j) < C;
+      (min, min, RL): below C(n, j) + C(n + 1, j + 1) < C;
+      (min, max, LR and RL): below
+      C(n, j) + C(n + 1, j) + C(n, j + 1) = C.
+    - So rank(p) + r_n <= C - 1 in all eight cases, and equality is
+      reachable only when a2 = max.
+
+    Were the bound ever to fail, `unrank` would raise RankOutOfRange, so
+    the check cannot pass silently.
     """
-    case = kink_classify(xi, p)
     n = len(p) - 2
-    j = p.vertex_at(n).y
-    r = kink_return_time(case, n, j) + offset
-    level = len(p)
-    while True:
-        ext = minimal_continuation(xi, p, level)
-        rk = rank(xi, ext)
-        if rk + r < column_size(ext.terminal):
-            break
-        if level >= max_level:
-            raise WindowEscapesColumn(
-                f"window does not fit below level {max_level}")
-        level = min(2 * level, max_level)
-    # the r-th successor of ext is the path of rank rk + r in its column
-    return unrank(xi, ext.terminal, rk + r).steps[:n] == ext.steps[:n]
+    r = kink_return_time(kink_classify(xi, p), n, p.vertex_at(n).y)
+    return unrank(xi, p.terminal, rank(xi, p) + r).steps[:n] == p.steps[:n]
 
 
 def _check_prime(q: int):

@@ -21,12 +21,10 @@ from .adic import kink_classify, kink_verify
 from .coding import basic_block, block_store, stabilized_complexity, symbol_census
 from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
                    seeded_ordering, unrank)
-from .errors import (AdiclabError, BlockMemoryCap, BoundExceeded, CapExceeded,
-                     LevelBelowK, MalformedInput, MissingBit, SizeCap,
-                     WindowEscapesColumn)
+from .errors import (AdiclabError, BlockMemoryCap, CapExceeded, LevelBelowK,
+                     MalformedInput, MissingBit, SizeCap)
 
-CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, BoundExceeded,
-              WindowEscapesColumn, MemoryError)
+CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, MemoryError)
 INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
                 MalformedInput)
 
@@ -179,14 +177,14 @@ def _chunks(total: int, threads: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _kink_worker(seed, lo, hi, max_n, max_level):
+def _kink_worker(seed, lo, hi, max_n):
     hits = {}
     failures = 0
     for trial in range(lo, hi):
         xi, path = sample_kink_configuration(seed, trial, max_n)
         case = str(tuple(kink_classify(xi, path)))
         hits[case] = hits.get(case, 0) + 1
-        if not kink_verify(xi, path, max_level=max_level):
+        if not kink_verify(xi, path):
             failures += 1
     return hits, failures
 
@@ -226,8 +224,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
 def cmd_kink(args):
     require_at_least("--trials", args.trials, 1)
     require_at_least("--max-n", args.max_n, 2)
-    require_at_least("--max-level", args.max_level, 1)
-    jobs = [(args.seed, lo, hi, args.max_n, args.max_level)
+    jobs = [(args.seed, lo, hi, args.max_n)
             for lo, hi in _chunks(args.trials, args.threads)]
     hits = {}
     failures = 0
@@ -342,7 +339,6 @@ def build_parser():
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--max-level", type=int, default=64)
     p.set_defaults(func=cmd_kink)
 
     p = sub.add_parser("alternation", parents=[common, capped],

@@ -248,7 +248,7 @@ def rule_ordering(rule, name: str) -> OrderingTable:
     return OrderingTable(_memoized(rule), None, f"rule:{name}")
 
 
-#: Largest tree depth; depth 10 already stores about 700,000 bits.
+#: Largest tree depth that `tree_embedding_ordering` accepts.
 TREE_MAX_DEPTH = 10
 
 
@@ -259,42 +259,28 @@ def tree_embedding_ordering(depth: int) -> OrderingTable:
     each d <= depth, starting from two branches to (3, 0) and (1, 2) at
     level 3.  Each stage first spreads branch tips from every other vertex
     to every fourth vertex (b steps first, then a steps; tips never meet),
-    then forks each tip in two.  Bits away from the tree are constant 0.
-    The tree has about 4^depth edges, so depth is bounded by
-    TREE_MAX_DEPTH.
+    then forks each tip in two.
+
+    Each bit is computed from the stage geometry.  Bit 1 at (1, 2).  At
+    level n = x + y >= 4, let top = 2^floor(log2 n) - 1, so the stage
+    holding level n spans levels top + 1 .. 2 top + 1; the bit is 1 iff
+    top < 2^depth, y = 0 (mod 4) and 2 (n - top) > y.  These 1-bits are
+    the a steps of the branches as they spread and fork; every b step of
+    the tree sets bit 0, as does every vertex off the tree, so every bit
+    above level 2^(depth+1) - 1 is 0.
     """
     if type(depth) is not int or not 1 <= depth <= TREE_MAX_DEPTH:
         raise ValueError(f"tree depth must be between 1 and {TREE_MAX_DEPTH}, "
                          f"not {depth!r}")
-    bits = {}
+    limit = 1 << depth
 
-    def add_edge(src: Vertex, step: int):
-        tgt = Vertex(src.x + 1, src.y) if step == A_STEP else Vertex(src.x, src.y + 1)
-        if tgt.interior:
-            want = 1 if step == A_STEP else 0
-            if bits.setdefault((tgt.x, tgt.y), want) != want:
-                raise AssertionError(f"tree branches collide at {tuple(tgt)}")
-        return tgt
+    def bit(x, y):
+        n = x + y
+        top = (1 << (n.bit_length() - 1)) - 1
+        return int((x, y) == (1, 2) or (3 <= top < limit and y % 4 == 0
+                                        and 2 * (n - top) > y))
 
-    def add_path(src: Vertex, steps):
-        for s in steps:
-            src = add_edge(src, s)
-        return src
-
-    # Base stage d=1: branches to (3,0) and (1,2).
-    leaves = [add_path(Vertex(0, 0), (A_STEP,) * 3),
-              add_path(Vertex(0, 0), (B_STEP, B_STEP, A_STEP))]
-    for d in range(1, depth):
-        spread = max(v.y for v in leaves)
-        leaves = [add_path(v, (B_STEP,) * v.y + (A_STEP,) * (spread - v.y))
-                  for v in leaves]
-        forked = []
-        for v in leaves:
-            forked.append(add_path(v, (A_STEP, A_STEP)))
-            forked.append(add_path(v, (B_STEP, B_STEP)))
-        leaves = forked
-    return OrderingTable(lambda x, y: bits.get((x, y), 0),
-                         {"kind": "tree", "depth": depth},
+    return OrderingTable(bit, {"kind": "tree", "depth": depth},
                          f"tree:depth{depth}")
 
 

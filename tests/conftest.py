@@ -9,12 +9,13 @@ from operator import itemgetter
 import pytest
 from hypothesis import strategies as st
 
-from adiclab.adic import KinkCase, minimal_continuation
+from adiclab.adic import KinkCase, kink_classify, kink_return_time
 from adiclab.bratteli import uniform_base
 from adiclab.coding import (CylSymbol, FaithfulnessReport, PairSeparation,
                             basic_block, block_word_k, cyl_offsets)
-from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, PathPrefix,
-                          Vertex, binomial, column_size, explicit_ordering,
+from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
+                          PathPrefix, Vertex, binomial, column_size,
+                          explicit_ordering, minimal_continuation,
                           ordered_parents, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
 from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
@@ -342,6 +343,66 @@ def kink_classify_reference(xi, p):
     a2 = "max" if _step_is_maximal(xi, other_step, other_mid) else "min"
     a3 = "LR" if gamma_step == A_STEP else "RL"
     return KinkCase(a1, a2, a3)
+
+
+def kink_verify_reference(xi, p, offset, max_level=64):
+    """`kink_verify` at T^offset of p's minimal continuation, doubling
+    the level until the r_n + offset iterates fit inside one column.
+
+    Off r_n the window may leave p's own column, which is how the
+    r_n +/- 1 non-vacuity probes are driven.
+    """
+    case = kink_classify(xi, p)
+    n = len(p) - 2
+    j = p.vertex_at(n).y
+    r = kink_return_time(case, n, j) + offset
+    level = len(p)
+    while True:
+        ext = minimal_continuation(xi, p, level)
+        rk = rank(xi, ext)
+        if rk + r < column_size(ext.terminal):
+            break
+        if level >= max_level:
+            raise WindowEscapesColumn(
+                f"window does not fit below level {max_level}")
+        level = min(2 * level, max_level)
+    # the r-th successor of ext is the path of rank rk + r in its column
+    return unrank(xi, ext.terminal, rk + r).steps[:n] == ext.steps[:n]
+
+
+def tree_embedding_ordering_reference(depth):
+    """The tree ordering built edge by edge into a table of bits, every
+    branch step checked against the bits already set."""
+    bits = {}
+
+    def add_edge(src: Vertex, step: int):
+        tgt = Vertex(src.x + 1, src.y) if step == A_STEP else Vertex(src.x, src.y + 1)
+        if tgt.interior:
+            want = 1 if step == A_STEP else 0
+            if bits.setdefault((tgt.x, tgt.y), want) != want:
+                raise AssertionError(f"tree branches collide at {tuple(tgt)}")
+        return tgt
+
+    def add_path(src: Vertex, steps):
+        for s in steps:
+            src = add_edge(src, s)
+        return src
+
+    # Base stage d=1: branches to (3,0) and (1,2).
+    leaves = [add_path(Vertex(0, 0), (A_STEP,) * 3),
+              add_path(Vertex(0, 0), (B_STEP, B_STEP, A_STEP))]
+    for d in range(1, depth):
+        spread = max(v.y for v in leaves)
+        leaves = [add_path(v, (B_STEP,) * v.y + (A_STEP,) * (spread - v.y))
+                  for v in leaves]
+        forked = []
+        for v in leaves:
+            forked.append(add_path(v, (A_STEP, A_STEP)))
+            forked.append(add_path(v, (B_STEP, B_STEP)))
+        leaves = forked
+    return OrderingTable(lambda x, y: bits.get((x, y), 0),
+                         {"kind": "tree", "depth": depth},
+                         f"tree:depth{depth}")
 
 
 # Reference Vershik dynamics: the successor and predecessor as two walks

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
-                          kink_return_time, kink_verify, minimal_continuation,
-                          orbit_coding, predecessor, successor,
-                          weakmixing_row_check)
+                          kink_return_time, kink_verify, orbit_coding,
+                          predecessor, successor, weakmixing_row_check)
 from adiclab.coding import CylSymbol, basic_block, basic_block_k
 from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
-                          rank, seeded_ordering, unrank)
+                          minimal_continuation, rank, seeded_ordering, unrank)
 from adiclab.errors import (KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, WindowEscapesColumn)
 
-from conftest import (all_paths, kink_classify_reference, letters_from_k1,
+from conftest import (all_paths, kink_classify_reference,
+                      kink_verify_reference, letters_from_k1,
                       minimal_continuation_reference, orbit_coding_reference,
                       orderings, predecessor_reference, seeds,
                       successor_reference)
@@ -174,10 +174,36 @@ def test_kink_verify_sampled_and_nonvacuous():
         seen[case] = seen.get(case, 0) + 1
         assert kink_verify(xi, p)
         if case not in broken:
-            if not kink_verify(xi, p, offset=1) or not kink_verify(xi, p, offset=-1):
+            if not kink_verify_reference(xi, p, 1) \
+                    or not kink_verify_reference(xi, p, -1):
                 broken.add(case)
     assert len(seen) == 8
     assert broken == set(seen)  # r_n is sharp in at least one case per class
+
+
+def test_kink_window_fits_in_the_path_column():
+    # every kink configuration with n <= 9: rank(p) + r_n stays inside the
+    # column of (i + 1, j + 1), and reaches its top exactly when a2 = max
+    tables = [constant_ordering(0), constant_ordering(1),
+              *(seeded_ordering(seed) for seed in range(6))]
+    slack = {}
+    for xi in tables:
+        for n in range(2, 10):
+            for j in range(1, n):
+                i = n - j
+                top = binomial(n + 2, j + 1) - 1
+                step = (0, 1) if xi.parents(i + 1, j + 1)[0] == (i + 1, j) \
+                    else (1, 0)
+                for r in range(binomial(n, j)):
+                    p = unrank(xi, Vertex(i, j), r).extend(step)
+                    case = kink_classify(xi, p)
+                    fit = top - rank(xi, p) - kink_return_time(case, n, j)
+                    assert fit >= 0
+                    slack[case] = min(fit, slack.get(case, fit))
+                    assert kink_verify(xi, p)
+    assert set(slack) == set(KINK_CASES)
+    assert {case for case, low in slack.items() if low == 0} == \
+        {case for case in KINK_CASES if case.a2 == "max"}
 
 
 @settings(deadline=None)
@@ -219,8 +245,13 @@ def test_kink_verify_agrees_with_successor_iteration(seed, trial, offset):
     from adiclab.cli import sample_kink_configuration
 
     xi, p = sample_kink_configuration(seed, trial, 7)
-    assert kink_verify(xi, p, offset=offset) == \
-        successor_kink_oracle(xi, p, offset)
+    # off r_n the window may leave p's column, which only the reference
+    # deepens past
+    if offset:
+        got = kink_verify_reference(xi, p, offset)
+    else:
+        got = kink_verify(xi, p)
+    assert got == successor_kink_oracle(xi, p, offset)
 
 
 def test_minimal_continuation_leaves_boundary():

@@ -2,7 +2,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
-import functools
 import io
 import json
 import os
@@ -15,8 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adiclab import cli
-from adiclab.adic import kink_verify
 from adiclab.cli import load_ordering, main
 
 from conftest import WORKED_BLOCK
@@ -120,6 +117,7 @@ _TABLES = {"complexity", "montecarlo"}
     *((c, ["--max-mem", "64"]) for c in sorted(set(_MINIMAL_ARGV) - _CAPPED)),
     *((c, ["--format", "json"]) for c in sorted(set(_MINIMAL_ARGV) - _TABLES)),
     *((c, ["--format", "text"]) for c in sorted(_MINIMAL_ARGV)),
+    ("kink", ["--max-level", "64"]),
 ])
 def test_commands_refuse_flags_they_do_not_honour(capsys, tmp_path, command,
                                                   flag):
@@ -241,20 +239,6 @@ def test_kink_rejects_zero_trials(capsys):
     assert json.loads(out)["kind"] == "usage"
 
 
-def test_kink_window_past_max_level_is_a_resource_cap(capsys, monkeypatch):
-    # no sampled configuration needs a deeper column, so each is checked
-    # at an offset past r_n that no column up to --max-level holds
-    monkeypatch.setattr(cli, "kink_verify",
-                        functools.partial(kink_verify, offset=10**6))
-    code = main(["kink", "--trials", "3", "--seed", "1", "--max-level", "8"])
-    captured = capsys.readouterr()
-    assert code == 3
-    doc = json.loads(captured.out)
-    assert doc["kind"] == "resource-cap"
-    assert doc["error"] == "window does not fit below level 8"
-    assert "Traceback" not in captured.err
-
-
 def test_smallshift_command(capsys):
     # at the probe scale (n = 60, L = 20) only orbit subwords can be common
     code, out = run(capsys, ["smallshift"])
@@ -336,7 +320,6 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["smallshift", "--level", "0"], "usage"),
     (["complexity", "--ordering", "constant0", "--nmin", "3", "--nmax", "2"],
      "usage"),
-    (["kink", "--trials", "5", "--seed", "1", "--max-level", "0"], "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
@@ -544,7 +527,7 @@ def _argvs(draw, files):
                        ("--trials", _small(-1, 50)), ("--seed", _small(0, 9)),
                        ("--format", _FORMATS)],
         "kink": [("--trials", _small(-1, 50)), ("--seed", _small(0, 9)),
-                 ("--max-n", _small()), ("--max-level", _small())],
+                 ("--max-n", _small())],
         "alternation": [("--max-level", _small()), ("--j", _small(-1, 10)),
                         ("--max-mem", _small(0, 64))],
         "smallshift": [("--n", _small()), ("--level", _small())],

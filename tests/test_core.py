@@ -14,7 +14,7 @@ from adiclab.errors import MissingBit, RankOutOfRange
 from conftest import (all_paths, column_paths, compare_paths,
                       count_extremal_reference, extreme_path_reference,
                       orderings, rank_reference, seeded_bit_reference, seeds,
-                      unrank_reference)
+                      tree_embedding_ordering_reference, unrank_reference)
 
 
 def pascal_table(n_max):
@@ -206,6 +206,30 @@ def test_tree_embedding_doubles_minimal_prefixes():
         xi = tree_embedding_ordering(d)
         level = 2 ** (d + 1) - 1
         assert count_extremal_reference(xi, level, MIN) >= 2**d
+
+
+def test_tree_bits_match_the_built_tree():
+    # the reference builds the tree edge by edge, failing on a collision;
+    # past level 2^(d+1) - 1 both read 0
+    for d in range(1, 9):
+        xi, ref = tree_embedding_ordering(d), tree_embedding_ordering_reference(d)
+        assert (xi.to_json(), xi.fingerprint()) == \
+            (ref.to_json(), ref.fingerprint())
+        for n in range(2, 2 ** (d + 1) + 4):
+            assert [xi.bit(x, n - x) for x in range(1, n)] == \
+                [ref.bit(x, n - x) for x in range(1, n)], (d, n)
+
+
+def test_tree_ordering_keeps_no_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tree_embedding_ordering(10).bit(3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_tree_ordering_is_total_and_deterministic():
