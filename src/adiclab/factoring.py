@@ -393,55 +393,120 @@ def _first_flagged(vectors, n: int, comb: _Combiner, need: int):
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
+def _children(pairs, comb: _Combiner) -> set:
+    """The states of both concatenations, left + right and right + left,
+    of every packed pair left << 24 | right in `pairs`."""
+    get = comb.__getitem__
+    return set(map(get, pairs)).union(
+        map(get, [(p & 0xFFFFFF) << 24 | p >> 24 for p in pairs]))
+
+
+def _next_level(vectors, comb: _Combiner, parents: Optional[set] = None):
+    """(states, next vectors) one level above `vectors`.
+
+    Each interior vertex has one candidate state per bit, and the next
+    vectors are every combination of them, inserted in the order of the
+    bit patterns (the bit at x = 1 varying fastest).  With `parents`, no
+    vectors are built: the adjacent parent pairs of every next vector
+    (packed as left << 24 | right) are added to it instead, taken from
+    the per-vertex options as {sb} x opt_1, opt_x x opt_x+1 and
+    opt_last x {sa}.
+    """
+    sa, sb = _boundary_states(comb.cap)
+    states, nxt = set(), set()
+    for vec in vectors:
+        ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+        adjacent = list(zip(ext, ext[1:]))
+        zero = [comb[q << 24 | p] for p, q in adjacent]
+        one = [comb[p << 24 | q] for p, q in adjacent]
+        states.update(zero)
+        states.update(one)
+        options = [(s0,) if s0 == s1 else (s0, s1)
+                   for s0, s1 in zip(zero, one)]
+        if parents is None:
+            nxt.update(map(_REVERSED, itertools.product(*reversed(options))))
+        else:
+            options = [(sb,), *options, (sa,)]
+            for lefts, rights in zip(options, options[1:]):
+                parents.update([p << 24 | q for p in lefts for q in rights])
+    return states, nxt
+
+
 def _phase1_exact(j: int, level: int, comb: _Combiner):
     """Exhaust all orderings to `level`; True iff no block holds both
     (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings.
 
-    Each interior vertex has one candidate state per bit, and the next
-    vectors are every combination of them, inserted in the order of the
-    bit patterns (the bit at x = 1 varying fastest).  Each level
-    flag-checks the set of distinct states it built; the last level builds
-    no vectors, only the states of the distinct adjacent parent pairs.  A
-    flagged level names as witness the first flagged state a loop over
-    every bit pattern of every vector would meet (`_first_flagged`).
+    Each level flag-checks the set of distinct states it built
+    (`_next_level`).  No vectors are built for the last two levels: the
+    level below the last collects, as packed ints, the distinct adjacent
+    parent pairs its vectors would hold, straight from the per-vertex
+    options of the vectors below it, and the last level combines each
+    pair both ways.  A flagged level names as witness the first flagged
+    state a loop over every bit pattern of every vector would meet
+    (`_first_flagged`); when that is the last level, the vectors below it
+    are built then, by the same code and in the same order.
     """
     need = 2 * j
     sa, sb = _boundary_states(comb.cap)
-    vectors = {()}
+    vectors = {()}  # level n - 1's, or level n - 2's once n == level > 2
+    parents = {sb << 24 | sa}  # level 2's one parent pair
     for n in range(2, level + 1):
-        nxt, states = set(), set()
-        if n == level:
-            parents = set()
-            for vec in vectors:
-                ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
-                parents.update(zip(ext, ext[1:]))
-            for p, q in parents:
-                states.add(comb[q << 24 | p])
-                states.add(comb[p << 24 | q])
+        if n < level:
+            states, nxt = _next_level(vectors, comb,
+                                      parents if n == level - 1 else None)
         else:
-            for vec in vectors:
-                ext = (sb,) + vec + (sa,)
-                adjacent = list(zip(ext, ext[1:]))
-                zero = [comb[q << 24 | p] for p, q in adjacent]
-                one = [comb[p << 24 | q] for p, q in adjacent]
-                states.update(zero)
-                states.update(one)
-                options = [(s0,) if s0 == s1 else (s0, s1)
-                           for s0, s1 in zip(reversed(zero), reversed(one))]
-                nxt.update(map(_REVERSED, itertools.product(*options)))
+            states = _children(parents, comb)
         for state in states:
             if _flagged(state, need):
+                if n == level > 2:
+                    vectors = _next_level(vectors, comb)[1]
                 return False, n, _unpack(_first_flagged(vectors, n, comb,
                                                         need))
-        vectors = nxt
+        if n < level - 1:
+            vectors = nxt
     return True, level, None
 
 
 # Bytes per phase-2 pair, counted over the pairs of both halves of a level
-# although only about half are stored: a pair's tuple and set slot plus its
-# share of the per-level groupings and the combine memo (160-210 under
-# tracemalloc on CPython 3.11, levels 6-12, when every pair was stored).
+# although only about half are stored: a pair's packed int and set slot
+# plus its share of the per-level groupings and the combine memo.  The
+# tracemalloc peak of a capped search to level L from an empty memo, over
+# level L's counted pairs, is 132-159 bytes at L = 6..12 on CPython 3.11,
+# so 200 over-counts and keeps the cap on the safe side.
 PAIR_BYTES = 200
+
+
+def _next_pairs(n: int, pairs: list, comb: _Combiner):
+    """Replace the stored pairs of level n in `pairs` by those of level
+    n + 1, and return the children of each level-n position: those of
+    position i are the reach set of the level-(n + 1) vertex at i + 1."""
+    sa, _ = _boundary_states(comb.cap)
+    half = n // 2  # level n + 1 is built at positions 0..half
+    by_left, by_right = [], []
+    for cur in pairs:
+        left, right = {}, {}
+        for p in cur:
+            kids = comb[p], comb[(p & 0xFFFFFF) << 24 | p >> 24]
+            left.setdefault(p >> 24, set()).update(kids)
+            right.setdefault(p & 0xFFFFFF, set()).update(kids)
+        by_left.append(left)
+        by_right.append(right)
+    children = [set().union(*left.values()) for left in by_left]
+    if n % 2 == 0:
+        # level n's pairs at position half, not stored, mirror those at
+        # half - 1
+        by_left.append({_swap(m): {_swap(s) for s in kids}
+                        for m, kids in by_right[half - 1].items()})
+    pairs[:] = [{sa << 24 | c for c in children[0]}]
+    for i in range(1, half + 1):
+        cur = set()
+        left = by_left[i]
+        for m, rs in by_right[i - 1].items():
+            ls = left.get(m)
+            if ls is not None:
+                cur.update([r << 24 | l for r in rs for l in ls])
+        pairs.append(cur)
+    return children
 
 
 def _phase2_reachable(j: int, level: int, comb: _Combiner,
@@ -449,19 +514,23 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     """Sibling-consistent reachable state pairs, propagated level by level.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
-    vertices at each level and joins consecutive pairs on their shared
-    middle state.  Fully independent per-vertex propagation would combine
-    parent states arising from incompatible orderings (an (ab)^j-rich
-    block next to a (ba)^j-rich one) and could never exclude anything;
-    the pair join keeps the sets a sound over-approximation of what any
-    single ordering can realize.  A vertex state is flagged when it could
-    contain both patterns, i.e. maxab >= 2j and maxba >= 2j.
+    vertices at each level, packed as the int left << 24 | right (the
+    combine key of the left state followed by the right one), and joins
+    consecutive pairs on their shared middle state.  Fully independent
+    per-vertex propagation would combine parent states arising from
+    incompatible orderings (an (ab)^j-rich block next to a (ba)^j-rich
+    one) and could never exclude anything; the pair join keeps the sets a
+    sound over-approximation of what any single ordering can realize.  A
+    vertex state is flagged when it could contain both patterns, i.e.
+    maxab >= 2j and maxba >= 2j.
 
     Each pair's two children (one per bit at the child vertex) are
     computed once and grouped by the pair's left and right state; the
     pairs at an interior position are then the union over middle states
     m of (children of pairs ending in m) x (children of pairs starting
-    with m).
+    with m).  The last level's pairs feed no later level, so they are
+    built only to be counted against `max_bytes`; its reach sets are the
+    children of the level below.
 
     The reflection (x, y) -> (y, x), which flips every bit and swaps a and
     b, maps orderings to orderings, and the combine commutes with the
@@ -484,35 +553,15 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     witness = None
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
     # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
-    pairs = [{(sa, sb)}]
+    pairs = [{sa << 24 | sb}]
     for n in range(1, level):
         half = n // 2  # level n + 1 is built at positions 0..half
-        by_left, by_right = [], []
-        for cur in pairs:
-            left, right = {}, {}
-            for a, b in cur:
-                kids = comb[a << 24 | b], comb[b << 24 | a]
-                left.setdefault(a, set()).update(kids)
-                right.setdefault(b, set()).update(kids)
-            by_left.append(left)
-            by_right.append(right)
-        # the children of the pairs at position i are the reach set of the
-        # level-(n + 1) vertex at position i + 1
-        children = [set().union(*left.values()) for left in by_left]
-        if n % 2 == 0:
-            # level n's pairs at position half, not stored, mirror those
-            # at half - 1
-            by_left.append({_swap(m): {_swap(s) for s in kids}
-                            for m, kids in by_right[half - 1].items()})
-        pairs = [{(sa, c) for c in children[0]}]
-        for i in range(1, half + 1):
-            cur = set()
-            left = by_left[i]
-            for m, rs in by_right[i - 1].items():
-                ls = left.get(m)
-                if ls is not None:
-                    cur.update(itertools.product(rs, ls))
-            pairs.append(cur)
+        if n + 1 == level and max_bytes is None:
+            # the last level's pairs would feed nothing: build only its
+            # reach sets, the children of the pairs below
+            children = [_children(cur, comb) for cur in pairs]
+        else:
+            children = _next_pairs(n, pairs, comb)
         if max_bytes is not None:
             count = 2 * sum(map(len, pairs))
             if n % 2 == 0:

@@ -426,6 +426,27 @@ def test_phase2_size_cap_matches_reference(level, count):
         phase2_reachable_reference(9, level, comb, 200 * count)
 
 
+@pytest.mark.parametrize("j", range(1, 10))
+def test_phase2_cap_changes_no_output(j):
+    # only a cap makes the last level's pairs get built, to be counted
+    comb = _Combiner(ALT_CAP)
+    for level in range(1, 12):
+        assert _phase2_reachable(j, level, comb) == \
+            _phase2_reachable(j, level, comb, 2**40)
+
+
+def test_alternation_search_peak_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        alternation_exclusion(10, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
+
+
 def test_phase2_contains_exact_states():
     reach = reachable_alt_states(5)
     free = [(x, y) for n in range(2, 6) for x in range(1, n) for y in [n - x]]
