@@ -12,7 +12,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
@@ -312,6 +311,10 @@ def _unpack(v: int) -> AltState:
                     (v >> 18) & 31)
 
 
+# the packed states of the one-letter blocks a and b, the same under any cap
+_SA, _SB = _pack(alt_state("a")), _pack(alt_state("b"))
+
+
 class _Combiner(dict):
     """Memo of packed-state combination under one cap: comb[a << 24 | b]
     is the packed state of a word u with state a followed by a word v
@@ -362,10 +365,6 @@ class _Combiner(dict):
         return got
 
 
-def _boundary_states(cap):
-    return _pack(alt_state("a", cap)), _pack(alt_state("b", cap))
-
-
 def _flagged(state: int, need: int) -> bool:
     return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
 
@@ -376,21 +375,10 @@ def _swap(s: int) -> int:
     return (s & 0x1FFF ^ 6) | ((s >> 13) & 31) << 18 | ((s >> 18) & 31) << 13
 
 
-def _first_flagged(vectors, n: int, comb: _Combiner, need: int):
-    """The first flagged level-n state a loop over every bit pattern of
-    every vector would meet: per vector, its bit-0 states by ascending x,
-    then its bit-1 states."""
-    sa, sb = _boundary_states(comb.cap)
-    for vec in vectors:
-        ext = (sb,) + vec + (sa,)
-        adjacent = list(zip(ext, ext[1:]))
-        for state in ([comb[q << 24 | p] for p, q in adjacent]
-                      + [comb[p << 24 | q] for p, q in adjacent]):
-            if _flagged(state, need):
-                return state
-
-
-_REVERSED = itemgetter(slice(None, None, -1))
+def _least_flagged(states, need: int) -> Optional[int]:
+    """The least flagged packed state in `states`, or None: the one with
+    the least maxba, then maxab, rl, ll, rc, lc and full."""
+    return min((s for s in states if _flagged(s, need)), default=None)
 
 
 def _children(pairs, comb: _Combiner) -> set:
@@ -405,17 +393,15 @@ def _next_level(vectors, comb: _Combiner, parents: Optional[set] = None):
     """(states, next vectors) one level above `vectors`.
 
     Each interior vertex has one candidate state per bit, and the next
-    vectors are every combination of them, inserted in the order of the
-    bit patterns (the bit at x = 1 varying fastest).  With `parents`, no
-    vectors are built: the adjacent parent pairs of every next vector
-    (packed as left << 24 | right) are added to it instead, taken from
-    the per-vertex options as {sb} x opt_1, opt_x x opt_x+1 and
+    vectors are every combination of them.  With `parents`, no vectors
+    are built: the adjacent parent pairs of every next vector (packed as
+    left << 24 | right) are added to it instead, taken from the
+    per-vertex options as {sb} x opt_1, opt_x x opt_x+1 and
     opt_last x {sa}.
     """
-    sa, sb = _boundary_states(comb.cap)
     states, nxt = set(), set()
     for vec in vectors:
-        ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+        ext = (_SB,) + vec + (_SA,)  # parents of x are ext[x - 1], ext[x]
         adjacent = list(zip(ext, ext[1:]))
         zero = [comb[q << 24 | p] for p, q in adjacent]
         one = [comb[p << 24 | q] for p, q in adjacent]
@@ -424,9 +410,9 @@ def _next_level(vectors, comb: _Combiner, parents: Optional[set] = None):
         options = [(s0,) if s0 == s1 else (s0, s1)
                    for s0, s1 in zip(zero, one)]
         if parents is None:
-            nxt.update(map(_REVERSED, itertools.product(*reversed(options))))
+            nxt.update(itertools.product(*options))
         else:
-            options = [(sb,), *options, (sa,)]
+            options = [(_SB,), *options, (_SA,)]
             for lefts, rights in zip(options, options[1:]):
                 parents.update([p << 24 | q for p in lefts for q in rights])
     return states, nxt
@@ -441,46 +427,40 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
     level below the last collects, as packed ints, the distinct adjacent
     parent pairs its vectors would hold, straight from the per-vertex
     options of the vectors below it, and the last level combines each
-    pair both ways.  A flagged level names as witness the first flagged
-    state a loop over every bit pattern of every vector would meet
-    (`_first_flagged`); when that is the last level, the vectors below it
-    are built then, by the same code and in the same order.
+    pair both ways.  A flagged level names as witness its least flagged
+    packed state (`_least_flagged`), a state some block realizes.
     """
     need = 2 * j
-    sa, sb = _boundary_states(comb.cap)
-    vectors = {()}  # level n - 1's, or level n - 2's once n == level > 2
-    parents = {sb << 24 | sa}  # level 2's one parent pair
+    vectors = {()}  # level n - 1's; none are built for the last level
+    parents = {_SB << 24 | _SA}  # level 2's one parent pair
     for n in range(2, level + 1):
         if n < level:
-            states, nxt = _next_level(vectors, comb,
-                                      parents if n == level - 1 else None)
+            states, vectors = _next_level(
+                vectors, comb, parents if n == level - 1 else None)
         else:
             states = _children(parents, comb)
-        for state in states:
-            if _flagged(state, need):
-                if n == level > 2:
-                    vectors = _next_level(vectors, comb)[1]
-                return False, n, _unpack(_first_flagged(vectors, n, comb,
-                                                        need))
-        if n < level - 1:
-            vectors = nxt
+        witness = _least_flagged(states, need)
+        if witness is not None:
+            return False, n, _unpack(witness)
     return True, level, None
 
 
-# Bytes per phase-2 pair, counted over the pairs of both halves of a level
-# although only about half are stored: a pair's packed int and set slot
-# plus its share of the per-level groupings and the combine memo.  The
-# tracemalloc peak of a capped search to level L from an empty memo, over
-# level L's counted pairs, is 132-159 bytes at L = 6..12 on CPython 3.11,
-# so 200 over-counts and keeps the cap on the safe side.
-PAIR_BYTES = 200
+# Bytes per phase-2 pair, counted over the pairs of both halves of every
+# level built below the last although only about half are stored: a
+# pair's packed int and set slot plus its share of the per-level
+# groupings, the last level's reach sets and the combine memo.  The
+# tracemalloc peak of an uncapped search to level L from an empty memo,
+# over level L - 1's counted pairs, is 132-215 bytes at L = 7..13 on
+# CPython 3.11.7, so 256 over-counts and keeps the cap on the safe side.
+# (At L = 6 it is 311 bytes, but the whole peak there is 122 KB, under
+# the least cap of 1 MiB.)
+PAIR_BYTES = 256
 
 
 def _next_pairs(n: int, pairs: list, comb: _Combiner):
     """Replace the stored pairs of level n in `pairs` by those of level
     n + 1, and return the children of each level-n position: those of
     position i are the reach set of the level-(n + 1) vertex at i + 1."""
-    sa, _ = _boundary_states(comb.cap)
     half = n // 2  # level n + 1 is built at positions 0..half
     by_left, by_right = [], []
     for cur in pairs:
@@ -497,7 +477,7 @@ def _next_pairs(n: int, pairs: list, comb: _Combiner):
         # half - 1
         by_left.append({_swap(m): {_swap(s) for s in kids}
                         for m, kids in by_right[half - 1].items()})
-    pairs[:] = [{sa << 24 | c for c in children[0]}]
+    pairs[:] = [{_SA << 24 | c for c in children[0]}]
     for i in range(1, half + 1):
         cur = set()
         left = by_left[i]
@@ -528,9 +508,8 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     computed once and grouped by the pair's left and right state; the
     pairs at an interior position are then the union over middle states
     m of (children of pairs ending in m) x (children of pairs starting
-    with m).  The last level's pairs feed no later level, so they are
-    built only to be counted against `max_bytes`; its reach sets are the
-    children of the level below.
+    with m).  The last level's pairs would feed no later level, so they
+    are never built: its reach sets are the children of the level below.
 
     The reflection (x, y) -> (y, x), which flips every bit and swaps a and
     b, maps orderings to orderings, and the combine commutes with the
@@ -542,37 +521,38 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
 
     Returns (excluded, reach, witness): reach maps each vertex to the set
     of packed states seen for it; witness is None, or (level, state) for
-    the first flagged level, its flagged vertex of least y and that
-    vertex's least flagged packed state.  With `max_bytes`, raises SizeCap
-    once a level's pairs, both halves counted, would hold more than that
-    (PAIR_BYTES a pair).
+    the first flagged level and the least flagged packed state of its
+    reach sets, mirrors included (`_least_flagged`).  With `max_bytes`,
+    raises SizeCap once the pairs of a level below `level`, both halves
+    counted, would hold more than that (PAIR_BYTES a pair).
     """
     need = 2 * j
-    sa, sb = _boundary_states(comb.cap)
-    reach = {(1, 0): {sa}, (0, 1): {sb}}
+    reach = {(1, 0): {_SA}, (0, 1): {_SB}}
     witness = None
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
     # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
-    pairs = [{sa << 24 | sb}]
+    pairs = [{_SA << 24 | _SB}]
     for n in range(1, level):
         half = n // 2  # level n + 1 is built at positions 0..half
-        if n + 1 == level and max_bytes is None:
+        top = n + 1
+        if top == level:
             # the last level's pairs would feed nothing: build only its
             # reach sets, the children of the pairs below
             children = [_children(cur, comb) for cur in pairs]
         else:
             children = _next_pairs(n, pairs, comb)
-        if max_bytes is not None:
-            count = 2 * sum(map(len, pairs))
-            if n % 2 == 0:
-                count -= len(pairs[half])  # the middle pair is its own mirror
-            held = PAIR_BYTES * count
-            if held > max_bytes:
-                raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
-                              f"{held} bytes, over the {max_bytes}-byte cap")
-        top = n + 1
-        reach[(top, 0)] = {sa}
-        reach[(0, top)] = {sb}
+            if max_bytes is not None:
+                count = 2 * sum(map(len, pairs))
+                if n % 2 == 0:
+                    # the middle pair is its own mirror
+                    count -= len(pairs[half])
+                held = PAIR_BYTES * count
+                if held > max_bytes:
+                    raise SizeCap(f"phase 2 pairs at level {top} hold about "
+                                  f"{held} bytes, over the {max_bytes}-byte "
+                                  "cap")
+        reach[(top, 0)] = {_SA}
+        reach[(0, top)] = {_SB}
         for pos in range(1, half + 1):
             reach[(top - pos, pos)] = children[pos - 1]
             reach[(pos, top - pos)] = {_swap(s) for s in children[pos - 1]}
@@ -581,14 +561,10 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
             # children are σ-closed
             reach[(half + 1, half + 1)] = children[half]
         if witness is None:
-            # a flagged vertex's mirror is flagged too (σ swaps maxab and
-            # maxba), so the least flagged y lies in the lower half
-            for pos in range(1, top // 2 + 1):
-                hits = [s for s in reach[(top - pos, pos)]
-                        if _flagged(s, need)]
-                if hits:
-                    witness = top, _unpack(min(hits))
-                    break
+            least = _least_flagged(itertools.chain.from_iterable(
+                reach[(top - y, y)] for y in range(1, top)), need)
+            if least is not None:
+                witness = top, _unpack(least)
     return witness is None, reach, witness
 
 
@@ -614,9 +590,10 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     Phase 1 exhausts every ordering up to min(L, exact_level) exactly;
     phase 2 propagates sibling-consistent reachable run states to level L
     and checks that no state can hold both patterns at once.  A flagged
-    verdict carries its witness: phase 1's first flagged level and state
-    (a state some block realizes) when phase 1 flags, else phase 2's.
-    `max_bytes` caps phase 2's pair sets (SizeCap).
+    verdict carries its witness: phase 1's first flagged level and its
+    least flagged packed state (a state some block realizes) when phase 1
+    flags, else phase 2's.  `max_bytes` caps phase 2's pair sets
+    (SizeCap).
     """
     if 2 * j + 1 > ALT_CAP:
         raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap "

@@ -4,7 +4,6 @@ import random
 import struct
 from fractions import Fraction
 from math import factorial
-from operator import itemgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -531,13 +530,14 @@ def _reference_flagged(state, need):
 
 def phase1_reference(j, level, cap):
     """(excluded, witness level, witness state) by trying every bit pattern
-    at every level, on every state vector."""
+    at every level, on every state vector; the witness is the least
+    flagged packed state of the first flagged level."""
     need = 2 * j
     comb, sa, sb = _reference_combiner(cap)
     vectors = {()}
     for n in range(2, level + 1):
         interior = n - 1
-        nxt = set()
+        nxt, hits = set(), []
         for vec in vectors:
             for bits in range(1 << interior):
                 new = []
@@ -550,9 +550,11 @@ def phase1_reference(j, level, cap):
                     else:
                         state = comb(p_b, p_a)
                     if _reference_flagged(state, need):
-                        return False, n, _unpack(state)
+                        hits.append(state)
                     new.append(state)
                 nxt.add(tuple(new))
+        if hits:
+            return False, n, _unpack(min(hits))
         vectors = nxt
     return True, level, None
 
@@ -609,41 +611,40 @@ def phase2_reference(j, level, cap):
 
 
 # The alternation phases as they stood before phase 2 built half of each
-# level and phase 1's last level combined each parent pair once: every
-# vector's states are flag-checked in loop order, and phase 2 builds and
-# groups every position of every level.
-
-_REVERSED = itemgetter(slice(None, None, -1))
+# level and phase 1's last level combined each parent pair once: phase 1
+# builds every level's vectors, and phase 2 builds and groups every
+# position of every level.  Both name as witness the least flagged packed
+# state of the first flagged level.
 
 
 def phase1_exact_reference(j, level, comb):
-    """(excluded, witness level, witness state), checking each vector's
-    bit-0 states by ascending x, then its bit-1 states."""
+    """(excluded, witness level, witness state), checking every state of
+    every vector."""
     need = 2 * j
     sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
     vectors = {()}
     for n in range(2, level + 1):
-        nxt = set()
+        nxt, hits = set(), []
         for vec in vectors:
             ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
             zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
             one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
-            for state in zero + one:
-                if _reference_flagged(state, need):
-                    return False, n, _unpack(state)
+            hits += [s for s in zero + one if _reference_flagged(s, need)]
             if n == level:
                 continue
             options = [(s0,) if s0 == s1 else (s0, s1)
-                       for s0, s1 in zip(reversed(zero), reversed(one))]
-            nxt.update(map(_REVERSED, itertools.product(*options)))
+                       for s0, s1 in zip(zero, one)]
+            nxt.update(itertools.product(*options))
+        if hits:
+            return False, n, _unpack(min(hits))
         vectors = nxt
     return True, level, None
 
 
 def phase2_reachable_reference(j, level, comb, max_bytes=None):
     """(excluded, reach, witness) with every position of every level built;
-    SizeCap once a level's pairs hold more than `max_bytes` at 200 bytes a
-    pair."""
+    SizeCap once the pairs of a level below `level` hold more than
+    `max_bytes` at 256 bytes a pair."""
     need = 2 * j
     sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
     reach = {(1, 0): {sa}, (0, 1): {sb}}
@@ -676,8 +677,8 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
             lproj.append(lo)
             rproj.append(hi)
         pairs.append({(c, sb) for c in last})
-        if max_bytes is not None:
-            held = 200 * sum(map(len, pairs))
+        if max_bytes is not None and n + 1 < level:
+            held = 256 * sum(map(len, pairs))
             if held > max_bytes:
                 raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
                               f"{held} bytes, over the {max_bytes}-byte cap")
@@ -685,13 +686,13 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
         rproj.append({sb})
         reach[(n + 1, 0)] = {sa}
         reach[(0, n + 1)] = {sb}
+        hits = []
         for pos in range(1, n + 1):
             states = lproj[pos] | rproj[pos - 1]
             reach[(n + 1 - pos, pos)] = states
-            if witness is None:
-                hits = [s for s in states if _reference_flagged(s, need)]
-                if hits:
-                    witness = n + 1, _unpack(min(hits))
+            hits += [s for s in states if _reference_flagged(s, need)]
+        if witness is None and hits:
+            witness = n + 1, _unpack(min(hits))
     return witness is None, reach, witness
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,9 +11,10 @@ from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import (AdiclabError, CapExceeded, InvalidPeriodWord,
                             ParseError, SizeCap)
-from adiclab.factoring import (ALT_CAP, SCHEME_COUNT_LIMIT, CDToken,
-                               RunContextReport, _Combiner, _pack, _phase1_exact,
-                               _phase2_reachable, _present_prefix,
+from adiclab.factoring import (ALT_CAP, PAIR_BYTES, SCHEME_COUNT_LIMIT,
+                               CDToken, RunContextReport, _Combiner, _pack,
+                               _phase1_exact, _phase2_reachable,
+                               _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
@@ -330,10 +332,36 @@ def test_alternation_phase2_witness():
     state = verdict.witness_state
     assert state.maxab >= 6 and state.maxba >= 6
     reach = reachable_alt_states(5)
-    assert any(state in reach[(5 - y, y)] for y in range(1, 5))
+    # the least flagged packed state over every vertex of level 5
+    assert _pack(state) == min(_pack(s) for y in range(1, 5)
+                               for s in reach[(5 - y, y)]
+                               if s.maxab >= 6 and s.maxba >= 6)
     # no flagged state is reachable one level lower
     assert not any(s.maxab >= 6 and s.maxba >= 6
                    for y in range(1, 4) for s in reach[(4 - y, y)])
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_alternation_witness_matches_brute_force(j):
+    # the first level where a block of some ordering holds both (ab)^j and
+    # (ba)^j, and the least packed state of such a block: every explicit
+    # ordering to that level is tried (3, 6 and 10 free bits)
+    need = 2 * j
+    for level in itertools.count(2):
+        free = [(x, n - x) for n in range(2, level + 1) for x in range(1, n)]
+        hits = []
+        for choice in itertools.product((0, 1), repeat=len(free)):
+            xi = explicit_ordering(dict(zip(free, choice)), max_level=level)
+            states = [alt_state(basic_block(xi, x, level - x))
+                      for x in range(1, level)]
+            hits += [_pack(s) for s in states
+                     if s.maxab >= need and s.maxba >= need]
+        if hits:
+            break
+    assert level == j + 2
+    verdict = alternation_exclusion(7, j)
+    assert verdict.witness_level == level
+    assert _pack(verdict.witness_state) == min(hits)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 9])
@@ -414,21 +442,49 @@ _PAIR_COUNTS = [4, 13, 64, 392, 1794, 6813, 18440, 38673, 76256]
 
 @pytest.mark.parametrize("level, count", enumerate(_PAIR_COUNTS, start=2))
 def test_phase2_size_cap_matches_reference(level, count):
+    # a search to level + 1 counts the pairs of the levels below it, so its
+    # last counted level is `level`
     comb = _Combiner(ALT_CAP)
-    under = 200 * count - 1
-    message = (f"phase 2 pairs at level {level} hold about {200 * count} "
+    under = 256 * count - 1
+    message = (f"phase 2 pairs at level {level} hold about {256 * count} "
                f"bytes, over the {under}-byte cap")
     for phase2 in (_phase2_reachable, phase2_reachable_reference):
         with pytest.raises(SizeCap) as caught:
-            phase2(9, level, comb, under)
+            phase2(9, level + 1, comb, under)
         assert str(caught.value) == message
-    assert _phase2_reachable(9, level, comb, 200 * count) == \
-        phase2_reachable_reference(9, level, comb, 200 * count)
+    _phase2_reachable(9, level + 1, comb, 256 * count)  # fits exactly
+    assert _phase2_reachable(9, level, comb, 256 * count) == \
+        phase2_reachable_reference(9, level, comb, 256 * count)
+
+
+def _phase2_traced_peak(level, max_bytes=None):
+    """The tracemalloc peak of phase 2 at j = 9 to `level`, from an empty
+    combine memo."""
+    tracemalloc.start()
+    try:
+        _phase2_reachable(9, level, _Combiner(ALT_CAP), max_bytes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("level", range(7, 12))
+def test_phase2_peak_is_within_its_counted_pairs(level):
+    # the cap counts the pairs of levels 2..L - 1, so at PAIR_BYTES a pair
+    # it must cover what an uncapped search to level L holds
+    assert _phase2_traced_peak(level) <= PAIR_BYTES * _PAIR_COUNTS[level - 3]
+
+
+def test_phase2_cap_costs_no_memory():
+    # a cap the search fits under builds nothing the uncapped search does not
+    uncapped = _phase2_traced_peak(10)
+    capped = _phase2_traced_peak(10, PAIR_BYTES * _PAIR_COUNTS[7])
+    assert capped <= 1.05 * uncapped
 
 
 @pytest.mark.parametrize("j", range(1, 10))
 def test_phase2_cap_changes_no_output(j):
-    # only a cap makes the last level's pairs get built, to be counted
+    # a cap the search fits under changes neither reach sets nor witness
     comb = _Combiner(ALT_CAP)
     for level in range(1, 12):
         assert _phase2_reachable(j, level, comb) == \
