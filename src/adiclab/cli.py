@@ -6,7 +6,8 @@ command takes only the flags it honours: `--max-mem` on `block` and
 `alternation`, `--format json|csv` on the tables `complexity` and
 `montecarlo`; `--threads` is accepted everywhere and used by `kink` and
 `montecarlo`.  Exit codes: 0 when no assertion-bearing check failed, 1
-when one did, 2 for usage errors, 3 for resource-cap aborts.
+when one did, 2 for usage errors, 3 for resource-cap aborts, 141 (128 +
+SIGPIPE) when stdout is closed before the report is written.
 """
 
 import argparse
@@ -56,15 +57,25 @@ def load_ordering(text: str) -> OrderingTable:
     raise argparse.ArgumentTypeError(f"cannot parse ordering {text!r}")
 
 
+class ClosedStdout(Exception):
+    """stdout's reader is gone.  Not an OSError, so that a write to a
+    closed pipe is never taken for an input error."""
+
+
 def emit(doc, fmt="json", rows=None, columns=()):
     """Print a report as JSON, or as CSV: a header of `columns`, then
-    those fields of each row in the list doc[rows]."""
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True))
-        return
-    writer = csv.writer(sys.stdout)
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in doc[rows])
+    those fields of each row in the list doc[rows].  The report is
+    flushed at once, so a closed stdout raises ClosedStdout here."""
+    try:
+        if fmt == "json":
+            print(json.dumps(doc, sort_keys=True))
+        else:
+            writer = csv.writer(sys.stdout)
+            writer.writerow(columns)
+            writer.writerows([row[c] for c in columns] for row in doc[rows])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise ClosedStdout from None
 
 
 class BadValue(Exception):
@@ -355,22 +366,31 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args):
+    """The exit code of one parsed command, its errors reported as JSON."""
     try:
         require_at_least("--threads", args.threads, 1)
         return args.func(args)
     except CAP_ERRORS as exc:
-        print(json.dumps({"error": str(exc), "kind": "resource-cap"},
-                         sort_keys=True))
+        emit({"error": str(exc), "kind": "resource-cap"})
         return 3
     except BadValue as exc:
-        print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))
+        emit({"error": str(exc), "kind": "usage"})
         return 2
     except INPUT_ERRORS as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
+        emit({"error": str(exc), "kind": "input"})
         return 2
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        return run(args)
+    except ClosedStdout:
+        # the interpreter's last flush of stdout at exit goes to the null device
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

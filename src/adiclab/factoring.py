@@ -1,9 +1,9 @@
 """Parsers and analyzers for restricted-ordering blocks and run structure.
 
 Covers the C/D tokenizer and its inverse (recovering an ordering from a
-block), the count and uniqueness check of block split schemes, the
-two-phase (ab)^j / (ba)^j exclusion search, run-context histograms, and
-the probes around the smallest common subshift.
+block), the check that every block splits one way only, the two-phase
+(ab)^j / (ba)^j exclusion search, run-context histograms, and the probes
+around the smallest common subshift.
 """
 
 import itertools
@@ -11,7 +11,6 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from math import prod
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
@@ -19,8 +18,6 @@ from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
                    ordered_parents, rule_ordering)
 from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
                      ParseError, SizeCap)
-
-SCHEME_COUNT_LIMIT = 16  # split-scheme counts are capped at this value
 
 
 class CDToken(NamedTuple):
@@ -183,51 +180,33 @@ def _one_step_splits(word, below: dict):
             if word[:cut] in below and word[cut:] in below]
 
 
-def _scheme_count(splits, counts: list) -> int:
-    """Schemes of a block from its one-step splits and the scheme counts
-    of the level-below blocks, stopping once the total reaches the cap."""
-    total = 0
-    for parts in splits:
-        total += prod(counts[i] for i in parts)
-        if total >= SCHEME_COUNT_LIMIT:
-            break
-    return total
-
-
-def factorization_scheme_counts(xi: OrderingTable, k: int, n: int):
-    """Count split schemes of every level-n block down to each level m.
+def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
+    """True iff every level-n block has exactly one split scheme down to
+    every level m with k <= m < n.
 
     A scheme repeatedly cuts a block word into two words that are both
-    basic blocks one level down (single-letter boundary blocks persist
-    unsplit), until level m is reached.  The canonical factorization is
-    always one such scheme; the map reports how many exist in total,
-    capped at `SCHEME_COUNT_LIMIT`.  Each block's one-step splits are
-    found once, and every m counts up from them level by level.
+    blocks one level down (one-letter boundary blocks persist unsplit)
+    until level m is reached.  Every block of an ordering has at least
+    one split, into its parents' blocks, so the check holds iff every
+    block at levels k + 1..n has exactly one one-step split:
+    - if each does, every scheme count is 1, by induction down the
+      levels;
+    - if a level-l block has two, it is a parent of a block one level up,
+      since (x, y) is a parent of (x + 1, y), and following canonical
+      splits up to level n gives a level-n block whose count down to
+      level l - 1 is at least 2.
+    So one walk up the levels builds each level's blocks once and stops
+    at the first block with other than one split.
     """
     if not 1 <= k <= n:
         raise ValueError("1 <= k <= n")
     words = [_block(xi, k, x, k - x) for x in range(k + 1)]
-    splits = []  # per level above k: each block's one-step splits, by x
     for lvl in range(k + 1, n + 1):
         below = {word: x for x, word in enumerate(words)}
         words = [_block(xi, k, x, lvl - x) for x in range(lvl + 1)]
-        splits.append([_one_step_splits(word, below) for word in words])
-    top = {}
-    for m in range(k, n):
-        counts = [1] * (m + 1)
-        for level in splits[m - k:]:
-            counts = [_scheme_count(s, counts) for s in level]
-        top[m] = counts
-    return {(Vertex(x, n - x), m): top[m][x]
-            for x in range(n + 1) for m in range(k, n)}
-
-
-def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
-    """True iff every level-n block has exactly one split scheme down to
-    every level m with k <= m < n."""
-    if n == k:
-        return True
-    return all(c == 1 for c in factorization_scheme_counts(xi, k, n).values())
+        if any(len(_one_step_splits(word, below)) != 1 for word in words):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

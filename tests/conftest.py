@@ -21,10 +21,9 @@ from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
                             KinkPreconditionFailed, MaximalPrefix,
                             MinimalPrefix, ParseError, SizeCap,
                             WindowEscapesColumn)
-from adiclab.factoring import (ALT_CAP, SCHEME_COUNT_LIMIT, CDToken,
-                               PeriodicEvidence, PeriodicReport,
-                               RunContextReport, _Combiner, _pack,
-                               _phase2_reachable, _unpack, alt_state,
+from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
+                               PeriodicReport, RunContextReport, _Combiner,
+                               _pack, _phase2_reachable, _unpack, alt_state,
                                decompose_CD)
 
 
@@ -812,9 +811,17 @@ def _blocks_by_level(xi, k, levels):
     return table
 
 
+SCHEME_COUNT_CAP = 16  # split-scheme counts stop once they reach this
+
+
 def factorization_scheme_counts_reference(xi, k, n):
-    """`factorization_scheme_counts` recounting each block's splits from
-    scratch for every (vertex, m), with a fresh memo each time."""
+    """(level-n vertex, level m) -> the number of split schemes of the
+    vertex's block down to level m, for k <= m < n, capped at
+    `SCHEME_COUNT_CAP`.  A scheme repeatedly cuts a block word into two
+    words that are both blocks one level down (one-letter boundary blocks
+    persist unsplit) until level m is reached.  Each (vertex, m) is
+    counted from scratch, with a fresh memo; the blocks of each level
+    must be distinct."""
     if not 1 <= k <= n:
         raise ValueError("1 <= k <= n")
     levels = _blocks_by_level(xi, k, range(k, n + 1))
@@ -836,7 +843,7 @@ def factorization_scheme_counts_reference(xi, k, n):
                 head, tail = word[:cut], word[cut:]
                 if head in below and tail in below:
                     total += count(head, lvl - 1, m, memo) * count(tail, lvl - 1, m, memo)
-                    if total >= SCHEME_COUNT_LIMIT:
+                    if total >= SCHEME_COUNT_CAP:
                         break
         memo[key] = total
         return total

@@ -425,6 +425,25 @@ def test_byte_identical_reruns():
     assert a.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["smallshift", "--n", "20", "--level", "20"],
+    ["decode", "--word", "aabba"],
+    ["complexity", "--ordering", "constant0", "--nmin", "1", "--nmax", "3",
+     "--format", "csv"],
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so its first write finds no reader whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "adiclab.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 # README commands (plus a k-coded block and a complexity table on a seeded
 # ordering) with their stdout and exit code.  To re-record after an
 # intended change, run `PYTHONPATH=src python tests/test_cli.py`: it

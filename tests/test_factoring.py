@@ -11,16 +11,15 @@ from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import (AdiclabError, CapExceeded, InvalidPeriodWord,
                             ParseError, SizeCap)
-from adiclab.factoring import (ALT_CAP, PAIR_BYTES, SCHEME_COUNT_LIMIT,
-                               CDToken, RunContextReport, _Combiner, _pack,
+from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
+                               RunContextReport, _Combiner, _pack,
                                _phase1_exact, _phase2_reachable,
                                _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
-                               factorization_scheme_counts, intersection_probe,
-                               periodic_exclusion, run_context_report,
-                               small_subshift_orderings,
+                               intersection_probe, periodic_exclusion,
+                               run_context_report, small_subshift_orderings,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
@@ -205,13 +204,20 @@ def test_unique_factorization_k1_restricted_box3():
             assert unique_factorization_check(xi, 1, n)
 
 
+@pytest.mark.parametrize("k, n", [(0, 0), (-1, -1), (0, 3), (4, 3)])
+def test_unique_factorization_refuses_k_outside_1_to_n(k, n):
+    with pytest.raises(ValueError, match=re.escape("1 <= k <= n")):
+        unique_factorization_check(seeded_ordering(3), k, n)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(xi=orderings(), k=st.integers(1, 3), data=st.data())
-def test_scheme_counts_match_reference_property(xi, k, data):
+def test_unique_factorization_matches_reference_property(xi, k, data):
     n = data.draw(st.integers(k, 8), label="n")
-    assert factorization_scheme_counts(xi, k, n) == \
-        factorization_scheme_counts_reference(xi, k, n)
+    counts = factorization_scheme_counts_reference(xi, k, n)
+    assert unique_factorization_check(xi, k, n) == \
+        all(c == 1 for c in counts.values())
 
 
 class _AnyParents:
@@ -229,8 +235,10 @@ class _AnyParents:
                      for i in (rng.randint(0, lvl), rng.randint(0, lvl)))
 
 
-def test_scheme_counts_match_reference_on_many_splits():
-    seen = set()
+def test_unique_factorization_on_many_splits():
+    # a True verdict means every scheme count is 1 even where blocks split
+    # in many ways, and such blocks make the check say False
+    verdicts = set()
     for seed in range(200):
         xi = _AnyParents(seed)
         for k in (1, 2, 3):
@@ -241,18 +249,12 @@ def test_scheme_counts_match_reference_on_many_splits():
                 if any(len({block(xi, x, lvl - x) for x in range(lvl + 1)})
                        <= lvl for lvl in range(k, n + 1)):
                     continue
-                got = factorization_scheme_counts(xi, k, n)
-                assert got == factorization_scheme_counts_reference(xi, k, n)
-                seen.update(got.values())
-    # several splits, and totals that reach and pass the cap
-    assert {2, 3, SCHEME_COUNT_LIMIT} <= seen
-    assert max(seen) > SCHEME_COUNT_LIMIT
-
-
-def test_factorization_counts_report_mode():
-    counts = factorization_scheme_counts(seeded_ordering(3), 1, 5)
-    assert all(c >= 1 for c in counts.values())
-    assert (Vertex(2, 3), 1) in counts
+                unique = unique_factorization_check(xi, k, n)
+                if unique:
+                    counts = factorization_scheme_counts_reference(xi, k, n)
+                    assert all(c == 1 for c in counts.values())
+                verdicts.add(unique)
+    assert verdicts == {True, False}
 
 
 def test_alt_state_combine_matches_direct():
