@@ -12,8 +12,8 @@ from typing import NamedTuple
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
                    column_size, extreme_steps, rank, rank_steps, unrank)
-from .errors import (BoundExceeded, KinkPreconditionFailed, MaximalPrefix,
-                     MinimalPrefix, WindowEscapesColumn)
+from .errors import (KinkPreconditionFailed, MaximalPrefix, MinimalPrefix,
+                     ResourceCap, WindowEscapesColumn)
 
 
 def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
@@ -221,7 +221,7 @@ def weakmixing_row_check(q: int, s: int, bound: int = 2**20) -> bool:
         raise ValueError("s >= 1")
     big = q**s
     if big > bound:
-        raise BoundExceeded(f"q^s = {big} exceeds bound {bound}")
+        raise ResourceCap(f"q^s = {big} exceeds bound {bound}")
     n = big - 2
     for k in range(n + 1):
         if binom_mod(n, k, q) != ((-1) ** k * (k + 1)) % q:

@@ -15,7 +15,15 @@ from math import factorial, gcd, prod
 from typing import Optional
 
 from .core import OrderingTable
-from .errors import MalformedInput
+from .errors import InputError
+
+
+def _load_json(text: str):
+    """The document in `text`; an InputError when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,7 @@ class OrderedDiagram:
                 if not word:
                     raise ValueError(f"empty coding at level {n} vertex {w}")
                 bad = [s for s in word
-                       if not isinstance(s, int) or not 0 <= s < sizes[n - 1]]
+                       if type(s) is not int or not 0 <= s < sizes[n - 1]]
                 if bad:
                     raise ValueError(f"bad source ids {bad} at level {n}")
                 seen.update(word)
@@ -61,16 +69,16 @@ class OrderedDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "OrderedDiagram":
-        doc = json.loads(text)
+        doc = _load_json(text)
         if not isinstance(doc, dict) or "coding" not in doc:
-            raise MalformedInput('a diagram is a JSON object with a "coding" field')
+            raise InputError('a diagram is a JSON object with a "coding" field')
         try:
             diagram = cls(tuple(tuple(tuple(word) for word in level)
                                 for level in doc["coding"]))
         except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad coding field: {exc}") from exc
+            raise InputError(f"bad coding field: {exc}") from exc
         if doc.get("levels") and doc["levels"] != diagram.level_sizes:
-            raise MalformedInput("levels field disagrees with coding shape")
+            raise InputError("levels field disagrees with coding shape")
         return diagram
 
 
@@ -160,7 +168,7 @@ class Shape:
             raise ValueError("empty shape")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged multiplicity matrix")
-        if any(not isinstance(m, int) or m < 0 for r in rows for m in r):
+        if any(type(m) is not int or m < 0 for r in rows for m in r):
             raise ValueError("multiplicities must be non-negative integers")
         if any(all(m == 0 for m in r) for r in rows):
             raise ValueError("source with no outgoing edges")
@@ -193,14 +201,14 @@ class Shape:
 
 def shapes_from_json(text: str) -> list:
     """The shapes of a `{"shapes": [multiplicity matrix, ...]}` document."""
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "shapes" not in doc:
-        raise MalformedInput('a shapes file is a JSON object with a "shapes" field')
+        raise InputError('a shapes file is a JSON object with a "shapes" field')
     try:
         return [Shape(tuple(tuple(row) for row in rows))
                 for rows in doc["shapes"]]
     except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad shapes field: {exc}") from exc
+        raise InputError(f"bad shapes field: {exc}") from exc
 
 
 def _multinomial(counts) -> int:

@@ -6,7 +6,8 @@ command takes only the flags it honours: `--max-mem` on `block` and
 `alternation`, `--format json|csv` on the tables `complexity` and
 `montecarlo`; `--threads` is accepted everywhere and used by `kink` and
 `montecarlo`.  Exit codes: 0 when no assertion-bearing check failed, 1
-when one did, 2 for usage errors, 3 for resource-cap aborts, 141 (128 +
+when one did, 2 for usage and input errors, 3 for resource-cap aborts,
+74 (EX_IOERR) when the report cannot be written to stdout, 141 (128 +
 SIGPIPE) when stdout is closed before the report is written.
 """
 
@@ -22,12 +23,17 @@ from .adic import kink_classify, kink_verify
 from .coding import basic_block, block_store, stabilized_complexity, symbol_census
 from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
                    seeded_ordering, unrank)
-from .errors import (AdiclabError, BlockMemoryCap, CapExceeded, LevelBelowK,
-                     MalformedInput, MissingBit, SizeCap)
+from .errors import InputError, ParseError, ResourceCap
 
-CAP_ERRORS = (SizeCap, CapExceeded, BlockMemoryCap, MemoryError)
-INPUT_ERRORS = (OSError, json.JSONDecodeError, MissingBit, LevelBelowK,
-                MalformedInput)
+
+def read_input(path: str) -> str:
+    """The text of an input file; an unreadable or non-UTF-8 file is an
+    InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def load_ordering(text: str) -> OrderingTable:
@@ -38,8 +44,7 @@ def load_ordering(text: str) -> OrderingTable:
     # turned into the former
     try:
         if text.startswith("@"):
-            with open(text[1:]) as fh:
-                return make_ordering(json.load(fh))
+            return make_ordering(json.loads(read_input(text[1:])))
         if text.startswith("{"):
             return make_ordering(json.loads(text))
         if text in ("constant0", "constant1"):
@@ -52,20 +57,22 @@ def load_ordering(text: str) -> OrderingTable:
             return make_ordering({"kind": "tree", "depth": int(m.group(1))})
     except KeyError as exc:
         raise argparse.ArgumentTypeError(f"ordering lacks the {exc} field") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (InputError, ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"cannot parse ordering {text!r}")
 
 
-class ClosedStdout(Exception):
-    """stdout's reader is gone.  Not an OSError, so that a write to a
-    closed pipe is never taken for an input error."""
+class StdoutFailed(Exception):
+    """A report could not be written to stdout; its cause is the OSError,
+    if any.  Not an OSError, so no write failure is taken for an input error."""
 
 
 def emit(doc, fmt="json", rows=None, columns=()):
     """Print a report as JSON, or as CSV: a header of `columns`, then
     those fields of each row in the list doc[rows].  The report is
-    flushed at once, so a closed stdout raises ClosedStdout here."""
+    flushed at once, so a failed write raises StdoutFailed here."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise StdoutFailed("stdout is closed")
     try:
         if fmt == "json":
             print(json.dumps(doc, sort_keys=True))
@@ -74,8 +81,8 @@ def emit(doc, fmt="json", rows=None, columns=()):
             writer.writerow(columns)
             writer.writerows([row[c] for c in columns] for row in doc[rows])
         sys.stdout.flush()
-    except BrokenPipeError:
-        raise ClosedStdout from None
+    except OSError as exc:
+        raise StdoutFailed(str(exc)) from exc
 
 
 class BadValue(Exception):
@@ -128,7 +135,7 @@ def cmd_block(args):
 def cmd_decode(args):
     try:
         vertex, table, tokens = factoring._decode_with_tokens(args.word)
-    except AdiclabError as exc:
+    except ParseError as exc:
         emit({"error": str(exc)})
         return 1
     bits = sorted((x, y, table.bit(x, y)) for x in range(2, vertex.x + 1)
@@ -154,8 +161,7 @@ def cmd_complexity(args):
 
 def cmd_odometer(args):
     require_at_least("--depth", args.depth, 1)
-    with open(args.diagram) as fh:
-        diagram = bratteli.OrderedDiagram.from_json(fh.read())
+    diagram = bratteli.OrderedDiagram.from_json(read_input(args.diagram))
     cert = bratteli.odometer_certificate(diagram, args.depth)
     emit({"found": cert.found, "message": cert.message,
           "segments": [[a, b, list(base)] for a, b, base in cert.segments],
@@ -165,8 +171,7 @@ def cmd_odometer(args):
 
 def cmd_montecarlo(args):
     require_at_least("--trials", args.trials, 1)
-    with open(args.shapes) as fh:
-        shapes = bratteli.shapes_from_json(fh.read())
+    shapes = bratteli.shapes_from_json(read_input(args.shapes))
     jobs = [(shapes, args.seed, lo, hi)
             for lo, hi in _chunks(args.trials, args.threads)]
     parts = _run_parallel(bratteli.uniform_hits, jobs)
@@ -371,13 +376,13 @@ def run(args):
     try:
         require_at_least("--threads", args.threads, 1)
         return args.func(args)
-    except CAP_ERRORS as exc:
+    except (ResourceCap, MemoryError) as exc:
         emit({"error": str(exc), "kind": "resource-cap"})
         return 3
     except BadValue as exc:
         emit({"error": str(exc), "kind": "usage"})
         return 2
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         emit({"error": str(exc), "kind": "input"})
         return 2
 
@@ -386,11 +391,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except ClosedStdout:
-        # the interpreter's last flush of stdout at exit goes to the null device
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 141
+    except StdoutFailed as exc:
+        if sys.stdout is not None:
+            # the interpreter's last flush at exit goes to the null device
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc.__cause__, BrokenPipeError):
+            return 141
+        print(json.dumps({"error": str(exc), "kind": "output"}),
+              file=sys.stderr)
+        return 74
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
                    column_size, explicit_ordering, minimal_continuation, rank)
-from .errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
+from .errors import InputError, ResourceCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
 BIT_BUDGET = 20  # free bits a restricted-block enumeration may vary
@@ -78,7 +78,7 @@ class BlockStore:
             raise ValueError(f"no basic block at ({x}, {y})")
         k = len(base) - 1
         if x + y < k:
-            raise LevelBelowK(f"({x},{y}) is below level {k}")
+            raise InputError(f"({x},{y}) is below level {k}")
         if y == 0:
             return base[0]
         if x == 0:
@@ -117,7 +117,7 @@ class BlockStore:
                 word = parts[0] + parts[1]
                 used = self.bytes_used + len(word)
                 if used > self.max_bytes:
-                    raise BlockMemoryCap(
+                    raise ResourceCap(
                         f"block memo would exceed {self.max_bytes} bytes")
                 self.bytes_used = used
                 memo[(u, v)] = word
@@ -151,7 +151,7 @@ def basic_block_k(xi: OrderingTable, k: int, x: int, y: int) -> tuple:
     word = block_word_k(xi, k, x, y)
     store = block_store(xi)
     if store.bytes_used + 8 * len(word) > store.max_bytes:
-        raise CapExceeded(f"{len(word)} symbols at 8 bytes each would exceed "
+        raise ResourceCap(f"{len(word)} symbols at 8 bytes each would exceed "
                           f"the {store.max_bytes}-byte block budget")
     # the symbols in id order: by m, then s
     syms = [CylSymbol(k, m, s) for m in range(k + 1)
@@ -210,7 +210,7 @@ def iter_restricted_blocks(x: int, y: int):
         raise ValueError("x, y >= 1")
     free = [(u, v) for u in range(2, x + 1) for v in range(2, y + 1)]
     if len(free) > BIT_BUDGET:
-        raise SizeCap(f"{len(free)} free bits exceed budget {BIT_BUDGET}")
+        raise ResourceCap(f"{len(free)} free bits exceed budget {BIT_BUDGET}")
     for choice in itertools.product((0, 1), repeat=len(free)):
         bits = dict(zip(free, choice))
         yield bits, basic_block(explicit_ordering(bits, x + y), x, y)

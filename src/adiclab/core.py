@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
-from .errors import MissingBit, RankOutOfRange
+from .errors import InputError, RankOutOfRange
 
 MIN = "min"
 MAX = "max"
@@ -233,7 +233,7 @@ def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
 
     def lookup(x, y):
         if x + y > max_level:
-            raise MissingBit(f"explicit table bounded at level {max_level}")
+            raise InputError(f"explicit table bounded at level {max_level}")
         return bits.get((x, y), default)
 
     items = sorted(bits.items())

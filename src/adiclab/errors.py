@@ -5,8 +5,13 @@ class AdiclabError(Exception):
     """Base class for all library errors."""
 
 
-class MissingBit(AdiclabError):
-    """An explicit ordering table was queried beyond its stated level bound."""
+class InputError(AdiclabError):
+    """An unreadable or malformed input file or field, a block below the
+    coding level k, or an explicit ordering queried past its level bound."""
+
+
+class ResourceCap(AdiclabError):
+    """A size, memory, saturation or numeric budget would be exceeded."""
 
 
 class RankOutOfRange(AdiclabError):
@@ -29,44 +34,16 @@ class KinkPreconditionFailed(AdiclabError):
     """Path does not end in the interior kink configuration."""
 
 
-class LevelBelowK(AdiclabError):
-    """Requested factorization level is below the coding length k."""
-
-
-class SizeCap(AdiclabError):
-    """An enumeration would exceed the configured size budget."""
-
-
-class CapExceeded(AdiclabError):
-    """A saturation cap or deepening cap was exceeded."""
-
-
-class BoundExceeded(AdiclabError):
-    """A configured numeric bound was exceeded."""
-
-
 class ParseError(AdiclabError):
     """Input word is not a restricted-ordering basic block.
 
-    `position` is the character index at which parsing failed.
+    `position` is the character index at which parsing failed, None when
+    the failure is a length that disagrees with the vertex.
     """
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at {position})")
         self.position = position
-
-
-class InconsistentLengths(AdiclabError):
-    """A decode split boundary falls mid-token or lengths disagree."""
-
-
-class BlockMemoryCap(AdiclabError):
-    """The basic-block memo would exceed its memory budget."""
-
-
-class MalformedInput(AdiclabError):
-    """A JSON input file lacks a field its command reads, or a field has
-    the wrong type or shape."""
 
 
 class InvalidPeriodWord(AdiclabError):

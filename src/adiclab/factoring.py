@@ -16,8 +16,7 @@ from typing import NamedTuple, Optional
 from .coding import basic_block, block_word_k, language_words
 from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
                    ordered_parents, rule_ordering)
-from .errors import (CapExceeded, InconsistentLengths, InvalidPeriodWord,
-                     ParseError, SizeCap)
+from .errors import InvalidPeriodWord, ParseError, ResourceCap
 
 
 class CDToken(NamedTuple):
@@ -40,8 +39,12 @@ def decompose_CD(w: str):
 
     Maximal a-runs of length >= 2 take one following b (C tokens); a
     single a followed by >= 2 b's is a D token.  The ambiguous "ab"
-    (C1 = D1) never occurs inside a valid block and is rejected.
+    (C1 = D1) never occurs inside a valid block and is rejected, and so
+    is a letter other than a and b, at its own position.
     """
+    if w.count("a") + w.count("b") != len(w):
+        pos = re.search("[^ab]", w).start()
+        raise ParseError(f"letter {w[pos]!r} is neither a nor b", pos)
     tokens = []
     i = 0
     while i < len(w):
@@ -97,7 +100,7 @@ def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
     decodes to the same tokens and bits, so it returns at once.
     """
     if hi - lo != binomial(u + v, u):
-        raise InconsistentLengths(
+        raise ParseError(
             f"segment for ({u},{v}) has length {hi - lo}, "
             f"expected {binomial(u + v, u)}")
     if v == 1:
@@ -137,10 +140,10 @@ def decode_ordering(w: str):
 
     Returns (vertex, table): the vertex whose block w is, and an explicit
     ordering table carrying the recovered interior bits (rows stay left
-    to right).  Raises ParseError / InconsistentLengths when w is not a
-    restricted-ordering basic block.  w is tokenized once and the
-    segments are read off its token index; each vertex's segment is
-    decoded once, and a later segment with the same text is skipped.
+    to right).  Raises ParseError when w is not a restricted-ordering
+    basic block.  w is tokenized once and the segments are read off its
+    token index; each vertex's segment is decoded once, and a later
+    segment with the same text is skipped.
     """
     vertex, table, _ = _decode_with_tokens(w)
     return vertex, table
@@ -271,7 +274,7 @@ def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
     """State of a concatenation from the states of its parts (exact for
     every decision below the cap; caps up to 31)."""
     if cap > 31:
-        raise CapExceeded("packed states support caps up to 31")
+        raise ResourceCap("packed states support caps up to 31")
     return _unpack(_Combiner(cap)[_pack(s1) << 24 | _pack(s2)])
 
 
@@ -502,8 +505,8 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     of packed states seen for it; witness is None, or (level, state) for
     the first flagged level and the least flagged packed state of its
     reach sets, mirrors included (`_least_flagged`).  With `max_bytes`,
-    raises SizeCap once the pairs of a level below `level`, both halves
-    counted, would hold more than that (PAIR_BYTES a pair).
+    raises ResourceCap once the pairs of a level below `level`, both
+    halves counted, would hold more than that (PAIR_BYTES a pair).
     """
     need = 2 * j
     reach = {(1, 0): {_SA}, (0, 1): {_SB}}
@@ -527,9 +530,9 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
                     count -= len(pairs[half])
                 held = PAIR_BYTES * count
                 if held > max_bytes:
-                    raise SizeCap(f"phase 2 pairs at level {top} hold about "
-                                  f"{held} bytes, over the {max_bytes}-byte "
-                                  "cap")
+                    raise ResourceCap(f"phase 2 pairs at level {top} hold "
+                                      f"about {held} bytes, over the "
+                                      f"{max_bytes}-byte cap")
         reach[(top, 0)] = {_SA}
         reach[(0, top)] = {_SB}
         for pos in range(1, half + 1):
@@ -572,10 +575,10 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     verdict carries its witness: phase 1's first flagged level and its
     least flagged packed state (a state some block realizes) when phase 1
     flags, else phase 2's.  `max_bytes` caps phase 2's pair sets
-    (SizeCap).
+    (ResourceCap).
     """
     if 2 * j + 1 > ALT_CAP:
-        raise CapExceeded(f"2j+1 = {2 * j + 1} exceeds saturation cap "
+        raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, exact_level)
     comb = _Combiner(ALT_CAP)

@@ -17,10 +17,9 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
                           explicit_ordering, minimal_continuation,
                           ordered_parents, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
-from adiclab.errors import (InconsistentLengths, InvalidPeriodWord,
-                            KinkPreconditionFailed, MaximalPrefix,
-                            MinimalPrefix, ParseError, SizeCap,
-                            WindowEscapesColumn)
+from adiclab.errors import (InvalidPeriodWord, KinkPreconditionFailed,
+                            MaximalPrefix, MinimalPrefix, ParseError,
+                            ResourceCap, WindowEscapesColumn)
 from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
                                PeriodicReport, RunContextReport, _Combiner,
                                _pack, _phase2_reachable, _unpack, alt_state,
@@ -642,7 +641,7 @@ def phase1_exact_reference(j, level, comb):
 
 def phase2_reachable_reference(j, level, comb, max_bytes=None):
     """(excluded, reach, witness) with every position of every level built;
-    SizeCap once the pairs of a level below `level` hold more than
+    ResourceCap once the pairs of a level below `level` hold more than
     `max_bytes` at 256 bytes a pair."""
     need = 2 * j
     sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
@@ -679,8 +678,9 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
         if max_bytes is not None and n + 1 < level:
             held = 256 * sum(map(len, pairs))
             if held > max_bytes:
-                raise SizeCap(f"phase 2 pairs at level {n + 1} hold about "
-                              f"{held} bytes, over the {max_bytes}-byte cap")
+                raise ResourceCap(f"phase 2 pairs at level {n + 1} hold "
+                                  f"about {held} bytes, over the "
+                                  f"{max_bytes}-byte cap")
         lproj.append(last)
         rproj.append({sb})
         reach[(n + 1, 0)] = {sa}
@@ -755,7 +755,7 @@ def periodic_reference(xi, p, L, words=None):
 
 def _decode_segment_reference(w, lo, hi, u, v, bits):
     if hi - lo != binomial(u + v, u):
-        raise InconsistentLengths(
+        raise ParseError(
             f"segment for ({u},{v}) has length {hi - lo}, "
             f"expected {binomial(u + v, u)}")
     if v == 1:

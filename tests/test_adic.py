@@ -338,9 +338,9 @@ def test_weakmixing_row_check():
     assert weakmixing_row_check(2, 1)
     assert weakmixing_row_check(3, 2)
     assert weakmixing_row_check(5, 3)
-    from adiclab.errors import BoundExceeded
+    from adiclab.errors import ResourceCap
 
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(ResourceCap, match="exceeds bound 10"):
         weakmixing_row_check(5, 3, bound=10)
 
 

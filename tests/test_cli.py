@@ -81,6 +81,12 @@ def test_decode_failure_exit_code(capsys):
     assert "error" in json.loads(out)
 
 
+def test_decode_names_a_letter_outside_ab(capsys):
+    code, out = run(capsys, ["decode", "--word", "abc"])
+    assert code == 1
+    assert json.loads(out) == {"error": "letter 'c' is neither a nor b (at 2)"}
+
+
 def test_complexity_csv(capsys):
     code, out = run(capsys, ["complexity", "--ordering", "constant0",
                              "--nmin", "1", "--nmax", "3", "--level", "12",
@@ -288,6 +294,19 @@ def test_block_memory_cap_exit_code(capsys):
 BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
 
 
+# the error of each file written below that the JSON decoder, the UTF-8
+# codec or the field checks refuse, in their own words
+FILE_ERRORS = {
+    "truncated.json": "Expecting ',' delimiter: line 2 column 1 (char 18)",
+    "unclosed.json": "Expecting value: line 2 column 1 (char 13)",
+    "latin1.json": "'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte",
+    "bool_shape.json": "bad shapes field: multiplicities must be "
+                       "non-negative integers",
+    "bool_coding.json": "bad coding field: bad source ids [False] at level 1",
+}
+
+
 @pytest.mark.parametrize("argv, kind", [
     (["block", "--ordering", "constant0", "--x", "0", "--y", "0"], "usage"),
     (["block", "--ordering", "constant0", "--x", "-1", "--y", "3"], "usage"),
@@ -320,6 +339,15 @@ BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
     (["smallshift", "--level", "0"], "usage"),
     (["complexity", "--ordering", "constant0", "--nmin", "3", "--nmax", "2"],
      "usage"),
+    (["odometer", "--diagram", "{tmp}/truncated.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/unclosed.json", "--trials", "5",
+      "--seed", "1"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/latin1.json", "--trials", "5",
+      "--seed", "1"], "input"),
+    (["odometer", "--diagram", "{tmp}/latin1.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/bool_shape.json", "--trials", "5",
+      "--seed", "1"], "input"),
+    (["odometer", "--diagram", "{tmp}/bool_coding.json"], "input"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
@@ -328,11 +356,21 @@ def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # fields of the wrong type and of the wrong shape
     (tmp_path / "wrong_type.json").write_text('{"coding": 5}')
     (tmp_path / "ragged.json").write_text('{"shapes": [[[1, 1], [1]]]}')
+    # text that is not JSON, bytes that are not UTF-8, booleans for integers
+    (tmp_path / "truncated.json").write_text('{"coding": [[[0]]\n')
+    (tmp_path / "unclosed.json").write_text('{"shapes": [\n')
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "bool_shape.json").write_text('{"shapes": [[[true]]]}')
+    (tmp_path / "bool_coding.json").write_text('{"coding": [[[false]]]}')
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.out)["kind"] == kind
+    doc = json.loads(captured.out)
+    assert doc["kind"] == kind
     assert "Traceback" not in captured.err
+    name = argv[2].removeprefix("{tmp}/")
+    if name in FILE_ERRORS:
+        assert doc["error"] == FILE_ERRORS[name]
 
 
 def test_missing_file_exit_code(capsys):
@@ -442,6 +480,31 @@ def test_closed_stdout_exits_141_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize("path, mode, error", [
+    ("/dev/full", "wb", "[Errno 28] No space left on device"),
+    # fd 1 open for reading only
+    ("/dev/null", "rb", "[Errno 9] Bad file descriptor"),
+    # fd 1 closed, as by `>&-`
+    (None, None, "stdout is closed"),
+])
+def test_failed_stdout_write_exits_74(path, mode, error):
+    argv = [sys.executable, "-m", "adiclab.cli", "decode", "--word", "ab"]
+    if path is None:
+        proc = subprocess.run(argv, stderr=subprocess.PIPE,
+                              preexec_fn=_close_stdout)
+    else:
+        with open(path, mode) as stdout:
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE)
+    assert proc.returncode == 74
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "kind": "output"}
 
 
 # README commands (plus a k-coded block and a complexity table on a seeded

@@ -10,7 +10,7 @@ from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             iter_restricted_blocks, language_words,
                             stabilized_complexity, symbol_census)
 from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
-from adiclab.errors import BlockMemoryCap, CapExceeded, LevelBelowK, SizeCap
+from adiclab.errors import InputError, ResourceCap
 from adiclab.factoring import small_subshift_orderings
 
 from conftest import (WORKED_BLOCK, column_coding, faithfulness_reference,
@@ -90,13 +90,13 @@ def test_symbol_census_specials():
 def test_block_memory_cap():
     xi = seeded_ordering(99)
     store = BlockStore(xi, max_bytes=100)
-    with pytest.raises(BlockMemoryCap):
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
         store.block(6, 6)
     assert store.bytes_used <= 100
     # k-blocks share the budget of the ordering's store
     xi = seeded_ordering(98)
     block_store(xi, 100)
-    with pytest.raises(BlockMemoryCap):
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
         block_word_k(xi, 3, 6, 6)
     # the symbol tuple (8 bytes a symbol) must fit beside the memo, and
     # is not charged to it
@@ -105,7 +105,7 @@ def test_block_memory_cap():
     block_word_k(xi, 3, 10, 10)
     used = store.bytes_used
     assert 8 * binomial(20, 10) < 2_000_000 < used + 8 * binomial(20, 10)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ResourceCap, match="symbols at 8 bytes each"):
         basic_block_k(xi, 3, 10, 10)
     block_store(xi, 3_000_000)
     assert len(basic_block_k(xi, 3, 10, 10)) == binomial(20, 10)
@@ -113,7 +113,7 @@ def test_block_memory_cap():
     # a zero budget stays zero on a fresh store
     xi = seeded_ordering(97)
     assert block_store(xi, 0).max_bytes == 0
-    with pytest.raises(BlockMemoryCap):
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
         basic_block(xi, 2, 2)
 
 
@@ -124,7 +124,7 @@ def test_basic_block_k_base_enumeration():
             word = basic_block_k(xi, k, k - m, m)
             assert word == tuple(CylSymbol(k, m, s)
                                  for s in range(1, binomial(k, m) + 1))
-    with pytest.raises(LevelBelowK):
+    with pytest.raises(InputError, match="below level 3"):
         basic_block_k(xi, 3, 1, 1)
 
 
@@ -185,7 +185,7 @@ def test_enumerate_blocks_counts():
     assert len(blocks42) == 8
     assert {len(w) for w in blocks42} == {15}
     assert len(enumerate_blocks(4, 4)) == 512
-    with pytest.raises(SizeCap):
+    with pytest.raises(ResourceCap, match="free bits exceed budget"):
         enumerate_blocks(7, 7)
 
 

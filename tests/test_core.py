@@ -9,7 +9,7 @@ from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
                           column_size, constant_ordering, explicit_ordering,
                           extreme_path, make_ordering, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
-from adiclab.errors import MissingBit, RankOutOfRange
+from adiclab.errors import InputError, RankOutOfRange
 
 from conftest import (all_paths, column_paths, compare_paths,
                       count_extremal_reference, extreme_path_reference,
@@ -53,7 +53,7 @@ def test_ordering_kinds_and_bits():
     ex = explicit_ordering({(2, 2): 1}, max_level=4)
     assert ex.bit(2, 2) == 1
     assert ex.bit(1, 2) == 0  # default fill
-    with pytest.raises(MissingBit):
+    with pytest.raises(InputError, match="bounded at level 4"):
         ex.bit(3, 2)
 
     with pytest.raises(ValueError):

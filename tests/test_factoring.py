@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
-from adiclab.errors import (AdiclabError, CapExceeded, InvalidPeriodWord,
-                            ParseError, SizeCap)
+from adiclab.errors import (AdiclabError, InvalidPeriodWord, ParseError,
+                            ResourceCap)
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                RunContextReport, _Combiner, _pack,
                                _phase1_exact, _phase2_reachable,
@@ -46,6 +46,17 @@ def test_decompose_simple_and_errors():
         decompose_CD("ab")  # ambiguous token is banned
     with pytest.raises(ParseError):
         decompose_CD("aabba")  # leftover b after a C token
+
+
+@pytest.mark.parametrize("word, position", [
+    ("abc", 2), ("c", 0), ("aabB", 3), ("aab abb", 3), ("abbbabbaab\n", 10)])
+def test_decompose_refuses_other_letters_at_their_position(word, position):
+    # before any token check: "abc" alone would be the banned token ab
+    with pytest.raises(ParseError, match="is neither a nor b") as err:
+        decompose_CD(word)
+    assert err.value.position == position
+    with pytest.raises(ParseError, match=f"neither a nor b \\(at {position}"):
+        decode_ordering(word)
 
 
 def test_decompose_expansion_roundtrip():
@@ -313,7 +324,7 @@ def test_alt_state_of_extremal_alternation_blocks():
 def test_alternation_exclusion_small():
     verdict = alternation_exclusion(8, 9, exact_level=6)
     assert verdict.excluded and verdict.exact_excluded and verdict.dp_excluded
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ResourceCap, match="exceeds saturation cap"):
         alternation_exclusion(6, 12)
 
 
@@ -451,7 +462,7 @@ def test_phase2_size_cap_matches_reference(level, count):
     message = (f"phase 2 pairs at level {level} hold about {256 * count} "
                f"bytes, over the {under}-byte cap")
     for phase2 in (_phase2_reachable, phase2_reachable_reference):
-        with pytest.raises(SizeCap) as caught:
+        with pytest.raises(ResourceCap) as caught:
             phase2(9, level + 1, comb, under)
         assert str(caught.value) == message
     _phase2_reachable(9, level + 1, comb, 256 * count)  # fits exactly
