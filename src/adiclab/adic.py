@@ -2,8 +2,8 @@
 
 The successor replaces the lowest non-maximal edge of a prefix by the
 other incoming edge of its range vertex and refills everything below with
-a minimal path.  It is kept partial: prefixes maximal in their column
-raise MaximalPrefix and callers decide how to deepen.
+a minimal path.  It is kept partial: a prefix at the end of its column
+raises ColumnEnd and callers decide how to deepen.
 """
 
 import math
@@ -12,8 +12,7 @@ from typing import NamedTuple
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
                    column_size, extreme_steps, rank, rank_steps, unrank)
-from .errors import (KinkPreconditionFailed, MaximalPrefix, MinimalPrefix,
-                     ResourceCap, WindowEscapesColumn)
+from .errors import ColumnEnd, ResourceCap
 
 
 def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
@@ -47,15 +46,15 @@ def successor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     """The next-larger path to the same terminal vertex (rank + 1)."""
     steps = list(p.steps)
     if not _pivot(xi, steps, 1):
-        raise MaximalPrefix(f"maximal path to {tuple(p.terminal)}")
+        raise ColumnEnd(f"maximal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
 
 
 def predecessor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
-    """Inverse of `successor`; raises MinimalPrefix at the column bottom."""
+    """Inverse of `successor`; raises ColumnEnd at the column bottom."""
     steps = list(p.steps)
     if not _pivot(xi, steps, 0):
-        raise MinimalPrefix(f"minimal path to {tuple(p.terminal)}")
+        raise ColumnEnd(f"minimal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
 
 
@@ -73,7 +72,7 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
     """Symbols of the k-coding of p over iterate times window = (t0, t1).
 
     The whole window must stay inside the column of p's terminal vertex;
-    otherwise WindowEscapesColumn is raised and the caller should deepen p.
+    otherwise ColumnEnd is raised and the caller should deepen p.
     """
     t0, t1 = window
     _check_k(p, k)
@@ -82,7 +81,7 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
     r = rank(xi, p)
     size = column_size(p.terminal)
     if r + t0 < 0 or r + t1 >= size:
-        raise WindowEscapesColumn(
+        raise ColumnEnd(
             f"window [{t0},{t1}] leaves column of {tuple(p.terminal)}")
     steps = list(unrank(xi, p.terminal, r + t0).steps)
     symbols = {}  # head steps -> symbol; at most 2^k heads recur
@@ -126,15 +125,15 @@ def kink_classify(xi: OrderingTable, p: PathPrefix) -> KinkCase:
     term = p.terminal
     i, j = term.x - 1, term.y - 1
     if i < 1 or j < 1:
-        raise KinkPreconditionFailed(f"({i},{j}) is not interior")
+        raise ValueError(f"({i},{j}) is not interior")
     if p.steps[-2:] not in ((A_STEP, B_STEP), (B_STEP, A_STEP)):
-        raise KinkPreconditionFailed("path does not pass through (i, j)")
+        raise ValueError("path does not pass through (i, j)")
     gamma_step = p.steps[-2]
     mid, other_mid = (i + 1, j), (i, j + 1)
     if gamma_step == B_STEP:
         mid, other_mid = other_mid, mid
     if xi.parents(*term)[0] != mid:
-        raise KinkPreconditionFailed("edge into (i+1, j+1) is not minimal")
+        raise ValueError("edge into (i+1, j+1) is not minimal")
     a1 = "max" if xi.parents(*mid)[1] == (i, j) else "min"
     a2 = "max" if xi.parents(*other_mid)[1] == (i, j) else "min"
     a3 = "LR" if gamma_step == A_STEP else "RL"
@@ -181,8 +180,8 @@ def kink_verify(xi: OrderingTable, p: PathPrefix) -> bool:
     - So rank(p) + r_n <= C - 1 in all eight cases, and equality is
       reachable only when a2 = max.
 
-    Were the bound ever to fail, `unrank` would raise RankOutOfRange, so
-    the check cannot pass silently.
+    Were the bound ever to fail, `unrank` would raise ValueError, so the
+    check cannot pass silently.
     """
     n = len(p) - 2
     r = kink_return_time(kink_classify(xi, p), n, p.vertex_at(n).y)

@@ -177,10 +177,6 @@ class Shape:
                 raise ValueError("target with no incoming edges")
 
     @property
-    def source_count(self):
-        return len(self.multiplicity)
-
-    @property
     def target_count(self):
         return len(self.multiplicity[0])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
-from .errors import InputError, RankOutOfRange
+from .errors import InputError
 
 MIN = "min"
 MAX = "max"
@@ -42,13 +42,8 @@ class Vertex(NamedTuple):
         return self.x >= 1 and self.y >= 1
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if k > n:
-        return 0
-    return math.comb(n, k)
+#: C(n, k) as an exact integer; 0 when k > n, ValueError when n or k < 0.
+binomial = math.comb
 
 
 def column_size(v: Vertex) -> int:
@@ -383,7 +378,7 @@ def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
     v = Vertex(*v)
     total = column_size(v)
     if not 0 <= r < total:
-        raise RankOutOfRange(f"rank {r} not in [0, {total}) at {tuple(v)}")
+        raise ValueError(f"rank {r} not in [0, {total}) at {tuple(v)}")
     parents = xi.parents
     comb = math.comb
     x, y = v

@@ -1,8 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+An argument outside a function's domain is a plain `ValueError`; the
+classes here are one per way a caller reacts.
+"""
 
 
 class AdiclabError(Exception):
-    """Base class for all library errors."""
+    """Base class for the library's own failures: a bad input, a resource
+    cap, a parse failure and a path at its column's end."""
 
 
 class InputError(AdiclabError):
@@ -14,24 +19,9 @@ class ResourceCap(AdiclabError):
     """A size, memory, saturation or numeric budget would be exceeded."""
 
 
-class RankOutOfRange(AdiclabError):
-    """Requested rank is not in [0, C(x+y, x))."""
-
-
-class MaximalPrefix(AdiclabError):
-    """The prefix is maximal in its column; the caller must deepen or stop."""
-
-
-class MinimalPrefix(AdiclabError):
-    """The prefix is minimal in its column; no predecessor at this truncation."""
-
-
-class WindowEscapesColumn(AdiclabError):
-    """An orbit window leaves the column of the given prefix; deepen and retry."""
-
-
-class KinkPreconditionFailed(AdiclabError):
-    """Path does not end in the interior kink configuration."""
+class ColumnEnd(AdiclabError):
+    """A finite prefix has no successor, predecessor or orbit window in its
+    column; deepen the prefix and retry."""
 
 
 class ParseError(AdiclabError):
@@ -44,7 +34,3 @@ class ParseError(AdiclabError):
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at {position})")
         self.position = position
-
-
-class InvalidPeriodWord(AdiclabError):
-    """Candidate period word must use both letters."""

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from .coding import basic_block, block_word_k, language_words
 from .core import (OrderingTable, Vertex, binomial, explicit_ordering,
                    ordered_parents, rule_ordering)
-from .errors import InvalidPeriodWord, ParseError, ResourceCap
+from .errors import ParseError, ResourceCap
 
 
 class CDToken(NamedTuple):
@@ -152,6 +152,8 @@ def decode_ordering(w: str):
 def _decode_with_tokens(w: str):
     """`decode_ordering` plus the C/D tokens of w; the blocks a, b and ab
     of levels 1 and 2 have none."""
+    if not w:
+        raise ParseError("empty word", 0)
     if w == "a":
         return Vertex(1, 0), explicit_ordering({}, max_level=1), []
     if w == "b":
@@ -774,7 +776,7 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
     occurs in some block.
     """
     if p < 2:
-        raise InvalidPeriodWord("period must be at least 2")
+        raise ValueError("period must be at least 2")
     r = p + 1
     window_len = 3 * binomial(4 * r, 2 * r) + 1
     if words is None:
@@ -783,7 +785,7 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
     else:
         for w in words:
             if "a" not in w or "b" not in w:
-                raise InvalidPeriodWord(f"{w!r} does not use both letters")
+                raise ValueError(f"{w!r} does not use both letters")
     blocks = [basic_block(xi, x, L - x) for x in range(L + 1)]
     longest = max(map(len, blocks))
     report = PeriodicReport(p, L, window_len)

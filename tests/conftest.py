@@ -17,9 +17,7 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
                           explicit_ordering, minimal_continuation,
                           ordered_parents, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
-from adiclab.errors import (InvalidPeriodWord, KinkPreconditionFailed,
-                            MaximalPrefix, MinimalPrefix, ParseError,
-                            ResourceCap, WindowEscapesColumn)
+from adiclab.errors import ColumnEnd, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
                                PeriodicReport, RunContextReport, _Combiner,
                                _pack, _phase2_reachable, _unpack, alt_state,
@@ -327,11 +325,11 @@ def kink_classify_reference(xi, p):
     term = p.terminal
     i, j = term.x - 1, term.y - 1
     if i < 1 or j < 1:
-        raise KinkPreconditionFailed(f"({i},{j}) is not interior")
+        raise ValueError(f"({i},{j}) is not interior")
     if p.steps[-2:] not in ((A_STEP, B_STEP), (B_STEP, A_STEP)):
-        raise KinkPreconditionFailed("path does not pass through (i, j)")
+        raise ValueError("path does not pass through (i, j)")
     if not _step_is_minimal(xi, p.steps[-1], term):
-        raise KinkPreconditionFailed("edge into (i+1, j+1) is not minimal")
+        raise ValueError("edge into (i+1, j+1) is not minimal")
     gamma_step = p.steps[-2]
     mid = Vertex(i + 1, j) if gamma_step == A_STEP else Vertex(i, j + 1)
     other_step = 1 - gamma_step
@@ -360,7 +358,7 @@ def kink_verify_reference(xi, p, offset, max_level=64):
         if rk + r < column_size(ext.terminal):
             break
         if level >= max_level:
-            raise WindowEscapesColumn(
+            raise ColumnEnd(
                 f"window does not fit below level {max_level}")
         level = min(2 * level, max_level)
     # the r-th successor of ext is the path of rank rk + r in its column
@@ -421,7 +419,7 @@ def successor_reference(xi, p):
             src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
             steps[:i] = extreme_path_reference(xi, src, MIN).steps
             return PathPrefix(tuple(steps))
-    raise MaximalPrefix(f"maximal path to {tuple(p.terminal)}")
+    raise ColumnEnd(f"maximal path to {tuple(p.terminal)}")
 
 
 def predecessor_reference(xi, p):
@@ -438,7 +436,7 @@ def predecessor_reference(xi, p):
             src = Vertex(x - 1, y) if flipped == A_STEP else Vertex(x, y - 1)
             steps[:i] = extreme_path_reference(xi, src, "max").steps
             return PathPrefix(tuple(steps))
-    raise MinimalPrefix(f"minimal path to {tuple(p.terminal)}")
+    raise ColumnEnd(f"minimal path to {tuple(p.terminal)}")
 
 
 def minimal_continuation_reference(xi, p, level):
@@ -468,7 +466,7 @@ def orbit_coding_reference(xi, p, k, window):
         raise ValueError("empty window")
     r = rank_reference(xi, p)
     if r + t0 < 0 or r + t1 >= column_size(p.terminal):
-        raise WindowEscapesColumn(
+        raise ColumnEnd(
             f"window [{t0},{t1}] leaves column of {tuple(p.terminal)}")
     q = unrank_reference(xi, p.terminal, r + t0)
     out = []
@@ -709,7 +707,7 @@ def reachable_alt_states(L):
 def periodic_reference(xi, p, L, words=None):
     """`periodic_exclusion` by scanning the whole corpus for each window."""
     if p < 2:
-        raise InvalidPeriodWord("period must be at least 2")
+        raise ValueError("period must be at least 2")
     r = p + 1
     window_len = 3 * binomial(4 * r, 2 * r) + 1
     if words is None:
@@ -718,7 +716,7 @@ def periodic_reference(xi, p, L, words=None):
     else:
         for w in words:
             if "a" not in w or "b" not in w:
-                raise InvalidPeriodWord(f"{w!r} does not use both letters")
+                raise ValueError(f"{w!r} does not use both letters")
     corpus = []
     for n in range(1, L + 1):
         for x in range(n + 1):
@@ -784,6 +782,8 @@ def _decode_segment_reference(w, lo, hi, u, v, bits):
 
 def decode_reference(w):
     """`decode_ordering` re-tokenizing every segment it cuts w into."""
+    if not w:
+        raise ParseError("empty word", 0)
     if w == "a":
         return Vertex(1, 0), explicit_ordering({}, max_level=1)
     if w == "b":

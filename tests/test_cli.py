@@ -79,6 +79,9 @@ def test_decode_failure_exit_code(capsys):
     code, out = run(capsys, ["decode", "--word", "ba"])
     assert code == 1
     assert "error" in json.loads(out)
+    # the empty word is refused as empty, not as a segment of (1, 1)
+    code, out = run(capsys, ["decode", "--word", ""])
+    assert (code, json.loads(out)) == (1, {"error": "empty word (at 0)"})
 
 
 def test_decode_names_a_letter_outside_ab(capsys):

@@ -9,7 +9,7 @@ from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
                           column_size, constant_ordering, explicit_ordering,
                           extreme_path, make_ordering, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
-from adiclab.errors import InputError, RankOutOfRange
+from adiclab.errors import InputError
 
 from conftest import (all_paths, column_paths, compare_paths,
                       count_extremal_reference, extreme_path_reference,
@@ -35,6 +35,9 @@ def test_binomial_against_recurrence_oracle():
     assert binomial(5, 2) == 10
     assert binomial(22, 11) == rows[22][11]
     assert binomial(3, 5) == 0
+    for n, k in ((-1, 0), (0, -1), (-3, -2), (2, -5)):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            binomial(n, k)
 
 
 def test_ordering_kinds_and_bits():
@@ -186,9 +189,9 @@ def test_unrank_bounds():
     xi = seeded_ordering(1)
     v = Vertex(3, 2)
     assert unrank(xi, v, 0) == extreme_path(xi, v, MIN)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(ValueError, match=r"^rank 10 not in \[0, 10\) at \(3, 2\)$"):
         unrank(xi, v, column_size(v))
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(ValueError, match=r"^rank -1 not in \[0, 10\) at \(3, 2\)$"):
         unrank(xi, v, -1)
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
-from adiclab.errors import (AdiclabError, InvalidPeriodWord, ParseError,
-                            ResourceCap)
+from adiclab.errors import AdiclabError, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                RunContextReport, _Combiner, _pack,
                                _phase1_exact, _phase2_reachable,
@@ -116,6 +115,10 @@ def test_decode_rejects_corrupt_words():
     word = WORKED_BLOCK[:-1] + "a"
     with pytest.raises(ParseError):
         decode_ordering(word)
+    # the empty word is refused as empty, not as a segment of (1, 1)
+    for decode in (decode_ordering, decode_reference):
+        assert _decode_outcome(decode, "") == \
+            (ParseError, "empty word (at 0)", 0)
 
 
 def _decode_outcome(decode, word):
@@ -600,9 +603,9 @@ def test_periodic_exclusion():
     rep = periodic_exclusion(xi, 2, 18)
     assert rep.all_excluded and len(rep.cases) == 2
     assert rep.window_length == 3 * binomial(12, 6) + 1
-    with pytest.raises(InvalidPeriodWord):
+    with pytest.raises(ValueError, match="^'aaaa' does not use both letters$"):
         periodic_exclusion(xi, 4, 10, words=["aaaa"])
-    with pytest.raises(InvalidPeriodWord):
+    with pytest.raises(ValueError, match="^period must be at least 2$"):
         periodic_exclusion(xi, 1, 10)
 
 
