@@ -10,36 +10,9 @@ import math
 from typing import NamedTuple
 
 from .coding import CylSymbol
-from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, binomial,
-                   column_size, extreme_steps, rank, rank_steps, unrank)
+from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, _pivot,
+                   binomial, column_size, rank, rank_steps, unrank)
 from .errors import ColumnEnd, ResourceCap
-
-
-def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
-    """Move `steps` in place to the next path (side 1) or the previous one
-    (side 0) to the same terminal vertex.
-
-    `side` indexes `xi.parents`: the lowest edge that does not come from
-    its range's maximal (side 1) or minimal (side 0) parent is swapped for
-    the edge from that parent, and the steps below it are refilled with
-    the path extremal on the other side.  A boundary vertex has one parent
-    on both sides, so its edge never pivots.  Returns False, leaving
-    `steps` as they are, when no edge pivots.
-    """
-    parents = xi.parents
-    x = y = 0
-    for i, s in enumerate(steps):
-        src = (x, y)
-        if s == A_STEP:
-            x += 1
-        else:
-            y += 1
-        new = parents(x, y)[side]
-        if new != src:
-            steps[i] = A_STEP if new[0] < x else B_STEP
-            steps[:i] = extreme_steps(xi, new, 1 - side)
-            return True
-    return False
 
 
 def successor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:

@@ -123,13 +123,17 @@ def _memoized(fn):
 class OrderingTable:
     """Map from interior vertices to order bits.
 
-    `lookup(x, y)` gives the bit at an interior vertex; `spec` is the
-    JSON document of the ordering (None when it has no JSON form) and
-    `fingerprint` its canonical identity string.  The constructors below
-    build the supported kinds: constant, seeded (counter-based hash of
-    (seed, x, y)), explicit (finite map with a level bound), tree
-    (binary-tree embedding), and rule (arbitrary total function, used for
-    the named paper orderings).  Instances are immutable.
+    `_lookup(x, y)` gives the bit at an interior vertex, memoized where a
+    bit costs more than a dict probe; the path walks below (rank, unrank,
+    extreme paths, minimal continuations and the successor pivot) read it
+    directly, and `parents` serves the block recurrence, the language scan
+    and the test oracles.  `spec` is the JSON document of the ordering
+    (None when it has no JSON form) and `fingerprint` its canonical
+    identity string.  The constructors below build the supported kinds:
+    constant, seeded (counter-based hash of (seed, x, y)), explicit
+    (finite map with a level bound), tree (binary-tree embedding), and
+    rule (arbitrary total function, used for the named paper orderings).
+    Instances are immutable.
     """
 
     def __init__(self, lookup, spec, fingerprint):
@@ -306,21 +310,63 @@ def make_ordering(spec) -> OrderingTable:
 
 def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
     """The unique all-minimal (or all-maximal) path from the root to v."""
+    if which not in (MIN, MAX):
+        raise ValueError(f"which is {MIN!r} or {MAX!r}, not {which!r}")
     return PathPrefix(tuple(extreme_steps(xi, v, 0 if which == MIN else 1)))
 
 
 def extreme_steps(xi: OrderingTable, v, side: int) -> list:
-    """Steps of `extreme_path` as a list; `side` indexes `xi.parents`
-    (0 minimal, 1 maximal)."""
-    parents = xi.parents
+    """Steps of `extreme_path` as a list; `side` is 0 for the minimal path
+    and 1 for the maximal one.
+
+    With b the bit at interior (x, y), the maximal step into (x, y) is b
+    and the minimal step 1 - b; from a boundary vertex the rest of the path
+    runs straight down its side.
+    """
     x, y = v
+    if x < 0 or y < 0:
+        raise ValueError(f"no incoming edges at ({x}, {y})")
+    bit = xi._lookup
+    flip = 1 - side
     rev = []
-    while x or y:
-        u = parents(x, y)[side]
-        rev.append(A_STEP if u[0] < x else B_STEP)
-        x, y = u
+    while x and y:
+        s = bit(x, y) ^ flip
+        rev.append(s)
+        if s == A_STEP:
+            x -= 1
+        else:
+            y -= 1
+    rev += [A_STEP] * x + [B_STEP] * y  # one of x, y is 0 here
     rev.reverse()
     return rev
+
+
+def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
+    """Move `steps` in place to the next path (side 1) or the previous one
+    (side 0) to the same terminal vertex.
+
+    The lowest edge whose step into an interior vertex is not the maximal
+    (side 1) or minimal (side 0) one there, by the bit, is swapped for that
+    step, and the steps below it are refilled with the path extremal on the
+    other side.  A boundary vertex has one incoming edge, extremal on both
+    sides, so its edge never pivots.  Returns False, leaving `steps` as they
+    are, when no edge pivots.
+    """
+    bit = xi._lookup
+    x = y = 0
+    for i, s in enumerate(steps):
+        if s == A_STEP:
+            x += 1
+        else:
+            y += 1
+        # `side`'s own step into (x, y) is b ^ 1 ^ side, so s differs
+        # from it iff s ^ b == side
+        if x and y and s ^ bit(x, y) == side:
+            t = 1 - s
+            steps[i] = t
+            steps[:i] = extreme_steps(xi, (x - 1 + t, y - t), 1 - side)
+            return True
+    return False
 
 
 def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPrefix:
@@ -333,13 +379,13 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
     is minimal the b step is taken anyway.  The choice only has to be
     deterministic.
     """
-    parents = xi.parents
+    bit = xi._lookup
     steps = list(p.steps)
     x, y = p.terminal
     while x + y < level:
-        here = (x, y)
-        if y and (x == 0 or (parents(x + 1, y)[0] == here
-                             and parents(x, y + 1)[0] != here)):
+        # bit 1 at (x + 1, y) makes the a step minimal, and bit 1 at
+        # (x, y + 1) makes the b step maximal
+        if y and (x == 0 or (bit(x + 1, y) and bit(x, y + 1))):
             steps.append(A_STEP)
             x += 1
         else:
@@ -355,21 +401,21 @@ def rank(xi: OrderingTable, p: PathPrefix) -> int:
 
 def rank_steps(xi: OrderingTable, steps) -> int:
     """`rank` of the path with the given steps."""
-    parents = xi.parents
+    bit = xi._lookup
     comb = math.comb
     r = 0
     x = y = 0
     for s in steps:
-        src = (x, y)
         if s == A_STEP:
             x += 1
         else:
             y += 1
         if x and y:
-            low, high = parents(x, y)
-            if high == src:
-                # every path through the minimal parent comes first
-                r += comb(x + y - 1, low[0])
+            b = bit(x, y)
+            if s == b:
+                # a maximal step: every path through the minimal parent,
+                # (x - b, y - 1 + b), comes first
+                r += comb(x + y - 1, x - b)
     return r
 
 
@@ -379,19 +425,23 @@ def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
     total = column_size(v)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} not in [0, {total}) at {tuple(v)}")
-    parents = xi.parents
+    bit = xi._lookup
     comb = math.comb
     x, y = v
     rev = []
-    while x or y:
-        # on the boundary low == high and r == 0 < C(n - 1, 0)
-        low, high = parents(x, y)
-        below = comb(x + y - 1, low[0])
+    while x and y:
+        b = bit(x, y)
+        below = comb(x + y - 1, x - b)  # paths through the minimal parent
         if r < below:
-            u = low
+            s = 1 - b
         else:
             r -= below
-            u = high
-        rev.append(A_STEP if u[0] < x else B_STEP)
-        x, y = u
-    return PathPrefix(tuple(reversed(rev)))
+            s = b
+        rev.append(s)
+        if s == A_STEP:
+            x -= 1
+        else:
+            y -= 1
+    rev += [A_STEP] * x + [B_STEP] * y  # one of x, y is 0 here
+    rev.reverse()
+    return PathPrefix(tuple(rev))

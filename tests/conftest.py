@@ -14,14 +14,14 @@ from adiclab.coding import (CylSymbol, FaithfulnessReport, PairSeparation,
                             basic_block, block_word_k, cyl_offsets)
 from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
                           PathPrefix, Vertex, binomial, column_size,
-                          explicit_ordering, minimal_continuation,
-                          ordered_parents, rank, seeded_ordering,
-                          tree_embedding_ordering, unrank)
+                          constant_ordering, explicit_ordering,
+                          minimal_continuation, ordered_parents, rank,
+                          seeded_ordering, tree_embedding_ordering, unrank)
 from adiclab.errors import ColumnEnd, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
                                PeriodicReport, RunContextReport, _Combiner,
                                _pack, _phase2_reachable, _unpack, alt_state,
-                               decompose_CD)
+                               decompose_CD, small_subshift_orderings)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -64,8 +64,14 @@ def seeded_bit_reference(seed, x, y, bias):
 
 @st.composite
 def orderings(draw):
-    """A seeded, explicit or tree ordering with bits up to level 60."""
-    kind = draw(st.sampled_from(["seeded", "explicit", "tree"]))
+    """An ordering of any kind, with bits at least up to level 60: constant,
+    seeded, explicit, tree, or one of the two small-subshift rule orderings."""
+    kind = draw(st.sampled_from(["constant", "seeded", "explicit", "tree",
+                                 "rule"]))
+    if kind == "constant":
+        return constant_ordering(draw(st.integers(0, 1)))
+    if kind == "rule":
+        return small_subshift_orderings()[draw(st.integers(0, 1))]
     if kind == "seeded":
         return seeded_ordering(draw(st.integers(0, 2**63 - 1)),
                                draw(st.sampled_from([0.5, 0.1, 0.9])))

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -9,16 +10,17 @@ from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
                           kink_return_time, kink_verify, orbit_coding,
                           predecessor, successor, weakmixing_row_check)
 from adiclab.coding import CylSymbol, basic_block, basic_block_k
-from adiclab.core import (MIN, PathPrefix, Vertex, binomial, column_size,
+from adiclab.core import (MAX, MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
                           minimal_continuation, rank, seeded_ordering, unrank)
 from adiclab.errors import ColumnEnd
 
-from conftest import (all_paths, kink_classify_reference,
-                      kink_verify_reference, letters_from_k1,
-                      minimal_continuation_reference, orbit_coding_reference,
-                      orderings, predecessor_reference, seeds,
-                      successor_reference)
+from conftest import (all_paths, extreme_path_reference,
+                      kink_classify_reference, kink_verify_reference,
+                      letters_from_k1, minimal_continuation_reference,
+                      orbit_coding_reference, orderings, predecessor_reference,
+                      rank_reference, seeds, successor_reference,
+                      unrank_reference)
 
 
 def test_successor_two_element_column():
@@ -286,6 +288,52 @@ def test_minimal_continuation_matches_reference(xi, steps, level):
     p = PathPrefix(tuple(steps))
     assert minimal_continuation(xi, p, level) == \
         minimal_continuation_reference(xi, p, level)
+
+
+def _failure(fn, *args):
+    """The value of fn(*args), or the type and message of its exception."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def bounded_explicit_orderings(draw):
+    """An explicit ordering bounded at a level from 2 to 8, random below."""
+    max_level = draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = {(x, n - x): rng.randrange(2) for n in range(2, max_level + 1)
+            for x in range(1, n)}
+    return explicit_ordering(bits, max_level, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=bounded_explicit_orderings(),
+       steps=st.lists(st.integers(0, 1), max_size=12), data=st.data())
+def test_walks_past_an_explicit_bound_fail_as_the_reference(xi, steps, data):
+    # each walk either agrees with its reference or fails with the same
+    # "explicit table bounded at level m" as the reference
+    p = PathPrefix(tuple(steps))
+    v = p.terminal
+    r = data.draw(st.integers(0, column_size(v) - 1))
+    level = data.draw(st.integers(0, 12))
+    k = data.draw(st.integers(0, len(p)))
+    t0 = data.draw(st.integers(-8, 8))
+    window = (t0, t0 + data.draw(st.integers(0, 16)))
+    pairs = [
+        (rank, rank_reference, p),
+        (unrank, unrank_reference, v, r),
+        (extreme_path, extreme_path_reference, v, MIN),
+        (extreme_path, extreme_path_reference, v, MAX),
+        (successor, successor_reference, p),
+        (predecessor, predecessor_reference, p),
+        (minimal_continuation, minimal_continuation_reference, p, level),
+        (orbit_coding, orbit_coding_reference, p, k, window),
+    ]
+    for walk, reference, *args in pairs:
+        assert _failure(walk, xi, *args) == _failure(reference, xi, *args), \
+            walk.__name__
 
 
 @st.composite

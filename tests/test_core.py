@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
                           extreme_path, make_ordering, rank, seeded_ordering,
                           tree_embedding_ordering, unrank)
 from adiclab.errors import InputError
+from adiclab.factoring import small_subshift_orderings
 
 from conftest import (all_paths, column_paths, compare_paths,
                       count_extremal_reference, extreme_path_reference,
@@ -136,6 +138,28 @@ def test_extreme_paths():
     xi0 = constant_ordering(0)
     assert extreme_path(xi0, Vertex(1, 1), MIN).word() == "ab"
     assert extreme_path(xi0, Vertex(1, 1), MAX).word() == "ba"
+
+
+def test_extreme_path_refuses_an_unknown_side():
+    xi = seeded_ordering(7)
+    for which in ("mn", "MAX", None, 0):
+        with pytest.raises(ValueError, match=f"^which is 'min' or 'max', "
+                                             f"not {re.escape(repr(which))}$"):
+            extreme_path(xi, Vertex(3, 2), which)
+
+
+@pytest.mark.parametrize("xi", [
+    constant_ordering(0), constant_ordering(1), seeded_ordering(7),
+    tree_embedding_ordering(2), explicit_ordering({(1, 1): 1}, max_level=6),
+    *small_subshift_orderings()], ids=lambda xi: xi.fingerprint())
+def test_extreme_path_refuses_negative_vertices(xi):
+    # a walk that reads bits must not start below the root: it would read
+    # bits off the diagram, or never reach the boundary
+    for v in [(-1, 2), (2, -1), (-1, -1)]:
+        for which in (MIN, MAX):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"no incoming edges at ({v[0]}, {v[1]})") + "$"):
+                extreme_path(xi, Vertex(*v), which)
 
 
 def test_rank_extremes_to_level_12():
