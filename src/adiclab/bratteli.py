@@ -102,6 +102,8 @@ def uniform_base(words) -> Optional[tuple]:
 
 def is_uniformly_ordered(d: OrderedDiagram, n: int) -> Optional[tuple]:
     """The base word when level n is uniformly ordered, else None."""
+    if not 1 <= n <= d.depth:
+        raise ValueError(f"1 <= n <= {d.depth}")
     return uniform_base(d.codings[n - 1])
 
 
@@ -138,6 +140,8 @@ def odometer_certificate(d: OrderedDiagram, search_depth: int) -> OdometerCertif
     tested left to right.  Success certifies conjugacy to an odometer for
     the finite diagram; failure is reported, never asserted as a negative.
     """
+    if search_depth < 1:
+        raise ValueError("search_depth >= 1")
     segments = []
     pos = 0
     while pos < d.depth:

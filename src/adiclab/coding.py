@@ -221,54 +221,37 @@ def enumerate_blocks(x: int, y: int) -> set:
     return {word for _, word in iter_restricted_blocks(x, y)}
 
 
-def _tail(s: str, m: int) -> str:
-    return s[-m:] if m else ""
+def _window_levels(xi: OrderingTable, n: int):
+    """Yield the n-windows of all basic blocks up to level 1, 2, ...
 
-
-class _LanguageScan:
-    """Collects n-windows of all basic blocks, level by level.
-
-    `_ends[v]` is the (head, tail) of the block at v: its first and last
-    n - 1 letters, or the whole block when it is shorter.  Every block adds
+    One set grows from level to level and is yielded after each.  `row[x]`
+    is the (head, tail) of the block at (x, lvl - x): its first and last
+    n - 1 letters, or the whole block when it is shorter; only the row of
+    the level below is kept while a level is built.  Every block adds
     only the windows across its junction, built from the tail of the first
     child and the head of the second: a window inside a child was added
     with that child, and one across the junction takes at most n - 1
-    letters from each side.
+    letters from each side.  Parent order is read through `xi.parents`.
     """
-
-    def __init__(self, xi: OrderingTable, n: int):
-        if n < 1:
-            raise ValueError("n >= 1")
-        self.xi = xi
-        self.n = n
-        self.words = set()
-        self.level = 0
-        self._ends = {}
-
-    def _add_windows(self, text):
-        n = self.n
-        for i in range(len(text) - n + 1):
-            self.words.add(text[i:i + n])
-
-    def advance_to(self, level: int):
-        ends = self._ends
-        m = self.n - 1
-        while self.level < level:
-            self.level += 1
-            lvl = self.level
-            ends[(lvl, 0)] = ("a", "a")
-            ends[(0, lvl)] = ("b", "b")
-            if lvl == 1:
-                self._add_windows("a")
-                self._add_windows("b")
-            for x in range(1, lvl):
-                c1, c2 = self.xi.parents(x, lvl - x)
-                (h1, t1), (h2, t2) = ends[c1], ends[c2]
-                self._add_windows(_tail(t1, m) + h2[:m])
-                ends[(x, lvl - x)] = ((h1 + h2)[:m], _tail(t1 + t2, m))
-
-    def count(self):
-        return len(self.words)
+    if n < 1:
+        raise ValueError("n >= 1")
+    m = n - 1
+    a, b = ("a"[:m],) * 2, ("b"[:m],) * 2  # the boundary blocks
+    words = {"a", "b"} if n == 1 else set()
+    row = [b, a]
+    yield words
+    parents = xi.parents
+    for lvl in itertools.count(2):
+        below, row = row, [b]
+        for x in range(1, lvl):
+            (x1, _), (x2, _) = parents(x, lvl - x)
+            (h1, t1), (h2, t2) = below[x1], below[x2]
+            text = t1 + h2
+            for i in range(len(text) - m):
+                words.add(text[i:i + n])
+            row.append(((h1 + h2)[:m], (t1 + t2)[-m:] if m else ""))
+        row.append(a)
+        yield words
 
 
 def language_words(xi: OrderingTable, n: int, L: int) -> set:
@@ -278,22 +261,22 @@ def language_words(xi: OrderingTable, n: int, L: int) -> set:
     between different columns of an orbit are not enumerated) and is
     monotone nondecreasing in L.
     """
-    scan = _LanguageScan(xi, n)
-    scan.advance_to(max(L, 1))
-    return scan.words
+    if L < 1:
+        raise ValueError("L >= 1")
+    return next(itertools.islice(_window_levels(xi, n), L - 1, None))
 
 
-def stabilized_complexity(xi: OrderingTable, n: int, max_level: int = 80):
+def stabilized_complexity(xi: OrderingTable, n: int, max_level: int):
     """Scan levels until the window count is flat over three levels.
 
     Zero-count plateaus (levels too shallow for any n-window) do not
     count as stabilization.  Returns (count, level reached, stabilized).
     """
-    scan = _LanguageScan(xi, n)
+    if max_level < 1:
+        raise ValueError("max_level >= 1")
     counts = []
-    for lvl in range(1, max_level + 1):
-        scan.advance_to(lvl)
-        counts.append(scan.count())
+    for lvl, words in zip(range(1, max_level + 1), _window_levels(xi, n)):
+        counts.append(len(words))
         if (len(counts) >= 3 and counts[-1] > 0
                 and counts[-1] == counts[-2] == counts[-3]):
             return counts[-1], lvl, True
@@ -343,6 +326,8 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     """
     if k > L:
         raise ValueError("k <= L required")
+    if delta < 0:
+        raise ValueError("delta >= 0")
     deep = L + delta
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]

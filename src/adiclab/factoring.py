@@ -579,6 +579,10 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     flags, else phase 2's.  `max_bytes` caps phase 2's pair sets
     (ResourceCap).
     """
+    if L < 1:
+        raise ValueError("L >= 1")
+    if j < 1:
+        raise ValueError("j >= 1")
     if 2 * j + 1 > ALT_CAP:
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")

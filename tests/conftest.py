@@ -861,6 +861,22 @@ def factorization_scheme_counts_reference(xi, k, n):
     return counts
 
 
+class AnyParents:
+    """Not an ordering: each vertex concatenates the blocks of two vertices
+    of the level below drawn at random.  Such blocks split in many ways,
+    which no ordering's blocks do.  It has `parents` and nothing else, so
+    code that reads order any other way fails on it."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def parents(self, x, y):
+        rng = random.Random(f"{self.seed}/{x}/{y}")
+        lvl = x + y - 1
+        return tuple((i, lvl - i)
+                     for i in (rng.randint(0, lvl), rng.randint(0, lvl)))
+
+
 def _tail(s, m):
     return s[-m:] if m else ""
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adiclab.bratteli import (OrderedDiagram, is_uniformly_ordered,
+                              odometer_certificate)
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             block_store, block_word_k,
                             enumerate_blocks, faithfulness_probe,
@@ -11,10 +13,11 @@ from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             stabilized_complexity, symbol_census)
 from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
 from adiclab.errors import InputError, ResourceCap
-from adiclab.factoring import small_subshift_orderings
+from adiclab.factoring import alternation_exclusion, small_subshift_orderings
 
-from conftest import (WORKED_BLOCK, column_coding, faithfulness_reference,
-                      language_words_reference, letters_from_k1, orderings,
+from conftest import (WORKED_BLOCK, AnyParents, column_coding,
+                      faithfulness_reference, language_words_reference,
+                      letters_from_k1, orderings,
                       project_symbol_to_letter, seeds,
                       stabilized_complexity_reference, successor_sweep)
 
@@ -212,6 +215,14 @@ def test_language_words_match_brute_force_property(xi, n, L):
     assert language_words(xi, n, L) == brute_language(xi, n, L)
 
 
+def test_language_words_read_order_only_through_parents():
+    for seed in range(30):
+        xi = AnyParents(seed)
+        for n in (1, 2, 4, 7):
+            for L in (1, 3, 6, 9):
+                assert language_words(xi, n, L) == brute_language(xi, n, L)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(xi=orderings(), n=st.integers(1, 24), L=st.integers(1, 30))
@@ -251,6 +262,38 @@ def test_complexity_not_stabilized_when_capped():
     assert not stab
     # three flat levels of no 12-window at all are no plateau
     assert stabilized_complexity(xi0, 12, 3) == (0, 3, False)
+
+
+_EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
+                                ((0, 1, 1), (0, 1, 1, 0))))
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    pytest.param(is_uniformly_ordered, (_EDGE_DIAGRAM, 0), "n",
+                 id="uniform-0"),
+    pytest.param(is_uniformly_ordered, (_EDGE_DIAGRAM, -1), "n",
+                 id="uniform--1"),
+    pytest.param(is_uniformly_ordered, (_EDGE_DIAGRAM, 4), "n",
+                 id="uniform-4"),
+    pytest.param(odometer_certificate, (_EDGE_DIAGRAM, 0), "search_depth",
+                 id="odometer-0"),
+    pytest.param(odometer_certificate, (_EDGE_DIAGRAM, -1), "search_depth",
+                 id="odometer--1"),
+    pytest.param(alternation_exclusion, (0, 9), "L", id="alternation-L0"),
+    pytest.param(alternation_exclusion, (5, 0), "j", id="alternation-j0"),
+    pytest.param(alternation_exclusion, (5, -1), "j", id="alternation-j-1"),
+    pytest.param(faithfulness_probe, (seeded_ordering(3), 4, 2, -3), "delta",
+                 id="faithfulness-delta-3"),
+    pytest.param(language_words, (seeded_ordering(3), 1, 0), "L",
+                 id="language-L0"),
+    pytest.param(stabilized_complexity, (seeded_ordering(3), 3, 0),
+                 "max_level", id="stabilized-level0"),
+])
+def test_argument_outside_domain_is_a_value_error(fn, args, name):
+    # at these edges a level counted from the end, a search that never
+    # ran or columns compared below level L passed for an answer
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        fn(*args)
 
 
 def test_faithfulness_probe_small():

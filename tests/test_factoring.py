@@ -21,7 +21,7 @@ from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                run_context_report, small_subshift_orderings,
                                unique_factorization_check)
 
-from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS,
+from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
                       combine_packed_reference, decode_reference,
                       factorization_scheme_counts_reference, orderings,
                       periodic_reference, phase1_exact_reference,
@@ -234,27 +234,12 @@ def test_unique_factorization_matches_reference_property(xi, k, data):
         all(c == 1 for c in counts.values())
 
 
-class _AnyParents:
-    """Not an ordering: each vertex concatenates the blocks of two vertices
-    of the level below drawn at random.  Such blocks split in many ways,
-    which no ordering's blocks do."""
-
-    def __init__(self, seed):
-        self.seed = seed
-
-    def parents(self, x, y):
-        rng = random.Random(f"{self.seed}/{x}/{y}")
-        lvl = x + y - 1
-        return tuple((i, lvl - i)
-                     for i in (rng.randint(0, lvl), rng.randint(0, lvl)))
-
-
 def test_unique_factorization_on_many_splits():
     # a True verdict means every scheme count is 1 even where blocks split
     # in many ways, and such blocks make the check say False
     verdicts = set()
     for seed in range(200):
-        xi = _AnyParents(seed)
+        xi = AnyParents(seed)
         for k in (1, 2, 3):
             block = basic_block if k == 1 else \
                 lambda xi, x, y: block_word_k(xi, k, x, y)
