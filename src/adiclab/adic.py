@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, _pivot,
-                   binomial, column_size, rank, rank_steps, unrank)
+                   binomial, column_size, rank, unrank)
 from .errors import ColumnEnd, ResourceCap
 
 
@@ -29,11 +29,6 @@ def predecessor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     if not _pivot(xi, steps, 0):
         raise ColumnEnd(f"minimal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
-
-
-def _head_symbol(xi: OrderingTable, head: tuple, k: int) -> CylSymbol:
-    # the head's b steps are the m of its terminal (k - m, m)
-    return CylSymbol(k, sum(head), rank_steps(xi, head) + 1)
 
 
 def _check_k(p: PathPrefix, k: int) -> None:
@@ -65,7 +60,9 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
         head = tuple(steps[:k])
         sym = symbols.get(head)
         if sym is None:
-            sym = symbols[head] = _head_symbol(xi, head, k)
+            # the head's b steps are the m of its terminal (k - m, m)
+            sym = symbols[head] = CylSymbol(
+                k, sum(head), rank(xi, PathPrefix(head)) + 1)
         out.append(sym)
     return tuple(out)
 
@@ -115,6 +112,8 @@ def kink_classify(xi: OrderingTable, p: PathPrefix) -> KinkCase:
 
 def kink_return_time(case: KinkCase, n: int, j: int) -> int:
     """Return time r_n for a kink at (i, j) with n = i + j."""
+    if not 1 <= j < n:
+        raise ValueError(f"1 <= j < n, not j = {j} at n = {n}")
     key = (case.a1, case.a2, case.a3)
     if key in (("max", "min", "LR"), ("max", "min", "RL")):
         return binomial(n, j)

@@ -355,6 +355,8 @@ def pascal_as_diagram(xi: OrderingTable, L: int) -> OrderedDiagram:
     Vertex (x, y) at level n gets id y; interior coding words list the
     parents in `OrderingTable.parents` order.
     """
+    if L < 1:
+        raise ValueError("L >= 1")
     levels = []
     for n in range(1, L + 1):
         words = []

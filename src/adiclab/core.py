@@ -12,8 +12,8 @@ import hashlib
 import json
 import math
 import struct
-import threading
 from dataclasses import dataclass
+from functools import cache
 from numbers import Real
 from typing import NamedTuple
 
@@ -103,37 +103,22 @@ def ordered_parents(x: int, y: int, bit) -> tuple:
     return (x - 1, y), (x, y - 1)
 
 
-def _memoized(fn):
-    """`fn` behind a memo; the memo is only ever extended under a lock."""
-    memo = {}
-    lock = threading.Lock()
-
-    def lookup(x, y):
-        key = (x, y)
-        got = memo.get(key)
-        if got is None:
-            got = fn(x, y)
-            with lock:
-                memo[key] = got
-        return got
-
-    return lookup
-
-
 class OrderingTable:
     """Map from interior vertices to order bits.
 
-    `_lookup(x, y)` gives the bit at an interior vertex, memoized where a
-    bit costs more than a dict probe; the path walks below (rank, unrank,
-    extreme paths, minimal continuations and the successor pivot) read it
-    directly, and `parents` serves the block recurrence, the language scan
-    and the test oracles.  `spec` is the JSON document of the ordering
-    (None when it has no JSON form) and `fingerprint` its canonical
-    identity string.  The constructors below build the supported kinds:
-    constant, seeded (counter-based hash of (seed, x, y)), explicit
-    (finite map with a level bound), tree (binary-tree embedding), and
-    rule (arbitrary total function, used for the named paper orderings).
-    Instances are immutable.
+    `_lookup(x, y)` gives the bit at an interior vertex.  Seeded and rule
+    orderings memoize it with `functools.cache`, so its `cache_info()`
+    counts their hits and misses; constant, explicit and tree bits cost
+    less than a memo probe and are not memoized.  The path walks (rank,
+    unrank, extreme paths, minimal continuations and the successor pivot)
+    read it directly, and `parents` serves the block recurrence, the
+    language scan and the test oracles.  `spec` is the JSON document of
+    the ordering (None when it has no JSON form) and `fingerprint` its
+    canonical identity string.  The constructors below build the
+    supported kinds: constant, seeded (counter-based hash of
+    (seed, x, y)), explicit (finite map with a level bound), tree
+    (binary-tree embedding), and rule (arbitrary total function, used for
+    the named paper orderings).  Instances are immutable.
     """
 
     def __init__(self, lookup, spec, fingerprint):
@@ -213,7 +198,7 @@ def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
         h.update(pack(x, y))
         return 0 if from_bytes(h.digest(), "little") < threshold else 1
 
-    return OrderingTable(_memoized(bit),
+    return OrderingTable(cache(bit),
                          {"kind": "seeded", "seed": seed, "bias": bias},
                          f"seeded:{seed}:{bias!r}")
 
@@ -244,7 +229,7 @@ def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
 
 
 def rule_ordering(rule, name: str) -> OrderingTable:
-    return OrderingTable(_memoized(rule), None, f"rule:{name}")
+    return OrderingTable(cache(rule), None, f"rule:{name}")
 
 
 #: Largest tree depth that `tree_embedding_ordering` accepts.
@@ -396,16 +381,11 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
 
 def rank(xi: OrderingTable, p: PathPrefix) -> int:
     """Position of p among all root paths to its terminal, in the xi order."""
-    return rank_steps(xi, p.steps)
-
-
-def rank_steps(xi: OrderingTable, steps) -> int:
-    """`rank` of the path with the given steps."""
     bit = xi._lookup
     comb = math.comb
     r = 0
     x = y = 0
-    for s in steps:
+    for s in p.steps:
         if s == A_STEP:
             x += 1
         else:

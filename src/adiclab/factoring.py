@@ -583,6 +583,8 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
         raise ValueError("L >= 1")
     if j < 1:
         raise ValueError("j >= 1")
+    if exact_level < 1:
+        raise ValueError("exact_level >= 1")
     if 2 * j + 1 > ALT_CAP:
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adiclab.adic import KINK_CASES, kink_return_time
 from adiclab.bratteli import (OrderedDiagram, is_uniformly_ordered,
-                              odometer_certificate)
+                              odometer_certificate, pascal_as_diagram)
 from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             block_store, block_word_k,
                             enumerate_blocks, faithfulness_probe,
@@ -282,6 +283,16 @@ _EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
     pytest.param(alternation_exclusion, (0, 9), "L", id="alternation-L0"),
     pytest.param(alternation_exclusion, (5, 0), "j", id="alternation-j0"),
     pytest.param(alternation_exclusion, (5, -1), "j", id="alternation-j-1"),
+    pytest.param(alternation_exclusion, (5, 9, 0), "exact_level",
+                 id="alternation-exact-level0"),
+    pytest.param(kink_return_time, (KINK_CASES[0], 0, 0), "j",
+                 id="kink-n0-j0"),
+    pytest.param(kink_return_time, (KINK_CASES[0], 4, 4), "j",
+                 id="kink-n4-j4"),
+    pytest.param(pascal_as_diagram, (seeded_ordering(3), 0), "L",
+                 id="pascal-diagram-L0"),
+    pytest.param(pascal_as_diagram, (seeded_ordering(3), -1), "L",
+                 id="pascal-diagram-L-1"),
     pytest.param(faithfulness_probe, (seeded_ordering(3), 4, 2, -3), "delta",
                  id="faithfulness-delta-3"),
     pytest.param(language_words, (seeded_ordering(3), 1, 0), "L",
@@ -291,7 +302,8 @@ _EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
 ])
 def test_argument_outside_domain_is_a_value_error(fn, args, name):
     # at these edges a level counted from the end, a search that never
-    # ran or columns compared below level L passed for an answer
+    # ran, columns compared below level L, a return time off the interior
+    # or a diagram of no levels passed for an answer
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         fn(*args)
 

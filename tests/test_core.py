@@ -1,5 +1,8 @@
 import json
+import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -72,6 +75,40 @@ def test_ordering_kinds_and_bits():
 def test_seeded_bit_matches_reference(seed, bias, x, y):
     assert seeded_ordering(seed, bias).bit(x, y) == \
         seeded_bit_reference(seed, x, y, bias)
+
+
+def test_seeded_memo_is_coherent_across_threads():
+    # four threads race through one fresh memo, each in its own order: every
+    # thread reads a fresh table's bits, and the memo ends with one entry per
+    # interior vertex to level 60 (a key computed twice in a race is stored
+    # once, so misses are not pinned)
+    keys = [(x, n - x) for n in range(2, 61) for x in range(1, n)]
+    fresh = seeded_ordering(2024)
+    expected = {key: fresh.bit(*key) for key in keys}
+    rng = random.Random(7)
+    orders = [keys, keys[::-1], rng.sample(keys, len(keys)),
+              rng.sample(keys, len(keys))]
+    xi = seeded_ordering(2024)
+    start = threading.Barrier(len(orders))
+    got = [None] * len(orders)
+
+    def read(i):
+        start.wait()
+        got[i] = {key: xi.bit(*key) for key in orders[i]}
+
+    threads = [threading.Thread(target=read, args=(i,))
+               for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * len(orders)
+    assert xi._lookup.cache_info().currsize == len(keys) == 1770
 
 
 def test_seeded_identity_is_the_float_bias():
