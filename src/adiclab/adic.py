@@ -181,7 +181,10 @@ def binom_mod(n: int, k: int, q: int) -> int:
     return r
 
 
-def weakmixing_row_check(q: int, s: int, bound: int = 2**20) -> bool:
+ROW_BOUND = 2**20  # the largest row length q^s a row check builds
+
+
+def weakmixing_row_check(q: int, s: int) -> bool:
     """Check the two mod-q facts behind the no-rational-eigenvalue argument.
 
     For n = q^s - 2 the row satisfies C(n, k) = (-1)^k (k+1) mod q for all
@@ -191,8 +194,8 @@ def weakmixing_row_check(q: int, s: int, bound: int = 2**20) -> bool:
     if s < 1:
         raise ValueError("s >= 1")
     big = q**s
-    if big > bound:
-        raise ResourceCap(f"q^s = {big} exceeds bound {bound}")
+    if big > ROW_BOUND:
+        raise ResourceCap(f"q^s = {big} exceeds bound {ROW_BOUND}")
     n = big - 2
     for k in range(n + 1):
         if binom_mod(n, k, q) != ((-1) ** k * (k + 1)) % q:

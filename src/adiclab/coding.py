@@ -331,17 +331,13 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     deep = L + delta
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
-    codings = {}  # the k-block of each column: one cylinder id per path
-    # each path's column coding, rank and steps left in the column, and
-    # its word, computed once before the pair loop
+    # each path's column coding (its column's k-block, memoized), rank
+    # and steps left, and its word, computed once before the pair loop
     placed = []
     for e in extended:
         v = e.terminal
-        column = codings.get(v)
-        if column is None:
-            column = block_word_k(xi, k, v.x, v.y)
-            assert len(column) == column_size(v)
-            codings[v] = column
+        column = block_word_k(xi, k, v.x, v.y)
+        assert len(column) == column_size(v)
         r = rank(xi, e)
         placed.append((column, r, len(column) - r))
     words = [p.word() for p in paths]

@@ -34,10 +34,6 @@ class Vertex(NamedTuple):
     y: int
 
     @property
-    def level(self):
-        return self.x + self.y
-
-    @property
     def interior(self):
         return self.x >= 1 and self.y >= 1
 
@@ -364,6 +360,8 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
     is minimal the b step is taken anyway.  The choice only has to be
     deterministic.
     """
+    if level < len(p.steps):
+        raise ValueError(f"level {level} is below the path length")
     bit = xi._lookup
     steps = list(p.steps)
     x, y = p.terminal

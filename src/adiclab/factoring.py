@@ -169,11 +169,6 @@ def _decode_with_tokens(w: str):
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y), tokens
 
 
-def _block(xi: OrderingTable, k: int, x: int, y: int):
-    """The block at (x, y) of the k-coding: letters when k = 1."""
-    return basic_block(xi, x, y) if k == 1 else block_word_k(xi, k, x, y)
-
-
 def _one_step_splits(word, below: dict):
     """Index tuples of the level-below blocks that `word` splits into in
     one step, in cut order: two blocks, or a one-letter block persisting
@@ -201,14 +196,15 @@ def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
       splits up to level n gives a level-n block whose count down to
       level l - 1 is at least 2.
     So one walk up the levels builds each level's blocks once and stops
-    at the first block with other than one split.
+    at the first block with other than one split.  For k = 1 the ids 0
+    and 1 of `block_word_k` spell a and b.
     """
     if not 1 <= k <= n:
         raise ValueError("1 <= k <= n")
-    words = [_block(xi, k, x, k - x) for x in range(k + 1)]
+    words = [block_word_k(xi, k, x, k - x) for x in range(k + 1)]
     for lvl in range(k + 1, n + 1):
         below = {word: x for x, word in enumerate(words)}
-        words = [_block(xi, k, x, lvl - x) for x in range(lvl + 1)]
+        words = [block_word_k(xi, k, x, lvl - x) for x in range(lvl + 1)]
         if any(len(_one_step_splits(word, below)) != 1 for word in words):
             return False
     return True
@@ -266,10 +262,6 @@ def alt_state(w: str, cap: int = ALT_CAP) -> AltState:
     s = _alternating_prefix_len(w[::-1])
     return AltState(p == len(w), w[0], min(p, cap), w[-1], min(s, cap),
                     min(maxab, cap), min(maxba, cap))
-
-
-def _flip(c: str) -> str:
-    return "b" if c == "a" else "a"
 
 
 def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
@@ -607,7 +599,6 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
 
 @dataclass
 class RunContextReport:
-    pattern: str
     run_length: int
     level: int
     contexts: Counter = field(default_factory=Counter)
@@ -668,27 +659,24 @@ def _scan_block_contexts(w: str, l: int, inner: str, runs_of_l,
         (report.clipped if clipped else report.contexts)[word] += 1
 
 
-def run_context_report(xi: OrderingTable, l: int, L: int,
-                       pattern: str = "bab-run") -> RunContextReport:
-    """Histogram of maximal contexts around runs b a^l b (or a b^l a).
+def run_context_report(xi: OrderingTable, l: int, L: int) -> RunContextReport:
+    """Histogram of maximal contexts around runs b a^l b.
 
     Scans every basic block up to level L.  An occurrence is grown to the
     right through non-increasing runs of length >= l-1 and through the
-    closing run of the opposite letter; occurrences whose growth hits a
-    block edge are tallied separately as clipped.  One regex scan of each
-    block finds its l-runs, and only the runs next to them are measured.
+    closing run of b's; occurrences whose growth hits a block edge are
+    tallied separately as clipped.  One regex scan of each block finds
+    its l-runs, and only the runs next to them are measured.
     """
     if l <= 6:
         raise ValueError("l > 6")
-    if pattern not in ("bab-run", "aba-run"):
-        raise ValueError("pattern is 'bab-run' or 'aba-run'")
-    inner = "a" if pattern == "bab-run" else "b"
-    outer = _flip(inner)
-    runs_of_l = re.compile(f"(?<={outer}){inner}{{{l}}}(?={outer})")
-    report = RunContextReport(pattern, l, L)
+    if L < 1:
+        raise ValueError("L >= 1")
+    runs_of_l = re.compile(f"(?<=b)a{{{l}}}(?=b)")
+    report = RunContextReport(l, L)
     for n in range(2, L + 1):
         for x in range(1, n):
-            _scan_block_contexts(basic_block(xi, x, n - x), l, inner,
+            _scan_block_contexts(basic_block(xi, x, n - x), l, "a",
                                  runs_of_l, report)
     return report
 
@@ -740,41 +728,32 @@ class PeriodicReport:
 
     @property
     def all_excluded(self):
+        """True iff every case has an absent window.  A vacuous case, whose
+        window is longer than every level-L block, counts as excluded."""
         return all(c.excluded for c in self.cases)
 
 
 def _present_prefix(blocks, s: str) -> int:
-    """Length of the longest prefix of s that occurs in some block."""
+    """Length of the longest prefix of s that occurs in some block; a
+    block that holds a prefix holds every shorter one."""
     have = 0
     for blk in blocks:
-        pos = blk.find(s[:have + 1])
-        while pos >= 0:
-            # blk[pos:] starts with s[:have + 1]: gallop the match on (a
-            # slice running past the block's end is short, so unequal)
+        while have < len(s) and s[:have + 1] in blk:
             have += 1
-            step = 1
-            while step:
-                if (have + step <= len(s) and blk[pos + have:pos + have + step]
-                        == s[have:have + step]):
-                    have += step
-                    step *= 2
-                else:
-                    step //= 2
-            if have == len(s):
-                return have
-            pos = blk.find(s[:have + 1], pos + 1)
     return have
 
 
-def periodic_exclusion(xi: OrderingTable, p: int, L: int,
-                       words=None) -> PeriodicReport:
+def periodic_exclusion(xi: OrderingTable, p: int, L: int) -> PeriodicReport:
     """Look for windows of w^infinity missing from the block language.
 
-    For each candidate period word w of length p (both letters required),
-    the window length is 3M + 1 where M is the longest basic block at
-    level 4(p + 1).  A window absent from every block up to level L is
-    desk-scale evidence that w^infinity does not embed; when every offset
-    of the window occurs the case is reported INCONCLUSIVE (None).
+    For each word w of length p with both letters (all 2^p - 2 of them;
+    for p = 4 that keeps abab and baba, which are (ab)^2 and already
+    covered by p = 2), the window length is 3M + 1 where M is the longest
+    basic block at level 4(p + 1).  A window absent from every block up
+    to level L is desk-scale evidence that w^infinity does not embed;
+    when every offset of the window occurs the case is reported
+    INCONCLUSIVE (None).  A case is vacuous when its window is longer
+    than every level-L block.
 
     Each block is a parent, hence a factor, of a block one level up, so
     only the level-L blocks are searched.  The minimal
@@ -783,15 +762,12 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int,
     """
     if p < 2:
         raise ValueError("period must be at least 2")
+    if L < 1:
+        raise ValueError("L >= 1")
     r = p + 1
     window_len = 3 * binomial(4 * r, 2 * r) + 1
-    if words is None:
-        words = ["".join(c) for c in itertools.product("ab", repeat=p)]
-        words = [w for w in words if "a" in w and "b" in w]
-    else:
-        for w in words:
-            if "a" not in w or "b" not in w:
-                raise ValueError(f"{w!r} does not use both letters")
+    words = ["".join(c) for c in itertools.product("ab", repeat=p)]
+    words = [w for w in words if "a" in w and "b" in w]
     blocks = [basic_block(xi, x, L - x) for x in range(L + 1)]
     longest = max(map(len, blocks))
     report = PeriodicReport(p, L, window_len)

@@ -446,6 +446,8 @@ def predecessor_reference(xi, p):
 
 
 def minimal_continuation_reference(xi, p, level):
+    if level < len(p.steps):
+        raise ValueError(f"level {level} is below the path length")
     steps = list(p.steps)
     x, y = p.terminal
     while x + y < level:
@@ -710,19 +712,14 @@ def reachable_alt_states(L):
 # that re-tokenizes every segment, and the run-context scan that walks a
 # list of every run of the block.
 
-def periodic_reference(xi, p, L, words=None):
+def periodic_reference(xi, p, L):
     """`periodic_exclusion` by scanning the whole corpus for each window."""
     if p < 2:
         raise ValueError("period must be at least 2")
     r = p + 1
     window_len = 3 * binomial(4 * r, 2 * r) + 1
-    if words is None:
-        words = ["".join(c) for c in itertools.product("ab", repeat=p)]
-        words = [w for w in words if "a" in w and "b" in w]
-    else:
-        for w in words:
-            if "a" not in w or "b" not in w:
-                raise ValueError(f"{w!r} does not use both letters")
+    words = ["".join(c) for c in itertools.product("ab", repeat=p)]
+    words = [w for w in words if "a" in w and "b" in w]
     corpus = []
     for n in range(1, L + 1):
         for x in range(n + 1):
@@ -1006,13 +1003,12 @@ def scan_block_contexts_reference(w, l, inner, report):
         t = end_t + 1
 
 
-def run_context_report_reference(xi, l, L, pattern="bab-run"):
+def run_context_report_reference(xi, l, L):
     """`run_context_report` over the run list of every block."""
-    inner = "a" if pattern == "bab-run" else "b"
-    report = RunContextReport(pattern, l, L)
+    report = RunContextReport(l, L)
     for n in range(2, L + 1):
         for x in range(1, n):
-            scan_block_contexts_reference(basic_block(xi, x, n - x), l, inner,
+            scan_block_contexts_reference(basic_block(xi, x, n - x), l, "a",
                                           report)
     return report
 

@@ -217,11 +217,11 @@ def test_criterion_12_small_subshift():
     assert all(orbit.fullmatch(w) for w in common)
 
     for l in range(7, 11):
-        rep = run_context_report(xi, l, 16, "bab-run")
+        rep = run_context_report(xi, l, 16)
         long = "b" + "a" * l + "b" + "a" * l + "b" + "a" * (l - 1) + "b"
         short = "b" + "a" * l + "b" + "a" * (l - 1) + "b"
         assert set(rep.contexts) == {long, short}
-        rep_p = run_context_report(xi_prime, l, 16, "bab-run")
+        rep_p = run_context_report(xi_prime, l, 16)
         a = "a" * l
         forms = re.compile(f"b{a}b|b{a}b{a}b{{2,}}a")
         assert rep_p.contexts and all(forms.fullmatch(w) for w in rep_p.contexts)

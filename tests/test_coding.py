@@ -12,9 +12,11 @@ from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
                             enumerate_blocks, faithfulness_probe,
                             iter_restricted_blocks, language_words,
                             stabilized_complexity, symbol_census)
-from adiclab.core import Vertex, binomial, constant_ordering, seeded_ordering
+from adiclab.core import (PathPrefix, Vertex, binomial, constant_ordering,
+                          minimal_continuation, seeded_ordering)
 from adiclab.errors import InputError, ResourceCap
-from adiclab.factoring import alternation_exclusion, small_subshift_orderings
+from adiclab.factoring import (alternation_exclusion, periodic_exclusion,
+                               run_context_report, small_subshift_orderings)
 
 from conftest import (WORKED_BLOCK, AnyParents, column_coding,
                       faithfulness_reference, language_words_reference,
@@ -295,6 +297,18 @@ _EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
                  id="pascal-diagram-L-1"),
     pytest.param(faithfulness_probe, (seeded_ordering(3), 4, 2, -3), "delta",
                  id="faithfulness-delta-3"),
+    pytest.param(minimal_continuation,
+                 (seeded_ordering(3), PathPrefix.from_word("abab"), 2),
+                 "level", id="continuation-level2"),
+    pytest.param(minimal_continuation,
+                 (seeded_ordering(3), PathPrefix.from_word("abab"), -1),
+                 "level", id="continuation-level-1"),
+    pytest.param(run_context_report, (seeded_ordering(3), 7, 0), "L",
+                 id="run-context-L0"),
+    pytest.param(periodic_exclusion, (seeded_ordering(3), 2, 0), "L",
+                 id="periodic-L0"),
+    pytest.param(periodic_exclusion, (seeded_ordering(3), 2, -1), "L",
+                 id="periodic-L-1"),
     pytest.param(language_words, (seeded_ordering(3), 1, 0), "L",
                  id="language-L0"),
     pytest.param(stabilized_complexity, (seeded_ordering(3), 3, 0),
@@ -302,8 +316,9 @@ _EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
 ])
 def test_argument_outside_domain_is_a_value_error(fn, args, name):
     # at these edges a level counted from the end, a search that never
-    # ran, columns compared below level L, a return time off the interior
-    # or a diagram of no levels passed for an answer
+    # ran, columns compared below level L, a return time off the interior,
+    # a diagram of no levels or a continuation below the path's own level
+    # passed for an answer
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         fn(*args)
 

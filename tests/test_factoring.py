@@ -516,7 +516,7 @@ def test_phase2_contains_exact_states():
 def test_run_context_report_xi():
     xi, _ = small_subshift_orderings()
     for l in (7, 8, 9, 10):
-        rep = run_context_report(xi, l, 16, "bab-run")
+        rep = run_context_report(xi, l, 16)
         long = "b" + "a" * l + "b" + "a" * l + "b" + "a" * (l - 1) + "b"
         short = "b" + "a" * l + "b" + "a" * (l - 1) + "b"
         assert set(rep.contexts) == {long, short}
@@ -525,7 +525,7 @@ def test_run_context_report_xi():
 def test_run_context_report_xi_prime_forms():
     _, xi_prime = small_subshift_orderings()
     for l in (7, 8):
-        rep = run_context_report(xi_prime, l, 16, "bab-run")
+        rep = run_context_report(xi_prime, l, 16)
         a = "a" * l
         form = re.compile(f"b{a}b|b{a}b{a}b{{2,}}a")
         assert all(form.fullmatch(w) for w in rep.contexts)
@@ -549,7 +549,7 @@ def long_run_words(draw):
 def test_scan_block_contexts_matches_reference(case):
     word, l, inner = case
     outer = "b" if inner == "a" else "a"
-    got, want = RunContextReport("", l, 0), RunContextReport("", l, 0)
+    got, want = RunContextReport(l, 0), RunContextReport(l, 0)
     _scan_block_contexts(word, l, inner,
                          re.compile(f"(?<={outer}){inner}{{{l}}}(?={outer})"),
                          got)
@@ -559,18 +559,17 @@ def test_scan_block_contexts_matches_reference(case):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.sampled_from([0.5, 0.1, 0.9]),
-       st.integers(7, 12), st.integers(8, 14),
-       st.sampled_from(["bab-run", "aba-run"]))
-def test_run_context_report_matches_reference(seed, bias, l, L, pattern):
+       st.integers(7, 12), st.integers(8, 14))
+def test_run_context_report_matches_reference(seed, bias, l, L):
     xi = seeded_ordering(seed, bias)
-    got = run_context_report(xi, l, L, pattern)
-    want = run_context_report_reference(xi, l, L, pattern)
+    got = run_context_report(xi, l, L)
+    want = run_context_report_reference(xi, l, L)
     assert (got.contexts, got.clipped) == (want.contexts, want.clipped)
 
 
 def test_run_context_generic_reporting():
-    rep = run_context_report(seeded_ordering(3), 7, 14, "aba-run")
-    assert rep.pattern == "aba-run"
+    rep = run_context_report(seeded_ordering(3), 7, 14)
+    assert (rep.run_length, rep.level) == (7, 14)
     with pytest.raises(ValueError):
         run_context_report(seeded_ordering(3), 5, 10)
 
@@ -588,17 +587,14 @@ def test_periodic_exclusion():
     rep = periodic_exclusion(xi, 2, 18)
     assert rep.all_excluded and len(rep.cases) == 2
     assert rep.window_length == 3 * binomial(12, 6) + 1
-    with pytest.raises(ValueError, match="^'aaaa' does not use both letters$"):
-        periodic_exclusion(xi, 4, 10, words=["aaaa"])
     with pytest.raises(ValueError, match="^period must be at least 2$"):
         periodic_exclusion(xi, 1, 10)
 
 
 def test_periodic_exclusion_constant0_aabb():
-    rep = periodic_exclusion(explicit_ordering({}, max_level=20), 4, 18,
-                             words=["aabb"])
+    rep = periodic_exclusion(explicit_ordering({}, max_level=20), 4, 18)
     assert rep.all_excluded
-    case = rep.cases[0]
+    case, = (c for c in rep.cases if c.period_word == "aabb")
     assert case.absent_window is not None
     assert case.minimal_absent_length <= case.window_length
 
@@ -620,22 +616,27 @@ def test_periodic_exclusion_matches_reference():
             assert periodic_exclusion(xi, p, 18) == \
                 periodic_reference(xi, p, 18)
     constant0 = explicit_ordering({}, max_level=20)
-    for xi, p, words in ((constant0, 4, ["aabb"]),
-                         (constant0, 2, ["ab", "ba", "abb"]),
-                         (seeded_ordering(3), 3, ["aab", "abab", "bbbba"])):
-        assert periodic_exclusion(xi, p, 18, words=words) == \
-            periodic_reference(xi, p, 18, words=words)
-
-
-_PERIOD_WORDS = st.one_of(
-    st.none(), st.lists(st.text("ab", min_size=2, max_size=6).filter(
-        lambda w: "a" in w and "b" in w), min_size=1, max_size=3))
+    for p in (2, 3, 4):
+        assert periodic_exclusion(constant0, p, 18) == \
+            periodic_reference(constant0, p, 18)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 8),
-       _PERIOD_WORDS)
-def test_periodic_exclusion_matches_reference_small(seed, p, L, words):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 8))
+def test_periodic_exclusion_matches_reference_small(seed, p, L):
     xi = seeded_ordering(seed)
-    assert periodic_exclusion(xi, p, L, words=words) == \
-        periodic_reference(xi, p, L, words=words)
+    assert periodic_exclusion(xi, p, L) == periodic_reference(xi, p, L)
+
+
+def test_periodic_vacuous_iff_window_outgrows_every_block():
+    # the longest level-L block is C(L, L // 2) letters long
+    flags = set()
+    for seed in (0, 5):
+        xi = seeded_ordering(seed)
+        for p in (2, 3, 4):
+            for L in (10, 14, 18):
+                longest = binomial(L, L // 2)
+                for case in periodic_exclusion(xi, p, L).cases:
+                    assert case.vacuous == (case.window_length > longest)
+                    flags.add(case.vacuous)
+    assert flags == {True, False}

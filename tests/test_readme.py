@@ -1,7 +1,10 @@
 import ast
+import json
 import pathlib
+import shlex
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def test_readme_library_tour_runs():
@@ -17,3 +20,19 @@ def test_readme_library_tour_runs():
             exec(line, namespace)
         else:
             assert eval(code, namespace) == want, line
+
+
+def test_readme_cli_commands_are_golden():
+    """Each `adiclab` line of README's CLI block is a golden command, so
+    `test_cli_output_matches_golden` pins its stdout byte for byte; the
+    golden file's data files are read from `{tmp}`."""
+    golden = json.loads(GOLDEN.read_text())
+    argvs = [entry["argv"] for entry in golden["commands"]]
+    block = README.read_text().split("\n## CLI\n", 1)[1]
+    block = block.split("```\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("adiclab ")]
+    assert lines
+    for line in lines:
+        argv = [f"{{tmp}}/{arg}" if arg in golden["files"] else arg
+                for arg in shlex.split(line)[1:]]
+        assert argv in argvs, line
