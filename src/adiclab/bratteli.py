@@ -191,9 +191,6 @@ class Shape:
             out.extend([s] * row[t])
         return out
 
-    def in_degree(self, t: int):
-        return sum(row[t] for row in self.multiplicity)
-
     @classmethod
     def constant(cls, sources: int, targets: int, m: int = 1) -> "Shape":
         return cls(tuple((m,) * targets for _ in range(sources)))

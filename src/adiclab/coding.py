@@ -20,7 +20,8 @@ from .core import (OrderingTable, PathPrefix, Vertex, binomial,
                    column_size, explicit_ordering, minimal_continuation, rank)
 from .errors import InputError, ResourceCap
 
-DEFAULT_MEMORY_CAP = 2 << 30  # bytes of memoized block text
+DEFAULT_MEMORY_CAP = 2 << 30  # bytes of block text: the memo plus one request
+MEMO_BLOCK_BYTES = 1 << 16  # longest block the memo keeps; longer ones are joined
 BIT_BUDGET = 20  # free bits a restricted-block enumeration may vary
 
 
@@ -59,9 +60,12 @@ class BlockStore:
     vertices above level k repeat the words at (k, 0) and (0, k).
     `LETTERS` is the base of the letter blocks; `CYLINDER_IDS[k]` is the
     base of the k-coding.
-    Blocks over every base share one memo, and each insert is checked
-    against `max_bytes`.  Construction runs from an explicit stack, one
-    thread at a time.
+    Blocks over every base share one memo of the blocks of at most
+    `MEMO_BLOCK_BYTES` symbols, and each insert is checked against
+    `max_bytes`.  A longer block is never stored: each request joins the
+    short blocks beneath it, found by one walk over `parents`, and is
+    refused when the memo plus its length would exceed `max_bytes`.
+    Construction runs from an explicit stack, one thread at a time.
     """
 
     def __init__(self, xi: OrderingTable, max_bytes: int = DEFAULT_MEMORY_CAP):
@@ -88,8 +92,25 @@ class BlockStore:
         memo = self._memos.get(base)
         if memo is not None and (x, y) in memo:
             return memo[(x, y)]
+        if binomial(x + y, x) > MEMO_BLOCK_BYTES:
+            return self._join(x, y, base)
         with self._build_lock:
             return self._build(x, y, base)
+
+    def _join(self, x, y, base):
+        """The long block at (x, y), joined from the memoized short blocks
+        beneath it, left part first."""
+        pieces = []
+        stack = [(x, y)]
+        while stack:
+            u, v = stack.pop()
+            if binomial(u + v, u) > MEMO_BLOCK_BYTES:
+                stack.extend(reversed(self.xi.parents(u, v)))
+            else:
+                pieces.append(self.block(u, v, base))
+        if self.bytes_used + binomial(x + y, x) > self.max_bytes:
+            raise ResourceCap(f"block memo would exceed {self.max_bytes} bytes")
+        return base[0][:0].join(pieces)
 
     def _build(self, x, y, base):
         memo = self._memos.setdefault(base, {})
@@ -331,7 +352,7 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     deep = L + delta
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
-    # each path's column coding (its column's k-block, memoized), rank
+    # each path's column coding (its column's k-block from the store), rank
     # and steps left, and its word, computed once before the pair loop
     placed = []
     for e in extended:

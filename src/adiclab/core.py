@@ -33,10 +33,6 @@ class Vertex(NamedTuple):
     x: int
     y: int
 
-    @property
-    def interior(self):
-        return self.x >= 1 and self.y >= 1
-
 
 #: C(n, k) as an exact integer; 0 when k > n, ValueError when n or k < 0.
 binomial = math.comb

@@ -25,11 +25,6 @@ class CDToken(NamedTuple):
     kind: str
     index: int
 
-    def expand(self) -> str:
-        if self.kind == "C":
-            return "a" * self.index + "b"
-        return "a" + "b" * self.index
-
     def __repr__(self):
         return f"{self.kind}{self.index}"
 

@@ -226,6 +226,11 @@ def faithfulness_reference(xi, L, k, delta):
 # Reference path arithmetic: the order queries written out per edge from
 # `xi.bit`, each boundary case stated where it is met.
 
+def interior(v):
+    """True iff vertex v has two incoming edges."""
+    return v.x >= 1 and v.y >= 1
+
+
 def _step_is_minimal(xi, step, target):
     b = xi.bit(target.x, target.y)
     if b == BOTH_EXTREMAL:
@@ -264,7 +269,7 @@ def rank_reference(xi, p):
     x = y = 0
     for s in p.steps:
         tgt = Vertex(x + 1, y) if s == A_STEP else Vertex(x, y + 1)
-        if tgt.interior and _step_is_maximal(xi, s, tgt):
+        if interior(tgt) and _step_is_maximal(xi, s, tgt):
             m = _extreme_parent(xi, tgt, 0)
             r += binomial(m.x + m.y, m.x)
         x, y = tgt
@@ -291,7 +296,7 @@ def unrank_reference(xi, v, r):
     v = Vertex(*v)
     rev = []
     while v != (0, 0):
-        if not v.interior:
+        if not interior(v):
             u = _extreme_parent(xi, v, 0)
         else:
             mn = _extreme_parent(xi, v, 0)
@@ -378,7 +383,7 @@ def tree_embedding_ordering_reference(depth):
 
     def add_edge(src: Vertex, step: int):
         tgt = Vertex(src.x + 1, src.y) if step == A_STEP else Vertex(src.x, src.y + 1)
-        if tgt.interior:
+        if interior(tgt):
             want = 1 if step == A_STEP else 0
             if bits.setdefault((tgt.x, tgt.y), want) != want:
                 raise AssertionError(f"tree branches collide at {tuple(tgt)}")
@@ -754,6 +759,13 @@ def periodic_reference(xi, p, L):
     return report
 
 
+def expand(token):
+    """The text of a C/D token: C_i = a^i b, D_j = a b^j."""
+    if token.kind == "C":
+        return "a" * token.index + "b"
+    return "a" + "b" * token.index
+
+
 def _decode_segment_reference(w, lo, hi, u, v, bits):
     if hi - lo != binomial(u + v, u):
         raise ParseError(
@@ -1065,10 +1077,15 @@ def uniform_hits_reference(shapes, seed, lo, hi):
     return hits
 
 
+def in_degree(shape, t):
+    """Number of edges into target t of a `Shape`."""
+    return sum(row[t] for row in shape.multiplicity)
+
+
 def exact_uniform_probability_reference(shape):
     """The uniform-level probability by enumerating all prod_t deg_t! edge
     orders: the share whose target words are powers of one word."""
-    degrees = [shape.in_degree(t) for t in range(shape.target_count)]
+    degrees = [in_degree(shape, t) for t in range(shape.target_count)]
     per_target = [list(itertools.permutations(range(d))) for d in degrees]
     edge_lists = [shape.in_edges(t) for t in range(shape.target_count)]
     good = 0

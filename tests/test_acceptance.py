@@ -230,5 +230,13 @@ def test_criterion_12_small_subshift():
         for seed in range(10):
             repp = periodic_exclusion(seeded_ordering(seed), p, 18)
             assert repp.all_excluded
+    # at level 18 every period-4 window outgrows the blocks (vacuous); at
+    # level 22 the longest block, C(22, 11) letters, holds it, so each
+    # exclusion rests on an absent window
+    for seed in range(10):
+        repp = periodic_exclusion(seeded_ordering(seed), 4, 22)
+        assert repp.all_excluded
+        assert not any(c.vacuous for c in repp.cases)
     report(12, "intersection only orbit subwords; contexts match the proof; "
-               "periods 2-4 excluded for 10 orderings")
+               "periods 2-4 excluded for 10 orderings, period 4 at level "
+               "22 with no case vacuous")

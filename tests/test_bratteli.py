@@ -14,7 +14,8 @@ from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
 
 from conftest import (draw_index, exact_uniform_probability_reference,
-                      keyed_order_reference, uniform_hits_reference)
+                      in_degree, keyed_order_reference,
+                      uniform_hits_reference)
 
 
 def uniform_level_diagram():
@@ -212,7 +213,7 @@ def test_diagram_validation():
 
 def test_shape_and_random_ordering():
     shape = Shape.constant(2, 3, 1)
-    assert shape.in_degree(0) == 2
+    assert in_degree(shape, 0) == 2
     assert shape.in_edges(1) == [0, 1]
     with pytest.raises(ValueError):
         Shape(((0, 0), (1, 1)))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from adiclab.adic import KINK_CASES, kink_return_time
 from adiclab.bratteli import (OrderedDiagram, is_uniformly_ordered,
                               odometer_certificate, pascal_as_diagram)
-from adiclab.coding import (BlockStore, CylSymbol, basic_block, basic_block_k,
+from adiclab.coding import (CYLINDER_IDS, LETTERS, MEMO_BLOCK_BYTES,
+                            BlockStore, CylSymbol, basic_block, basic_block_k,
                             block_store, block_word_k,
                             enumerate_blocks, faithfulness_probe,
                             iter_restricted_blocks, language_words,
@@ -110,7 +111,9 @@ def test_block_memory_cap():
     store = block_store(xi, 2_000_000)
     block_word_k(xi, 3, 10, 10)
     used = store.bytes_used
-    assert 8 * binomial(20, 10) < 2_000_000 < used + 8 * binomial(20, 10)
+    cap = used + 8 * binomial(20, 10) - 1
+    assert 8 * binomial(20, 10) < cap < used + 8 * binomial(20, 10)
+    block_store(xi, cap)
     with pytest.raises(ResourceCap, match="symbols at 8 bytes each"):
         basic_block_k(xi, 3, 10, 10)
     block_store(xi, 3_000_000)
@@ -121,6 +124,50 @@ def test_block_memory_cap():
     assert block_store(xi, 0).max_bytes == 0
     with pytest.raises(ResourceCap, match="block memo would exceed"):
         basic_block(xi, 2, 2)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(xi=orderings(), k=st.sampled_from([1, 2, 3]), data=st.data())
+def test_blocks_across_memo_threshold_concatenate_parents(xi, k, data):
+    # levels 17-21 hold blocks on both sides of MEMO_BLOCK_BYTES: the short
+    # ones come from the memo, the long ones are joined on each request
+    base = LETTERS if k == 1 else CYLINDER_IDS[k]
+    store = BlockStore(xi)
+    level = data.draw(st.integers(17, 21))
+    x = data.draw(st.integers(1, level - 1))
+    first, second = xi.parents(x, level - x)
+    assert store.block(x, level - x, base) == \
+        store.block(*first, base) + store.block(*second, base)
+
+
+def test_long_block_is_joined_not_stored():
+    store = BlockStore(seeded_ordering(5))
+    assert binomial(18, 9) <= MEMO_BLOCK_BYTES < binomial(19, 9)
+    word = store.block(10, 10)
+    used, keys = store.bytes_used, set(store._memos[LETTERS])
+    assert (10, 9) not in keys and (9, 9) in keys
+    assert store.block(10, 10) == word
+    assert (store.bytes_used, set(store._memos[LETTERS])) == (used, keys)
+    assert len(word) == binomial(20, 10)
+
+
+def test_long_block_over_cap_is_refused():
+    # the memo of its pieces plus the joined block must fit under the cap
+    store = BlockStore(seeded_ordering(5))
+    word = store.block(10, 10, CYLINDER_IDS[2])
+    used = store.bytes_used
+    store.max_bytes = used + len(word) - 1
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
+        store.block(10, 10, CYLINDER_IDS[2])
+    assert store.bytes_used == used
+    store.max_bytes = used + len(word)
+    assert store.block(10, 10, CYLINDER_IDS[2]) == word
+    # on a fresh store the pieces are stored before the check
+    store = BlockStore(seeded_ordering(5), max_bytes=used + len(word) - 1)
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
+        store.block(10, 10, CYLINDER_IDS[2])
+    assert store.bytes_used == used
 
 
 def test_basic_block_k_base_enumeration():

@@ -22,7 +22,7 @@ from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
-                      combine_packed_reference, decode_reference,
+                      combine_packed_reference, decode_reference, expand,
                       factorization_scheme_counts_reference, orderings,
                       periodic_reference, phase1_exact_reference,
                       phase1_reference, phase2_reachable_reference,
@@ -61,7 +61,7 @@ def test_decompose_refuses_other_letters_at_their_position(word, position):
 def test_decompose_expansion_roundtrip():
     for _, word in iter_restricted_blocks(4, 3):
         tokens = decompose_CD(word)
-        assert "".join(t.expand() for t in tokens) == word
+        assert "".join(map(expand, tokens)) == word
         assert all(t.index >= 2 for t in tokens)
 
 
