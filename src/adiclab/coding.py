@@ -64,7 +64,8 @@ class BlockStore:
     `MEMO_BLOCK_BYTES` symbols, and each insert is checked against
     `max_bytes`.  A longer block is never stored: each request joins the
     short blocks beneath it, found by one walk over `parents`, and is
-    refused when the memo plus its length would exceed `max_bytes`.
+    refused, before the walk and again after it, when the memo plus its
+    length would exceed `max_bytes`.
     Construction runs from an explicit stack, one thread at a time.
     """
 
@@ -99,16 +100,28 @@ class BlockStore:
 
     def _join(self, x, y, base):
         """The long block at (x, y), joined from the memoized short blocks
-        beneath it, left part first."""
+        beneath it, left part first.
+
+        The block must fit beside the memo before the walk and again after
+        its pieces are stored; the list of pieces, 8 bytes an entry, must
+        fit beside the block.
+        """
+        length = binomial(x + y, x)
+        if self.bytes_used + length > self.max_bytes:
+            raise ResourceCap(f"block memo would exceed {self.max_bytes} bytes")
+        room = (self.max_bytes - length) // 8
         pieces = []
         stack = [(x, y)]
         while stack:
             u, v = stack.pop()
             if binomial(u + v, u) > MEMO_BLOCK_BYTES:
                 stack.extend(reversed(self.xi.parents(u, v)))
-            else:
+            elif len(pieces) < room:
                 pieces.append(self.block(u, v, base))
-        if self.bytes_used + binomial(x + y, x) > self.max_bytes:
+            else:
+                raise ResourceCap(f"the pieces of a {length}-symbol block "
+                                  f"would exceed {self.max_bytes} bytes")
+        if self.bytes_used + length > self.max_bytes:
             raise ResourceCap(f"block memo would exceed {self.max_bytes} bytes")
         return base[0][:0].join(pieces)
 
@@ -167,13 +180,15 @@ def basic_block_k(xi: OrderingTable, k: int, x: int, y: int) -> tuple:
     """Basic block at (x, y) over the 2^k symbols of the k-coding.
 
     The tuple holds one pointer per symbol; it must fit in the block
-    store's budget beside the memo, but is not charged to it.
+    store's budget beside the memo, but is not charged to it.  A block
+    too long for the memo also counts its packed word, 1 byte a symbol.
     """
     word = block_word_k(xi, k, x, y)
     store = block_store(xi)
-    if store.bytes_used + 8 * len(word) > store.max_bytes:
-        raise ResourceCap(f"{len(word)} symbols at 8 bytes each would exceed "
-                          f"the {store.max_bytes}-byte block budget")
+    size = 8 if len(word) <= MEMO_BLOCK_BYTES else 9
+    if store.bytes_used + size * len(word) > store.max_bytes:
+        raise ResourceCap(f"{len(word)} symbols at {size} bytes each would "
+                          f"exceed the {store.max_bytes}-byte block budget")
     # the symbols in id order: by m, then s
     syms = [CylSymbol(k, m, s) for m in range(k + 1)
             for s in range(1, binomial(k, m) + 1)]
@@ -352,13 +367,17 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
     deep = L + delta
     paths = [PathPrefix(s) for s in itertools.product((0, 1), repeat=L)]
     extended = [minimal_continuation(xi, p, deep) for p in paths]
-    # each path's column coding (its column's k-block from the store), rank
-    # and steps left, and its word, computed once before the pair loop
+    # each path's column coding (its column's k-block, read once per column:
+    # a long one is joined afresh on every request), rank and steps left,
+    # and its word, computed once before the pair loop
+    columns = {}
     placed = []
     for e in extended:
         v = e.terminal
-        column = block_word_k(xi, k, v.x, v.y)
-        assert len(column) == column_size(v)
+        column = columns.get(v)
+        if column is None:
+            column = columns[v] = block_word_k(xi, k, v.x, v.y)
+            assert len(column) == column_size(v)
         r = rank(xi, e)
         placed.append((column, r, len(column) - r))
     words = [p.word() for p in paths]

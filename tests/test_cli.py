@@ -287,7 +287,8 @@ def test_alternation_witness_keys(capsys):
 
 def test_block_memory_cap_exit_code(capsys):
     for vertex in (["--x", "14", "--y", "14"],
-                   ["--x", "11", "--y", "11", "--k", "3"]):
+                   ["--x", "11", "--y", "11", "--k", "3"],
+                   ["--x", "30", "--y", "30"]):
         code, out = run(capsys, ["block", "--ordering", "seeded:6", *vertex,
                                  "--max-mem", "1"])
         assert code == 3

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adiclab import coding
 from adiclab.adic import KINK_CASES, kink_return_time
 from adiclab.bratteli import (OrderedDiagram, is_uniformly_ordered,
                               odometer_certificate, pascal_as_diagram)
@@ -106,17 +107,23 @@ def test_block_memory_cap():
     with pytest.raises(ResourceCap, match="block memo would exceed"):
         block_word_k(xi, 3, 6, 6)
     # the symbol tuple (8 bytes a symbol) must fit beside the memo, and
-    # is not charged to it
+    # is not charged to it; a block joined on request adds its packed word
     xi = seeded_ordering(6)
     store = block_store(xi, 2_000_000)
-    block_word_k(xi, 3, 10, 10)
+    block_word_k(xi, 3, 9, 9)
     used = store.bytes_used
-    cap = used + 8 * binomial(20, 10) - 1
-    assert 8 * binomial(20, 10) < cap < used + 8 * binomial(20, 10)
+    cap = used + 8 * binomial(18, 9) - 1
+    assert 8 * binomial(18, 9) < cap < used + 8 * binomial(18, 9)
     block_store(xi, cap)
     with pytest.raises(ResourceCap, match="symbols at 8 bytes each"):
+        basic_block_k(xi, 3, 9, 9)
+    block_store(xi, 2_000_000)
+    block_word_k(xi, 3, 10, 10)
+    used = store.bytes_used
+    block_store(xi, used + 9 * binomial(20, 10) - 1)
+    with pytest.raises(ResourceCap, match="symbols at 9 bytes each"):
         basic_block_k(xi, 3, 10, 10)
-    block_store(xi, 3_000_000)
+    block_store(xi, used + 9 * binomial(20, 10))
     assert len(basic_block_k(xi, 3, 10, 10)) == binomial(20, 10)
     assert store.bytes_used == used
     # a zero budget stays zero on a fresh store
@@ -168,6 +175,35 @@ def test_long_block_over_cap_is_refused():
     with pytest.raises(ResourceCap, match="block memo would exceed"):
         store.block(10, 10, CYLINDER_IDS[2])
     assert store.bytes_used == used
+
+
+def test_far_long_block_is_refused_before_its_walk():
+    # C(60, 30) symbols: the walk to its pieces would never end
+    store = BlockStore(seeded_ordering(6), max_bytes=1 << 20)
+    with pytest.raises(ResourceCap, match="block memo would exceed"):
+        store.block(30, 30)
+    assert store.bytes_used == 0 and not store._memos
+
+
+def test_long_block_pieces_must_fit_beside_it(monkeypatch):
+    # with no block memoized, every piece is one letter: 924 entries
+    monkeypatch.setattr(coding, "MEMO_BLOCK_BYTES", 1)
+    xi = seeded_ordering(6)
+    word = BlockStore(xi, max_bytes=9 * 924).block(6, 6)
+    assert word == block_store(xi).block(6, 6)
+    with pytest.raises(ResourceCap, match="pieces of a 924-symbol block"):
+        BlockStore(xi, max_bytes=9 * 924 - 1).block(6, 6)
+
+
+def test_faithfulness_probe_reads_each_long_column_once(monkeypatch):
+    # every level-4 path of seed 1 ends at (8, 12), a block joined on request
+    xi = seeded_ordering(1)
+    reads = []
+    monkeypatch.setattr(coding, "block_word_k",
+                        lambda *a: reads.append(a[2:]) or block_word_k(*a))
+    report = faithfulness_probe(xi, 4, 2, 16)
+    assert binomial(20, 8) > MEMO_BLOCK_BYTES and reads == [(8, 12)]
+    assert report == faithfulness_reference(xi, 4, 2, 16)
 
 
 def test_basic_block_k_base_enumeration():
