@@ -6,16 +6,19 @@ order, so telescoping is word substitution.  Level 0 always has the
 single root vertex.
 """
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, gcd, prod
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import OrderingTable
+from .core import OrderingTable, blake2b
 from .errors import InputError
+
+# fractions (and the decimal module it loads) is imported by the two
+# functions that make a Fraction, so commands without Monte Carlo skip it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _load_json(text: str):
@@ -213,7 +216,7 @@ def _multinomial(counts) -> int:
     return factorial(sum(counts)) // prod(map(factorial, counts))
 
 
-def exact_uniform_probability(shape: Shape) -> Fraction:
+def exact_uniform_probability(shape: Shape) -> "Fraction":
     """Probability that a uniform random order on the shape is uniformly
     ordered.
 
@@ -224,6 +227,8 @@ def exact_uniform_probability(shape: Shape) -> Fraction:
     outcomes are the multinomial(e) words u when every c_t = q_t * e, and
     there are none otherwise.
     """
+    from fractions import Fraction
+
     rows = shape.multiplicity
     e = [gcd(*row) for row in rows]
     for c in zip(*rows):
@@ -239,7 +244,7 @@ class MonteCarloLevel:
     shape: Shape
     trials: int
     uniform_hits: int
-    exact: Fraction
+    exact: "Fraction"
 
     @property
     def frequency(self):
@@ -254,6 +259,8 @@ class MonteCarloReport:
     @property
     def partial_sums(self):
         """Borel-Cantelli partial sums of the exact probabilities."""
+        from fractions import Fraction
+
         sums = []
         acc = Fraction(0)
         for lvl in self.levels:
@@ -283,7 +290,7 @@ def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
     whose word is not a power of the first word's primitive root (the test
     of `uniform_base`).
     """
-    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    from_bytes = int.from_bytes
     seed &= 2**64 - 1
     hits = []
     for lvl_idx, shape in enumerate(shapes):

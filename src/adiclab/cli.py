@@ -20,9 +20,10 @@ import sys
 
 from . import bratteli, coding, factoring
 from .adic import kink_classify, kink_verify
-from .coding import basic_block, block_store, stabilized_complexity, symbol_census
-from .core import (OrderingTable, Vertex, binomial, column_size, make_ordering,
-                   seeded_ordering, unrank)
+from .coding import (DEFAULT_MEMORY_CAP, basic_block, block_store,
+                     stabilized_complexity, symbol_census)
+from .core import (OrderingTable, Vertex, binomial, blake2b, column_size,
+                   make_ordering, seeded_ordering, unrank)
 from .errors import InputError, ParseError, ResourceCap
 
 
@@ -101,8 +102,13 @@ def max_bytes(args):
         return args.max_mem << 20
 
 
+#: Bytes of report text a k-coded symbol counts against the block cap: a
+#: symbol prints as at most "[8, 8, 70], " (k <= 8, s <= C(8, 4)).
+SYMBOL_TEXT_BYTES = len("[8, 8, 70], ")
+
+
 def cmd_block(args):
-    cap = max_bytes(args)
+    budget = max_bytes(args) or DEFAULT_MEMORY_CAP
     xi = args.ordering
     x, y = args.x, args.y
     require_at_least("--x", x, 0)
@@ -110,8 +116,18 @@ def cmd_block(args):
     require_at_least("--x + --y", x + y, 1)
     if args.k is not None and not 1 <= args.k <= 8:
         raise BadValue(f"--k must be between 1 and 8, got {args.k}")
-    block_store(xi, cap)
-    doc = {"vertex": [x, y], "length": binomial(x + y, x)}
+    length = binomial(x + y, x)
+    if args.k not in (None, 1):
+        # the report's text is reserved before the block is built; the
+        # memo and the symbol tuple share what is left
+        text = SYMBOL_TEXT_BYTES * length
+        if text > budget:
+            raise ResourceCap(f"a report of {length} symbols at "
+                              f"{SYMBOL_TEXT_BYTES} bytes each would exceed "
+                              f"{budget} bytes")
+        budget -= text
+    block_store(xi, budget)
+    doc = {"vertex": [x, y], "length": length}
     if args.k in (None, 1):
         word = basic_block(xi, x, y)
         ca, cb, vertex = symbol_census(word)
@@ -126,7 +142,8 @@ def cmd_block(args):
         ok = doc["census_matches"] and len(word) == doc["length"]
     else:
         syms = coding.basic_block_k(xi, args.k, x, y)
-        doc.update(k=args.k, block=[[s.k, s.m, s.s] for s in syms])
+        # a CylSymbol is a NamedTuple, which json writes as a list
+        doc.update(k=args.k, block=syms)
         ok = len(syms) == doc["length"]
     emit(doc)
     return 0 if ok else 1
@@ -217,12 +234,11 @@ def _run_parallel(worker, jobs):
 
 def sample_kink_configuration(seed: int, trial: int, max_n: int):
     """Deterministic (ordering, path) pair ending in a kink configuration."""
-    import hashlib
     import random
     import struct
 
-    key = hashlib.blake2b(struct.pack("<QQ", seed & (2**64 - 1), trial),
-                          digest_size=8).digest()
+    key = blake2b(struct.pack("<QQ", seed & (2**64 - 1), trial),
+                  digest_size=8).digest()
     rng = random.Random(int.from_bytes(key, "little"))
     xi = seeded_ordering(rng.getrandbits(63))
     n = rng.randint(2, max_n)

@@ -8,7 +8,6 @@ bit 0 means the edge arriving from (x, y-1) is the smaller.  Edges into
 boundary vertices are both maximal and minimal.
 """
 
-import hashlib
 import json
 import math
 import struct
@@ -18,6 +17,15 @@ from numbers import Real
 from typing import NamedTuple
 
 from .errors import InputError
+
+# Every keyed stream of the package hashes with this one blake2b.  On
+# CPython, hashlib's blake2b is the builtin one, but importing hashlib also
+# loads OpenSSL's libcrypto (about 3.6 MB of RSS), so go to the builtin
+# module first, as random.py does for its sha512.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 MIN = "min"
 MAX = "max"
@@ -179,7 +187,7 @@ def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
     threshold = int(bias * 2.0**64)
     # one blake2b state holds the packed seed; each bit feeds (x, y) to a
     # copy, which hashes the same 24 bytes as (seed, x, y) packed at once
-    keyed = hashlib.blake2b(struct.pack("<Q", seed), digest_size=8)
+    keyed = blake2b(struct.pack("<Q", seed), digest_size=8)
     pack = struct.Struct("<QQ").pack
     from_bytes = int.from_bytes
 

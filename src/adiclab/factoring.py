@@ -727,6 +727,14 @@ class PeriodicReport:
         window is longer than every level-L block, counts as excluded."""
         return all(c.excluded for c in self.cases)
 
+    @property
+    def scope(self):
+        """What the verdict rests on: the blocks up to level L, and how
+        many of the cases are vacuous."""
+        vacuous = sum(c.vacuous for c in self.cases)
+        return (f"blocks up to level {self.level}; {vacuous} of "
+                f"{len(self.cases)} cases vacuous")
+
 
 def _present_prefix(blocks, s: str) -> int:
     """Length of the longest prefix of s that occurs in some block; a

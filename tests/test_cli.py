@@ -286,11 +286,14 @@ def test_alternation_witness_keys(capsys):
 
 
 def test_block_memory_cap_exit_code(capsys):
-    for vertex in (["--x", "14", "--y", "14"],
-                   ["--x", "11", "--y", "11", "--k", "3"],
-                   ["--x", "30", "--y", "30"]):
+    # at (10, 10) the 184,756 symbols of the k = 3 report fit in 2 MiB only
+    # when their text is not counted
+    for vertex, mib in ((["--x", "14", "--y", "14"], "1"),
+                        (["--x", "11", "--y", "11", "--k", "3"], "1"),
+                        (["--x", "30", "--y", "30"], "1"),
+                        (["--x", "10", "--y", "10", "--k", "3"], "2")):
         code, out = run(capsys, ["block", "--ordering", "seeded:6", *vertex,
-                                 "--max-mem", "1"])
+                                 "--max-mem", mib])
         assert code == 3
         assert json.loads(out)["kind"] == "resource-cap"
 
@@ -465,6 +468,44 @@ def test_byte_identical_reruns():
                        check=True)
     assert a.stdout == b.stdout == c.stdout
     assert a.stdout
+
+
+# Runs each argv list of sys.argv[1] through main in one interpreter and
+# prints, after each, its exit code and every module loaded since the
+# import of adiclab.cli began.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from adiclab.cli import main
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        loaded.append((main(argv), sorted(set(sys.modules) - before)))
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_what_they_use(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, and fractions loads decimal: only
+    # montecarlo, whose exact values are Fractions, loads fractions
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text('{"shapes": [[[1, 1], [1, 1]]]}')
+    runs = [["decode", "--word", "ab"],
+            ["kink", "--trials", "5", "--seed", "1"],
+            ["block", "--ordering", "seeded:6", "--x", "5", "--y", "4"],
+            ["montecarlo", "--shapes", str(shapes), "--trials", "5",
+             "--seed", "1"]]
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert [code for code, _ in loaded] == [0, 0, 0, 0]
+    unused = {"hashlib", "_hashlib", "fractions", "decimal"}
+    assert not unused & set(loaded[2][1])
+    assert "fractions" in loaded[3][1]
+    assert "_hashlib" not in loaded[3][1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -636,7 +636,13 @@ def test_periodic_vacuous_iff_window_outgrows_every_block():
         for p in (2, 3, 4):
             for L in (10, 14, 18):
                 longest = binomial(L, L // 2)
-                for case in periodic_exclusion(xi, p, L).cases:
+                report = periodic_exclusion(xi, p, L)
+                for case in report.cases:
                     assert case.vacuous == (case.window_length > longest)
                     flags.add(case.vacuous)
+                # every case of a period shares one window length
+                cases = 2**p - 2
+                vacuous = cases if report.window_length > longest else 0
+                assert report.scope == (f"blocks up to level {L}; {vacuous} "
+                                        f"of {cases} cases vacuous")
     assert flags == {True, False}
