@@ -18,14 +18,12 @@ from typing import NamedTuple
 
 from .errors import InputError
 
-# Every keyed stream of the package hashes with this one blake2b.  On
-# CPython, hashlib's blake2b is the builtin one, but importing hashlib also
-# loads OpenSSL's libcrypto (about 3.6 MB of RSS), so go to the builtin
-# module first, as random.py does for its sha512.
-try:
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# Every keyed stream of the package hashes with this one blake2b.  It is
+# exactly the object hashlib.blake2b names (hashlib never takes blake2 from
+# OpenSSL, and has no blake2b without _blake2), so there is no fallback;
+# importing hashlib instead would also load OpenSSL's libcrypto, about
+# 3.6 MB of RSS.
+from _blake2 import blake2b
 
 MIN = "min"
 MAX = "max"

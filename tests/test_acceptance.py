@@ -226,10 +226,13 @@ def test_criterion_12_small_subshift():
         forms = re.compile(f"b{a}b|b{a}b{a}b{{2,}}a")
         assert rep_p.contexts and all(forms.fullmatch(w) for w in rep_p.contexts)
 
+    scopes = set()
     for p in (2, 3, 4):
         for seed in range(10):
             repp = periodic_exclusion(seeded_ordering(seed), p, 18)
             assert repp.all_excluded
+            if p == 4:
+                scopes.add(repp.scope)
     # at level 18 every period-4 window outgrows the blocks (vacuous); at
     # level 22 the longest block, C(22, 11) letters, holds it, so each
     # exclusion rests on an absent window
@@ -237,6 +240,10 @@ def test_criterion_12_small_subshift():
         repp = periodic_exclusion(seeded_ordering(seed), 4, 22)
         assert repp.all_excluded
         assert not any(c.vacuous for c in repp.cases)
+        scopes.add(repp.scope)
+    assert scopes == {"blocks up to level 18; 14 of 14 cases vacuous",
+                      "blocks up to level 22; 0 of 14 cases vacuous"}
     report(12, "intersection only orbit subwords; contexts match the proof; "
                "periods 2-4 excluded for 10 orderings, period 4 at level "
-               "22 with no case vacuous")
+               "22 with no case vacuous; period 4 scopes: "
+               + ", ".join(sorted(scopes)))

@@ -287,15 +287,18 @@ def test_alternation_witness_keys(capsys):
 
 def test_block_memory_cap_exit_code(capsys):
     # at (10, 10) the 184,756 symbols of the k = 3 report fit in 2 MiB only
-    # when their text is not counted
+    # when their text is not counted; at (11, 11) the 8,465,184 bytes of
+    # text fit in 9 MiB, and the block memo is what the rest cannot hold
     for vertex, mib in ((["--x", "14", "--y", "14"], "1"),
                         (["--x", "11", "--y", "11", "--k", "3"], "1"),
                         (["--x", "30", "--y", "30"], "1"),
-                        (["--x", "10", "--y", "10", "--k", "3"], "2")):
+                        (["--x", "10", "--y", "10", "--k", "3"], "2"),
+                        (["--x", "11", "--y", "11", "--k", "3"], "9")):
         code, out = run(capsys, ["block", "--ordering", "seeded:6", *vertex,
                                  "--max-mem", mib])
         assert code == 3
         assert json.loads(out)["kind"] == "resource-cap"
+    assert json.loads(out)["error"].startswith("block memo would exceed")
 
 
 BOUNDED_SPEC = '{"kind":"explicit","bits":[],"maxLevel":4}'
