@@ -102,8 +102,9 @@ def max_bytes(args):
         return args.max_mem << 20
 
 
-#: Bytes of report text a k-coded symbol counts against the block cap: a
-#: symbol prints as at most "[8, 8, 70], " (k <= 8, s <= C(8, 4)).
+#: Bytes of report text a k-coded symbol counts against the block cap, in
+#: each of its two copies: a symbol prints as at most "[8, 8, 70], "
+#: (k <= 8, s <= C(8, 4)); a letter prints as 1 byte.
 SYMBOL_TEXT_BYTES = len("[8, 8, 70], ")
 
 
@@ -117,16 +118,14 @@ def cmd_block(args):
     if args.k is not None and not 1 <= args.k <= 8:
         raise BadValue(f"--k must be between 1 and 8, got {args.k}")
     length = binomial(x + y, x)
-    if args.k not in (None, 1):
-        # the report's text is reserved before the block is built; the
-        # memo and the symbol tuple share what is left
-        text = SYMBOL_TEXT_BYTES * length
-        if text > budget:
-            raise ResourceCap(f"a report of {length} symbols at "
-                              f"{SYMBOL_TEXT_BYTES} bytes each would exceed "
-                              f"{budget} bytes")
-        budget -= text
-    block_store(xi, budget)
+    # the report's two copies, its JSON text and the bytes print encodes
+    # from it, are reserved before the block is built; the memo and the
+    # block share what is left
+    text = 2 * length * (1 if args.k in (None, 1) else SYMBOL_TEXT_BYTES)
+    if text > budget:
+        raise ResourceCap(f"two copies of a {length}-symbol report, {text} "
+                          f"bytes, would exceed {budget} bytes")
+    block_store(xi, budget - text)
     doc = {"vertex": [x, y], "length": length}
     if args.k in (None, 1):
         word = basic_block(xi, x, y)

@@ -14,6 +14,7 @@ block is materialized.
 import itertools
 import threading
 from dataclasses import dataclass, field
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .core import (OrderingTable, PathPrefix, Vertex, binomial,
@@ -205,34 +206,25 @@ def block_word_k(xi: OrderingTable, k: int, x: int, y: int) -> bytes:
 def symbol_census(w: str):
     """Letter counts of w plus the vertex they pin down, if any.
 
-    A block at interior (x, y) has C(x+y-1, x-1) a's and C(x+y-1, y-1)
-    b's; pure-letter words are attributed to the boundary row of their
-    length.
+    A block at interior (x, y) has C(x+y-1, x-1) a's, so a's in the ratio
+    x / (x+y).  With that ratio p / q in lowest terms, (x, x+y) is
+    (p t, q t) for the one t with C(q t, p t) = len(w), if any.
+    Pure-letter words are attributed to the boundary row of their length.
     """
     ca = w.count("a")
     cb = w.count("b")
     if ca + cb != len(w):
         raise ValueError("alphabet must be {a, b}")
-    if not w:
-        return 0, 0, None
-    if cb == 0:
-        return ca, 0, Vertex(ca, 0)
-    if ca == 0:
-        return 0, cb, Vertex(0, cb)
-    if ca == 1:
-        return ca, cb, Vertex(1, cb)
-    if cb == 1:
-        return ca, cb, Vertex(ca, 1)
-    total = ca + cb
-    n = 4
-    while n * (n - 1) // 2 <= total:
-        if (n * ca) % total == 0:
-            x = n * ca // total
-            if 2 <= x <= n - 2 and binomial(n - 1, x - 1) == ca \
-                    and binomial(n - 1, n - x - 1) == cb:
-                return ca, cb, Vertex(x, n - x)
-        n += 1
-    return ca, cb, None
+    if not (ca and cb):
+        return ca, cb, Vertex(ca, cb) if w else None
+    g = gcd(ca, len(w))
+    p, q = ca // g, len(w) // g
+    t = 1
+    while binomial(q * t, p * t) < len(w):
+        t += 1
+    if binomial(q * t, p * t) != len(w):
+        return ca, cb, None
+    return ca, cb, Vertex(p * t, (q - p) * t)
 
 
 def iter_restricted_blocks(x: int, y: int):

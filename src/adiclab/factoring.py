@@ -29,6 +29,9 @@ class CDToken(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
+_CD = re.compile("(a{2,})b|a(b{2,})")
+
+
 def decompose_CD(w: str):
     """Greedy left-to-right tokenization of a restricted-ordering block.
 
@@ -37,44 +40,33 @@ def decompose_CD(w: str):
     (C1 = D1) never occurs inside a valid block and is rejected, and so
     is a letter other than a and b, at its own position.
     """
+    return _scan_CD(w)[0]
+
+
+def _scan_CD(w: str):
+    """The C/D tokens of w from one compiled scan, with their index: token
+    start offsets -> token index (len(w) -> len(tokens)), and token -> the
+    sorted indices where it occurs."""
     if w.count("a") + w.count("b") != len(w):
         pos = re.search("[^ab]", w).start()
         raise ParseError(f"letter {w[pos]!r} is neither a nor b", pos)
-    tokens = []
+    tokens, starts, where = [], {0: 0}, {}
+    match = _CD.match
     i = 0
     while i < len(w):
-        start = i
-        while i < len(w) and w[i] == "a":
-            i += 1
-        run_a = i - start
-        if run_a == 0:
-            raise ParseError("expected an a-run", start)
-        bs = i
-        while i < len(w) and w[i] == "b":
-            i += 1
-        run_b = i - bs
-        if run_a >= 2:
-            if run_b == 0:
-                raise ParseError("a-run without closing b", start)
-            tokens.append(CDToken("C", run_a))
-            i = bs + 1  # C consumes exactly one b
-        else:
-            if run_b < 2:
-                raise ParseError("token ab is not allowed", start)
-            tokens.append(CDToken("D", run_b))
-    return tokens
-
-
-def _token_index(tokens):
-    """Token start offsets -> token index (len(w) -> len(tokens)), and
-    token -> the sorted indices where it occurs."""
-    starts, where = {0: 0}, {}
-    offset = 0
-    for t, tok in enumerate(tokens):
-        where.setdefault(tok, []).append(t)
-        offset += tok.index + 1
-        starts[offset] = t + 1
-    return starts, where
+        m = match(w, i)
+        if m is None:
+            raise ParseError("expected an a-run" if w[i] == "b"
+                             else "a-run without closing b"
+                             if w.startswith("aa", i)
+                             else "token ab is not allowed", i)
+        # C_i is a^i b and D_j is a b^j: the index is one under the length
+        tok = CDToken("CD"[m.lastindex - 1], m.end() - i - 1)
+        where.setdefault(tok, []).append(len(tokens))
+        tokens.append(tok)
+        i = m.end()
+        starts[i] = len(tokens)
+    return tokens, starts, where
 
 
 def _between(idx, lo: int, hi: int):
@@ -156,11 +148,11 @@ def _decode_with_tokens(w: str):
     if w == "ab":
         # C1 = D1; the block of (1, 1) under the restriction
         return Vertex(1, 1), explicit_ordering({}, max_level=2), []
-    tokens = decompose_CD(w)
-    x = max((t.index for t in tokens if t.kind == "C"), default=1)
-    y = max((t.index for t in tokens if t.kind == "D"), default=1)
+    tokens, starts, where = _scan_CD(w)
+    x = max((t.index for t in where if t.kind == "C"), default=1)
+    y = max((t.index for t in where if t.kind == "D"), default=1)
     bits = {}
-    _decode_segment(w, 0, len(w), x, y, bits, {}, *_token_index(tokens))
+    _decode_segment(w, 0, len(w), x, y, bits, {}, starts, where)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y), tokens
 
 
@@ -608,22 +600,14 @@ def _run_end(w: str, pos: int) -> int:
     return _RUN.match(w, pos).end()
 
 
-def _scan_block_contexts(w: str, l: int, inner: str, runs_of_l,
-                         report: RunContextReport):
-    """Tally the contexts in one block.  `runs_of_l` matches the maximal
-    inner runs of exactly l letters with an outer letter on each side."""
+def _scan_block_contexts(w: str, l: int, clusters, report: RunContextReport):
+    """Tally the contexts in one block.  Each match of `clusters` is a
+    cluster: a chain of maximal inner runs of exactly l letters linked by
+    single outer letters, with an outer letter on each side."""
     n = len(w)
-    cluster_end = 0
-    for m in runs_of_l.finditer(w):
+    for m in clusters.finditer(w):
         start, end = m.span()
-        if start < cluster_end:
-            continue  # a chained run of a cluster already tallied
-        # cluster: chain of exactly-l inner runs linked by single outers;
-        # a chained run must still have an outer run after it
-        while (end + 1 + l < n and w[end + 1] == inner
-               and _run_end(w, end + 1) == end + 1 + l):
-            end += 1 + l
-        cluster_end = span_hi = end  # first character of right delimiter
+        span_hi = end  # first character of right delimiter
         clipped = False
         delim_end = _run_end(w, end)
         if delim_end == end + 1:
@@ -661,18 +645,18 @@ def run_context_report(xi: OrderingTable, l: int, L: int) -> RunContextReport:
     right through non-increasing runs of length >= l-1 and through the
     closing run of b's; occurrences whose growth hits a block edge are
     tallied separately as clipped.  One regex scan of each block finds
-    its l-runs, and only the runs next to them are measured.
+    its clusters of l-runs, and only the runs next to them are measured.
     """
     if l <= 6:
         raise ValueError("l > 6")
     if L < 1:
         raise ValueError("L >= 1")
-    runs_of_l = re.compile(f"(?<=b)a{{{l}}}(?=b)")
+    clusters = re.compile(f"(?<=b)a{{{l}}}(?:ba{{{l}}}(?=b))*(?=b)")
     report = RunContextReport(l, L)
     for n in range(2, L + 1):
         for x in range(1, n):
-            _scan_block_contexts(basic_block(xi, x, n - x), l, "a",
-                                 runs_of_l, report)
+            _scan_block_contexts(basic_block(xi, x, n - x), l, clusters,
+                                 report)
     return report
 
 

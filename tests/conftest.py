@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import struct
 from fractions import Fraction
 from math import factorial
@@ -21,7 +22,7 @@ from adiclab.errors import ColumnEnd, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
                                PeriodicReport, RunContextReport, _Combiner,
                                _pack, _phase2_reachable, _unpack, alt_state,
-                               decompose_CD, small_subshift_orderings)
+                               small_subshift_orderings)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -713,9 +714,10 @@ def reachable_alt_states(L):
 
 
 # Reference block parsers: the periodic search over every block at every
-# level with a binary search for the minimal absent length, the decoder
-# that re-tokenizes every segment, and the run-context scan that walks a
-# list of every run of the block.
+# level with a binary search for the minimal absent length, the C/D
+# tokenizer as a hand loop over the runs, the decoder that re-tokenizes
+# every segment with it, the census's search over the levels, and the
+# run-context scan that walks a list of every run of the block.
 
 def periodic_reference(xi, p, L):
     """`periodic_exclusion` by scanning the whole corpus for each window."""
@@ -766,6 +768,36 @@ def expand(token):
     return "a" + "b" * token.index
 
 
+def decompose_CD_reference(w):
+    """`decompose_CD` as a walk over each a-run and the b-run after it."""
+    if w.count("a") + w.count("b") != len(w):
+        pos = re.search("[^ab]", w).start()
+        raise ParseError(f"letter {w[pos]!r} is neither a nor b", pos)
+    tokens = []
+    i = 0
+    while i < len(w):
+        start = i
+        while i < len(w) and w[i] == "a":
+            i += 1
+        run_a = i - start
+        if run_a == 0:
+            raise ParseError("expected an a-run", start)
+        bs = i
+        while i < len(w) and w[i] == "b":
+            i += 1
+        run_b = i - bs
+        if run_a >= 2:
+            if run_b == 0:
+                raise ParseError("a-run without closing b", start)
+            tokens.append(CDToken("C", run_a))
+            i = bs + 1  # C consumes exactly one b
+        else:
+            if run_b < 2:
+                raise ParseError("token ab is not allowed", start)
+            tokens.append(CDToken("D", run_b))
+    return tokens
+
+
 def _decode_segment_reference(w, lo, hi, u, v, bits):
     if hi - lo != binomial(u + v, u):
         raise ParseError(
@@ -779,7 +811,7 @@ def _decode_segment_reference(w, lo, hi, u, v, bits):
         if w[lo:hi] != "a" + "b" * v:
             raise ParseError(f"expected D{v}", lo)
         return
-    tokens = decompose_CD(w[lo:hi])
+    tokens = decompose_CD_reference(w[lo:hi])
     pos_c = [t for t, tok in enumerate(tokens) if tok == CDToken("C", u)]
     pos_d = [t for t, tok in enumerate(tokens) if tok == CDToken("D", v)]
     if len(pos_c) != 1 or len(pos_d) != 1:
@@ -805,12 +837,38 @@ def decode_reference(w):
         return Vertex(0, 1), explicit_ordering({}, max_level=1)
     if w == "ab":
         return Vertex(1, 1), explicit_ordering({}, max_level=2)
-    tokens = decompose_CD(w)
+    tokens = decompose_CD_reference(w)
     x = max((t.index for t in tokens if t.kind == "C"), default=1)
     y = max((t.index for t in tokens if t.kind == "D"), default=1)
     bits = {}
     _decode_segment_reference(w, 0, len(w), x, y, bits)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y)
+
+
+def census_vertex_reference(ca, cb):
+    """The vertex `symbol_census` pins from ca a's and cb b's: a search
+    over the levels n with C(n, 2) <= ca + cb for an interior (x, n - x)
+    with C(n-1, x-1) a's and C(n-1, x) b's.  A word of one letter lies on
+    the boundary row of its length, and one a or one b pins (1, cb) or
+    (ca, 1)."""
+    if ca + cb == 0:
+        return None
+    if cb == 0 or ca == 0:
+        return Vertex(ca, cb)
+    if ca == 1:
+        return Vertex(1, cb)
+    if cb == 1:
+        return Vertex(ca, 1)
+    total = ca + cb
+    n = 4
+    while n * (n - 1) // 2 <= total:
+        if (n * ca) % total == 0:
+            x = n * ca // total
+            if 2 <= x <= n - 2 and binomial(n - 1, x - 1) == ca \
+                    and binomial(n - 1, n - x - 1) == cb:
+                return Vertex(x, n - x)
+        n += 1
+    return None
 
 
 def _blocks_by_level(xi, k, levels):

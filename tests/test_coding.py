@@ -20,7 +20,8 @@ from adiclab.errors import InputError, ResourceCap
 from adiclab.factoring import (alternation_exclusion, periodic_exclusion,
                                run_context_report, small_subshift_orderings)
 
-from conftest import (WORKED_BLOCK, AnyParents, column_coding,
+from conftest import (WORKED_BLOCK, AnyParents, census_vertex_reference,
+                      column_coding,
                       faithfulness_reference, language_words_reference,
                       letters_from_k1, orderings,
                       project_symbol_to_letter, seeds,
@@ -93,6 +94,24 @@ def test_symbol_census_specials():
     assert symbol_census("aabb")[2] is None
     with pytest.raises(ValueError):
         symbol_census("abc")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3000))
+def test_symbol_census_matches_reference(ca, cb):
+    assert symbol_census("a" * ca + "b" * cb) == \
+        (ca, cb, census_vertex_reference(ca, cb))
+
+
+def test_symbol_census_pins_every_interior_vertex_to_level_20():
+    # the census reads only the counts: (x, y) has C(x+y-1, x-1) a's and
+    # C(x+y-1, x) b's, whatever the ordering
+    for n in range(2, 21):
+        for x in range(1, n):
+            ca, cb = binomial(n - 1, x - 1), binomial(n - 1, x)
+            assert symbol_census("a" * ca + "b" * cb) == \
+                (ca, cb, Vertex(x, n - x))
+            assert census_vertex_reference(ca, cb) == Vertex(x, n - x)
 
 
 def test_block_memory_cap():

@@ -22,7 +22,8 @@ from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
-                      combine_packed_reference, decode_reference, expand,
+                      combine_packed_reference, decode_reference,
+                      decompose_CD_reference, expand,
                       factorization_scheme_counts_reference, orderings,
                       periodic_reference, phase1_exact_reference,
                       phase1_reference, phase2_reachable_reference,
@@ -56,6 +57,21 @@ def test_decompose_refuses_other_letters_at_their_position(word, position):
     assert err.value.position == position
     with pytest.raises(ParseError, match=f"neither a nor b \\(at {position}"):
         decode_ordering(word)
+
+
+def _tokens_or_error(tokenize, word):
+    try:
+        return tokenize(word)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("abc", max_size=40))
+def test_decompose_matches_reference(word):
+    # the same tokens, or the same ParseError message at the same position
+    assert _tokens_or_error(decompose_CD, word) == \
+        _tokens_or_error(decompose_CD_reference, word)
 
 
 def test_decompose_expansion_roundtrip():
@@ -550,9 +566,9 @@ def test_scan_block_contexts_matches_reference(case):
     word, l, inner = case
     outer = "b" if inner == "a" else "a"
     got, want = RunContextReport(l, 0), RunContextReport(l, 0)
-    _scan_block_contexts(word, l, inner,
-                         re.compile(f"(?<={outer}){inner}{{{l}}}(?={outer})"),
-                         got)
+    _scan_block_contexts(word, l, re.compile(
+        f"(?<={outer}){inner}{{{l}}}(?:{outer}{inner}{{{l}}}(?={outer}))*"
+        f"(?={outer})"), got)
     scan_block_contexts_reference(word, l, inner, want)
     assert (got.contexts, got.clipped) == (want.contexts, want.clipped)
 
