@@ -162,12 +162,15 @@ def kink_verify(xi: OrderingTable, p: PathPrefix) -> bool:
 
 def _check_prime(q: int):
     if q < 2 or any(q % d == 0 for d in range(2, int(math.isqrt(q)) + 1)):
-        raise ValueError(f"{q} is not prime")
+        raise ValueError(f"q = {q} is not prime")
 
 
 def binom_mod(n: int, k: int, q: int) -> int:
-    """C(n, k) mod prime q by Lucas' theorem on base-q digits."""
+    """C(n, k) mod prime q by Lucas' theorem on base-q digits; 0 when
+    k < 0 or k > n, as C(n, k) is.  A negative n is refused."""
     _check_prime(q)
+    if n < 0:
+        raise ValueError(f"n >= 0, not n = {n}")
     if k < 0 or k > n:
         return 0
     r = 1

@@ -8,11 +8,10 @@ single root vertex.
 
 import json
 import struct
-from dataclasses import dataclass, field
 from math import factorial, gcd, prod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .core import OrderingTable, blake2b
+from .core import OrderingTable, ValueRecord, blake2b
 from .errors import InputError
 
 # fractions (and the decimal module it loads) is imported by the two
@@ -29,14 +28,16 @@ def _load_json(text: str):
         raise InputError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class OrderedDiagram:
+class OrderedDiagram(ValueRecord):
     """codings[n-1][w] is the word of level-(n-1) source ids for target w
     at level n; every word is nonempty and every source is used."""
 
-    codings: tuple  # tuple over levels 1..N of tuples of word-tuples
+    # a tuple over levels 1..N of tuples of word-tuples, whatever
+    # sequences it was built from
+    __slots__ = ("codings",)
 
-    def __post_init__(self):
+    def __init__(self, codings):
+        self.codings = tuple(tuple(map(tuple, level)) for level in codings)
         sizes = self.level_sizes
         for n, level in enumerate(self.codings, start=1):
             if not level:
@@ -76,8 +77,7 @@ class OrderedDiagram:
         if not isinstance(doc, dict) or "coding" not in doc:
             raise InputError('a diagram is a JSON object with a "coding" field')
         try:
-            diagram = cls(tuple(tuple(tuple(word) for word in level)
-                                for level in doc["coding"]))
+            diagram = cls(doc["coding"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad coding field: {exc}") from exc
         if doc.get("levels") and doc["levels"] != diagram.level_sizes:
@@ -128,8 +128,7 @@ def telescope(d: OrderedDiagram, cuts) -> OrderedDiagram:
                                 for a, b in zip(cuts, cuts[1:])))
 
 
-@dataclass
-class OdometerCertificate:
+class OdometerCertificate(NamedTuple):
     found: bool
     segments: list  # (start level, end level, base word) per telescoped level
     searched_depth: int
@@ -162,15 +161,14 @@ def odometer_certificate(d: OrderedDiagram, search_depth: int) -> OdometerCertif
                                "uniformly ordered after telescoping")
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(ValueRecord):
     """Bipartite level pattern: multiplicity[s][t] edges from source s to
-    target t."""
+    target t, stored as a tuple of row tuples."""
 
-    multiplicity: tuple
+    __slots__ = ("multiplicity",)
 
-    def __post_init__(self):
-        rows = self.multiplicity
+    def __init__(self, multiplicity):
+        rows = tuple(map(tuple, multiplicity))
         if not rows or not rows[0]:
             raise ValueError("empty shape")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -182,6 +180,7 @@ class Shape:
         for t in range(len(rows[0])):
             if all(r[t] == 0 for r in rows):
                 raise ValueError("target with no incoming edges")
+        self.multiplicity = rows
 
     @property
     def target_count(self):
@@ -205,8 +204,7 @@ def shapes_from_json(text: str) -> list:
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise InputError('a shapes file is a JSON object with a "shapes" field')
     try:
-        return [Shape(tuple(tuple(row) for row in rows))
-                for rows in doc["shapes"]]
+        return [Shape(rows) for rows in doc["shapes"]]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad shapes field: {exc}") from exc
 
@@ -239,8 +237,7 @@ def exact_uniform_probability(shape: Shape) -> "Fraction":
                     prod(_multinomial(c) for c in zip(*rows)))
 
 
-@dataclass
-class MonteCarloLevel:
+class MonteCarloLevel(NamedTuple):
     shape: Shape
     trials: int
     uniform_hits: int
@@ -251,10 +248,9 @@ class MonteCarloLevel:
         return self.uniform_hits / self.trials
 
 
-@dataclass
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     seed: int
-    levels: list = field(default_factory=list)
+    levels: list
 
     @property
     def partial_sums(self):

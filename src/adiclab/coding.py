@@ -13,12 +13,12 @@ block is materialized.
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .core import (OrderingTable, PathPrefix, Vertex, binomial,
-                   column_size, explicit_ordering, minimal_continuation, rank)
+from .core import (OrderingTable, PathPrefix, ValueRecord, Vertex,
+                   binomial, column_size, explicit_ordering,
+                   minimal_continuation, rank)
 from .errors import InputError, ResourceCap
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of block text: the memo plus one request
@@ -311,20 +311,26 @@ def stabilized_complexity(xi: OrderingTable, n: int, max_level: int):
     return counts[-1], max_level, False
 
 
-@dataclass
-class PairSeparation:
-    path_a: str
-    path_b: str
-    coordinate: Optional[int]  # None when not separated within the window
-    window: tuple
+class PairSeparation(ValueRecord):
+    """How one pair of paths separates.  A probe builds one per pair, so
+    this is a slotted class, cheaper to construct than a NamedTuple."""
+
+    __slots__ = ("path_a", "path_b", "coordinate", "window")
+    __hash__ = None  # a mutable record compared by value
+
+    def __init__(self, path_a: str, path_b: str, coordinate: Optional[int],
+                 window: tuple):
+        self.path_a = path_a
+        self.path_b = path_b
+        self.coordinate = coordinate  # None when not separated in the window
+        self.window = window
 
 
-@dataclass
-class FaithfulnessReport:
+class FaithfulnessReport(NamedTuple):
     k: int
     level: int
     delta: int
-    pairs: list = field(default_factory=list)
+    pairs: list
 
     @property
     def total(self):
@@ -373,8 +379,8 @@ def faithfulness_probe(xi: OrderingTable, L: int, k: int,
         r = rank(xi, e)
         placed.append((column, r, len(column) - r))
     words = [p.word() for p in paths]
-    report = FaithfulnessReport(k=k, level=L, delta=delta)
-    pairs = report.pairs
+    pairs = []
+    report = FaithfulnessReport(k, L, delta, pairs)
     for i, (si, ri, fi) in enumerate(placed):
         wi = words[i]
         for j in range(i + 1, len(placed)):

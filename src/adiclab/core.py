@@ -11,7 +11,6 @@ boundary vertices are both maximal and minimal.
 import json
 import math
 import struct
-from dataclasses import dataclass
 from functools import cache
 from numbers import Real
 from typing import NamedTuple
@@ -49,16 +48,42 @@ def column_size(v: Vertex) -> int:
     return binomial(v.x + v.y, v.x)
 
 
-@dataclass(frozen=True)
-class PathPrefix:
-    """A finite edge path from the root, stored as a tuple of steps."""
+class ValueRecord:
+    """Base of the slotted value classes: each subclass names its fields
+    in `__slots__` and sets them in `__init__`, after validating them.
+    Instances compare equal, and hash, by their field values, so a field
+    is never reassigned."""
 
-    steps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        steps = self.steps
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PathPrefix(ValueRecord):
+    """A finite edge path from the root, stored as a tuple of steps; its
+    `len` is the path length."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps):
+        steps = tuple(steps)
         if steps.count(A_STEP) + steps.count(B_STEP) != len(steps):
             raise ValueError("steps must be 0 (a) or 1 (b)")
+        self.steps = steps
 
     def __len__(self):
         return len(self.steps)
@@ -206,6 +231,9 @@ def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
     if type(max_level) is not int:
         raise ValueError(f"the level bound maxLevel is an integer, "
                          f"not {max_level!r}")
+    if max_level < 0:
+        raise ValueError(f"the level bound maxLevel is at least 0, "
+                         f"not {max_level}")
     if type(default) is not int or default not in (0, 1):
         raise ValueError(f"default is a bit, not {default!r}")
     bits = {(int(x), int(y)): int(b) for (x, y), b in dict(bits).items()}

@@ -10,7 +10,6 @@ import itertools
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
@@ -234,9 +233,17 @@ def _run_contrib(first_char: str, length: int):
     return max(ab, 0), max(ba, 0)
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"cap >= 1, not cap = {cap}")
+
+
 def alt_state(w: str, cap: int = ALT_CAP) -> AltState:
+    _check_cap(cap)
     if not w:
         raise ValueError("empty word")
+    if w.count("a") + w.count("b") != len(w):
+        raise ValueError("alphabet must be {a, b}")
     maxab = maxba = 0
     start = 0
     for i in range(1, len(w) + 1):
@@ -254,6 +261,7 @@ def alt_state(w: str, cap: int = ALT_CAP) -> AltState:
 def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
     """State of a concatenation from the states of its parts (exact for
     every decision below the cap; caps up to 31)."""
+    _check_cap(cap)
     if cap > 31:
         raise ResourceCap("packed states support caps up to 31")
     return _unpack(_Combiner(cap)[_pack(s1) << 24 | _pack(s2)])
@@ -531,8 +539,7 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     return witness is None, reach, witness
 
 
-@dataclass
-class ExclusionVerdict:
+class ExclusionVerdict(NamedTuple):
     j: int
     exact_level: int
     dp_level: int
@@ -564,6 +571,8 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
         raise ValueError("j >= 1")
     if exact_level < 1:
         raise ValueError("exact_level >= 1")
+    if max_bytes is not None and max_bytes < 0:
+        raise ValueError("max_bytes >= 0")
     if 2 * j + 1 > ALT_CAP:
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
@@ -571,25 +580,21 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     comb = _Combiner(ALT_CAP)
     exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, comb)
     dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
-    verdict = ExclusionVerdict(j, e_level, L, exact_ok, dp_ok)
-    if not exact_ok:
-        verdict.witness_level = wit_level
-        verdict.witness_state = wit_state
-    elif not dp_ok:
-        verdict.witness_level, verdict.witness_state = dp_witness
-    return verdict
+    if exact_ok:
+        wit_level, wit_state = dp_witness or (None, None)
+    return ExclusionVerdict(j, e_level, L, exact_ok, dp_ok, wit_level,
+                            wit_state)
 
 
 # ---------------------------------------------------------------------------
 # run contexts
 
 
-@dataclass
-class RunContextReport:
+class RunContextReport(NamedTuple):
     run_length: int
     level: int
-    contexts: Counter = field(default_factory=Counter)
-    clipped: Counter = field(default_factory=Counter)
+    contexts: Counter
+    clipped: Counter
 
 
 _RUN = re.compile("a+|b+")
@@ -652,7 +657,7 @@ def run_context_report(xi: OrderingTable, l: int, L: int) -> RunContextReport:
     if L < 1:
         raise ValueError("L >= 1")
     clusters = re.compile(f"(?<=b)a{{{l}}}(?:ba{{{l}}}(?=b))*(?=b)")
-    report = RunContextReport(l, L)
+    report = RunContextReport(l, L, Counter(), Counter())
     for n in range(2, L + 1):
         for x in range(1, n):
             _scan_block_contexts(basic_block(xi, x, n - x), l, clusters,
@@ -684,26 +689,35 @@ def intersection_probe(xi: OrderingTable, xi_prime: OrderingTable, n: int,
     return language_words(xi, n, L) & language_words(xi_prime, n, L)
 
 
-@dataclass
-class PeriodicEvidence:
+def _periodic_window(word: str, offset: int, length: int) -> str:
+    """The `length` letters of word^infinity from `offset` on."""
+    return (word * ((length + offset) // len(word) + 2))[
+        offset:offset + length]
+
+
+class PeriodicEvidence(NamedTuple):
     period_word: str
     offset: int
     window_length: int
-    absent_window: Optional[str]
+    excluded: bool
     vacuous: bool
     minimal_absent_length: Optional[int]
 
     @property
-    def excluded(self):
-        return self.absent_window is not None
+    def absent_window(self) -> Optional[str]:
+        """The window found absent, rebuilt from its word, offset and
+        length; None when the case is inconclusive."""
+        if not self.excluded:
+            return None
+        return _periodic_window(self.period_word, self.offset,
+                                self.window_length)
 
 
-@dataclass
-class PeriodicReport:
+class PeriodicReport(NamedTuple):
     period: int
     level: int
     window_length: int
-    cases: list = field(default_factory=list)
+    cases: list
 
     @property
     def all_excluded(self):
@@ -739,8 +753,10 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int) -> PeriodicReport:
     basic block at level 4(p + 1).  A window absent from every block up
     to level L is desk-scale evidence that w^infinity does not embed;
     when every offset of the window occurs the case is reported
-    INCONCLUSIVE (None).  A case is vacuous when its window is longer
-    than every level-L block.
+    INCONCLUSIVE (not `excluded`).  A case keeps no window text: an
+    excluded case rebuilds its absent window from its word, offset and
+    length (`PeriodicEvidence.absent_window`).  A case is vacuous when its
+    window is longer than every level-L block.
 
     Each block is a parent, hence a factor, of a block one level up, so
     only the level-L blocks are searched.  The minimal
@@ -757,16 +773,15 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int) -> PeriodicReport:
     words = [w for w in words if "a" in w and "b" in w]
     blocks = [basic_block(xi, x, L - x) for x in range(L + 1)]
     longest = max(map(len, blocks))
-    report = PeriodicReport(p, L, window_len)
+    cases = []
     for w in words:
-        found, offset_used, minimal = None, 0, None
+        found, offset_used, minimal = False, 0, None
         for offset in range(p):
-            window = (w * ((window_len + offset) // p + 2))[
-                offset:offset + window_len]
-            present = _present_prefix(blocks, window)
+            present = _present_prefix(
+                blocks, _periodic_window(w, offset, window_len))
             if present < window_len:
-                found, offset_used, minimal = window, offset, present + 1
+                found, offset_used, minimal = True, offset, present + 1
                 break
-        report.cases.append(PeriodicEvidence(
+        cases.append(PeriodicEvidence(
             w, offset_used, window_len, found, window_len > longest, minimal))
-    return report
+    return PeriodicReport(p, L, window_len, cases)

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import struct
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -201,7 +202,7 @@ def faithfulness_reference(xi, L, k, delta):
             sweep = column_coding(xi, v.x, v.y, k)
             assert len(sweep) == column_size(v)
             codings[v] = sweep
-    report = FaithfulnessReport(k=k, level=L, delta=delta)
+    report = FaithfulnessReport(k=k, level=L, delta=delta, pairs=[])
     for i in range(len(paths)):
         si, ri = codings[extended[i].terminal], ranks[i]
         for j in range(i + 1, len(paths)):
@@ -720,7 +721,8 @@ def reachable_alt_states(L):
 # run-context scan that walks a list of every run of the block.
 
 def periodic_reference(xi, p, L):
-    """`periodic_exclusion` by scanning the whole corpus for each window."""
+    """`periodic_exclusion` by scanning the whole corpus for each window,
+    with the absent window text of each case (None when inconclusive)."""
     if p < 2:
         raise ValueError("period must be at least 2")
     r = p + 1
@@ -732,7 +734,8 @@ def periodic_reference(xi, p, L):
         for x in range(n + 1):
             corpus.append(basic_block(xi, x, n - x))
     longest = max(map(len, corpus))
-    report = PeriodicReport(p, L, window_len)
+    report = PeriodicReport(p, L, window_len, [])
+    windows = []
 
     def present(window):
         return any(window in blk for blk in corpus if len(blk) >= len(window))
@@ -757,8 +760,10 @@ def periodic_reference(xi, p, L):
                     hi = mid
             minimal = lo
         report.cases.append(PeriodicEvidence(
-            w, offset_used, window_len, found, window_len > longest, minimal))
-    return report
+            w, offset_used, window_len, found is not None,
+            window_len > longest, minimal))
+        windows.append(found)
+    return report, windows
 
 
 def expand(token):
@@ -1075,7 +1080,7 @@ def scan_block_contexts_reference(w, l, inner, report):
 
 def run_context_report_reference(xi, l, L):
     """`run_context_report` over the run list of every block."""
-    report = RunContextReport(l, L)
+    report = RunContextReport(l, L, Counter(), Counter())
     for n in range(2, L + 1):
         for x in range(1, n):
             scan_block_contexts_reference(basic_block(xi, x, n - x), l, "a",

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -209,6 +210,27 @@ def test_diagram_validation():
         OrderedDiagram((((0,), ()),))  # empty coding word
     with pytest.raises(ValueError):
         OrderedDiagram((((0,), (0,)), ((0,),)))  # source 1 unused
+
+
+def test_diagram_and_shape_are_values():
+    # both hash by value, and a Monte Carlo run with several workers
+    # pickles its shapes
+    shape = Shape(((1, 2), (3, 0)))
+    diagram = OrderedDiagram((((0,), (0,)), ((0, 1), (1,))))
+    for value, text in [
+            (shape, "Shape(multiplicity=((1, 2), (3, 0)))"),
+            (diagram,
+             "OrderedDiagram(codings=(((0,), (0,)), ((0, 1), (1,))))")]:
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
+        assert len({value, again}) == 1 and repr(again) == text
+    assert shape != Shape(((1, 2), (3, 1))) and shape != diagram
+    assert shape != ((1, 2), (3, 0))
+    # built from lists, each stores tuples: the same value, hashable
+    listed = Shape([[1, 2], [3, 0]]), OrderedDiagram([[[0], [0]],
+                                                      [[0, 1], [1]]])
+    assert listed == (shape, diagram)
+    assert hash(listed) == hash((shape, diagram))
 
 
 def test_shape_and_random_ordering():

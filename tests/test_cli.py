@@ -483,7 +483,7 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from adiclab.cli import main
-loaded = []
+loaded = [(None, sorted(set(sys.modules) - before))]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         loaded.append((main(argv), sorted(set(sys.modules) - before)))
@@ -493,7 +493,9 @@ print(json.dumps(loaded))
 
 def test_commands_load_only_what_they_use(tmp_path):
     # hashlib loads OpenSSL's libcrypto, and fractions loads decimal: only
-    # montecarlo, whose exact values are Fractions, loads fractions
+    # montecarlo, whose exact values are Fractions, loads fractions; no
+    # command loads dataclasses or the inspect it imports, which with the
+    # code dataclasses generate were most of `import adiclab.cli`'s time
     shapes = tmp_path / "shapes.json"
     shapes.write_text('{"shapes": [[[1, 1], [1, 1]]]}')
     runs = [["decode", "--word", "ab"],
@@ -506,8 +508,10 @@ def test_commands_load_only_what_they_use(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(runs)], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = json.loads(proc.stdout)
+    imported, *loaded = json.loads(proc.stdout)
     assert [code for code, _ in loaded] == [0, 0, 0, 0]
+    for _, modules in [imported, *loaded]:
+        assert not {"dataclasses", "inspect"} & set(modules)
     unused = {"hashlib", "_hashlib", "fractions", "decimal"}
     assert not unused & set(loaded[2][1])
     assert "fractions" in loaded[3][1]

@@ -168,6 +168,15 @@ def test_path_prefix_accepts_steps(steps):
     assert PathPrefix(steps).steps == steps
 
 
+def test_path_prefix_from_a_list_is_the_tuple_path():
+    listed, tupled = PathPrefix([0, 1]), PathPrefix((0, 1))
+    assert listed.steps == (0, 1)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert len({listed, tupled}) == 1
+    assert listed.extend((0,)) == tupled.extend([0]) == PathPrefix((0, 1, 0))
+    assert repr(listed) == "PathPrefix('ab')"
+
+
 def test_extreme_paths():
     xi = seeded_ordering(3)
     for which in (MIN, MAX):

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -278,6 +279,15 @@ def test_alt_state_combine_matches_direct():
         u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 25)))
         v = "".join(rng.choice("ab") for _ in range(rng.randint(1, 25)))
         assert combine_alt(alt_state(u), alt_state(v)) == alt_state(u + v)
+
+
+def test_alt_state_refuses_letters_other_than_a_and_b():
+    # a packed state keeps only whether each end letter is b, so another
+    # letter would be read as a
+    for call in (lambda: alt_state("abc"),
+                 lambda: combine_alt(alt_state("ab"), alt_state("xa"))):
+        with pytest.raises(ValueError, match=r"^alphabet must be \{a, b\}$"):
+            call()
 
 
 def _alternating(first, length):
@@ -565,7 +575,8 @@ def long_run_words(draw):
 def test_scan_block_contexts_matches_reference(case):
     word, l, inner = case
     outer = "b" if inner == "a" else "a"
-    got, want = RunContextReport(l, 0), RunContextReport(l, 0)
+    got = RunContextReport(l, 0, Counter(), Counter())
+    want = RunContextReport(l, 0, Counter(), Counter())
     _scan_block_contexts(word, l, re.compile(
         f"(?<={outer}){inner}{{{l}}}(?:{outer}{inner}{{{l}}}(?={outer}))*"
         f"(?={outer})"), got)
@@ -626,22 +637,42 @@ def test_present_prefix_is_longest_occurring_prefix(blocks, s):
 
 
 def test_periodic_exclusion_matches_reference():
-    for seed in range(10):
-        xi = seeded_ordering(seed)
+    # the reference keeps the window text it searched, so the window each
+    # excluded case rebuilds is checked against a separate construction
+    orderings = [seeded_ordering(seed) for seed in range(10)]
+    orderings.append(explicit_ordering({}, max_level=20))
+    for xi in orderings:
         for p in (2, 3, 4):
-            assert periodic_exclusion(xi, p, 18) == \
-                periodic_reference(xi, p, 18)
-    constant0 = explicit_ordering({}, max_level=20)
-    for p in (2, 3, 4):
-        assert periodic_exclusion(constant0, p, 18) == \
-            periodic_reference(constant0, p, 18)
+            report = periodic_exclusion(xi, p, 18)
+            want, windows = periodic_reference(xi, p, 18)
+            assert report == want
+            for case, window in zip(report.cases, windows):
+                assert case.absent_window == window
+                assert case.excluded == (window is not None)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 8))
 def test_periodic_exclusion_matches_reference_small(seed, p, L):
     xi = seeded_ordering(seed)
-    assert periodic_exclusion(xi, p, L) == periodic_reference(xi, p, L)
+    assert periodic_exclusion(xi, p, L) == periodic_reference(xi, p, L)[0]
+
+
+def test_periodic_report_keeps_no_window_text():
+    # a p = 4 window is 554,269 letters, and 14 cases would keep 7.8 MB;
+    # the report holds only the fields that determine each window
+    xi = seeded_ordering(0)
+    for x in range(19):
+        basic_block(xi, x, 18 - x)  # warm the level-18 blocks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = periodic_exclusion(xi, 4, 18)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.all_excluded and len(report.cases) == 14
+    assert held < 64 << 10
 
 
 def test_periodic_vacuous_iff_window_outgrows_every_block():
