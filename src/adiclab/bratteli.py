@@ -11,7 +11,7 @@ import struct
 from math import factorial, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .core import OrderingTable, ValueRecord, blake2b
+from .core import OrderingTable, ValueRecord, blake2b, check_seed
 from .errors import InputError
 
 # fractions (and the decimal module it loads) is imported by the two
@@ -122,7 +122,7 @@ def _window_codings(d: OrderedDiagram, a: int, b: int) -> tuple:
 def telescope(d: OrderedDiagram, cuts) -> OrderedDiagram:
     """Compose levels between consecutive cuts by word substitution."""
     cuts = list(cuts)
-    if cuts[0] != 0 or cuts[-1] != d.depth or sorted(set(cuts)) != cuts:
+    if cuts[:1] != [0] or cuts[-1] != d.depth or sorted(set(cuts)) != cuts:
         raise ValueError("cuts must increase from 0 to the last level")
     return OrderedDiagram(tuple(_window_codings(d, a, b)
                                 for a, b in zip(cuts, cuts[1:])))
@@ -284,10 +284,10 @@ def uniform_hits(shapes, seed: int, lo: int, hi: int) -> list:
     alone, so splitting a trial range into chunks and summing the hits
     gives the same counts, and a trial stops drawing at its first target
     whose word is not a power of the first word's primitive root (the test
-    of `uniform_base`).
+    of `uniform_base`).  The seed is a u64 (`check_seed`).
     """
+    check_seed(seed)
     from_bytes = int.from_bytes
-    seed &= 2**64 - 1
     hits = []
     for lvl_idx, shape in enumerate(shapes):
         # per target: its in-edges and the (i, k, k-bit mask) of each draw

@@ -22,8 +22,8 @@ from . import bratteli, coding, factoring
 from .adic import kink_classify, kink_verify
 from .coding import (DEFAULT_MEMORY_CAP, basic_block, block_store,
                      stabilized_complexity, symbol_census)
-from .core import (OrderingTable, Vertex, binomial, blake2b, column_size,
-                   make_ordering, seeded_ordering, unrank)
+from .core import (OrderingTable, Vertex, binomial, blake2b, check_seed,
+                   column_size, make_ordering, seeded_ordering, unrank)
 from .errors import InputError, ParseError, ResourceCap
 
 
@@ -93,6 +93,14 @@ class BadValue(Exception):
 def require_at_least(flag, value, low):
     if value < low:
         raise BadValue(f"{flag} must be at least {low}, got {value}")
+
+
+def require_seed(seed):
+    """Refuse a --seed outside the u64 range every keyed hash reads."""
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise BadValue(f"--seed: {exc}") from exc
 
 
 def max_bytes(args):
@@ -187,6 +195,7 @@ def cmd_odometer(args):
 
 def cmd_montecarlo(args):
     require_at_least("--trials", args.trials, 1)
+    require_seed(args.seed)
     shapes = bratteli.shapes_from_json(read_input(args.shapes))
     jobs = [(shapes, args.seed, lo, hi)
             for lo, hi in _chunks(args.trials, args.threads)]
@@ -236,7 +245,8 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
     import random
     import struct
 
-    key = blake2b(struct.pack("<QQ", seed & (2**64 - 1), trial),
+    check_seed(seed)
+    key = blake2b(struct.pack("<QQ", seed, trial),
                   digest_size=8).digest()
     rng = random.Random(int.from_bytes(key, "little"))
     xi = seeded_ordering(rng.getrandbits(63))
@@ -255,6 +265,7 @@ def sample_kink_configuration(seed: int, trial: int, max_n: int):
 def cmd_kink(args):
     require_at_least("--trials", args.trials, 1)
     require_at_least("--max-n", args.max_n, 2)
+    require_seed(args.seed)
     jobs = [(args.seed, lo, hi, args.max_n)
             for lo, hi in _chunks(args.trials, args.threads)]
     hits = {}

@@ -191,17 +191,22 @@ def constant_ordering(bit: int) -> OrderingTable:
                          f"constant:{bit}")
 
 
-def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
-    """Deterministic random ordering; `bias` is the probability of bit 0.
-
-    The seed is a u64.  The bits depend on the bias only as a float, so
-    the spec and the fingerprint carry `float(bias)`.
-    """
+def check_seed(seed: int) -> None:
+    """Refuse (ValueError) a seed that is not a u64: 0 to 2^64 - 1."""
     if type(seed) is not int:
         raise ValueError(f"the seed is an integer, not {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"the seed is an integer from 0 to 2^64 - 1, "
                          f"not {seed}")
+
+
+def seeded_ordering(seed: int, bias: float = 0.5) -> OrderingTable:
+    """Deterministic random ordering; `bias` is the probability of bit 0.
+
+    The seed is a u64 (`check_seed`).  The bits depend on the bias only
+    as a float, so the spec and the fingerprint carry `float(bias)`.
+    """
+    check_seed(seed)
     if isinstance(bias, bool) or not isinstance(bias, Real) \
             or not 0 <= bias <= 1:
         raise ValueError(f"the seed is an integer and the bias a probability, "

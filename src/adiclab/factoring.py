@@ -336,10 +336,6 @@ class _Combiner(dict):
         return got
 
 
-def _flagged(state: int, need: int) -> bool:
-    return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
-
-
 def _swap(s: int) -> int:
     """The letter swap σ on packed states: the state of a word with a and b
     exchanged (lc and rc flip, maxab and maxba trade places)."""
@@ -347,9 +343,12 @@ def _swap(s: int) -> int:
 
 
 def _least_flagged(states, need: int) -> Optional[int]:
-    """The least flagged packed state in `states`, or None: the one with
-    the least maxba, then maxab, rl, ll, rc, lc and full."""
-    return min((s for s in states if _flagged(s, need)), default=None)
+    """The least flagged packed state in `states` (maxab and maxba both at
+    least `need`), or None: the one with the least maxba, then maxab, rl,
+    ll, rc, lc and full."""
+    return min((s for s in states
+                if (s >> 13) & 31 >= need and (s >> 18) & 31 >= need),
+               default=None)
 
 
 def _children(pairs, comb: _Combiner) -> set:
@@ -360,15 +359,11 @@ def _children(pairs, comb: _Combiner) -> set:
         map(get, [(p & 0xFFFFFF) << 24 | p >> 24 for p in pairs]))
 
 
-def _next_level(vectors, comb: _Combiner, parents: Optional[set] = None):
+def _next_level(vectors, comb: _Combiner):
     """(states, next vectors) one level above `vectors`.
 
     Each interior vertex has one candidate state per bit, and the next
-    vectors are every combination of them.  With `parents`, no vectors
-    are built: the adjacent parent pairs of every next vector (packed as
-    left << 24 | right) are added to it instead, taken from the
-    per-vertex options as {sb} x opt_1, opt_x x opt_x+1 and
-    opt_last x {sa}.
+    vectors are every combination of them.
     """
     states, nxt = set(), set()
     for vec in vectors:
@@ -378,14 +373,8 @@ def _next_level(vectors, comb: _Combiner, parents: Optional[set] = None):
         one = [comb[p << 24 | q] for p, q in adjacent]
         states.update(zero)
         states.update(one)
-        options = [(s0,) if s0 == s1 else (s0, s1)
-                   for s0, s1 in zip(zero, one)]
-        if parents is None:
-            nxt.update(itertools.product(*options))
-        else:
-            options = [(_SB,), *options, (_SA,)]
-            for lefts, rights in zip(options, options[1:]):
-                parents.update([p << 24 | q for p in lefts for q in rights])
+        nxt.update(itertools.product(*[(s0,) if s0 == s1 else (s0, s1)
+                                       for s0, s1 in zip(zero, one)]))
     return states, nxt
 
 
@@ -394,22 +383,13 @@ def _phase1_exact(j: int, level: int, comb: _Combiner):
     (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings.
 
     Each level flag-checks the set of distinct states it built
-    (`_next_level`).  No vectors are built for the last two levels: the
-    level below the last collects, as packed ints, the distinct adjacent
-    parent pairs its vectors would hold, straight from the per-vertex
-    options of the vectors below it, and the last level combines each
-    pair both ways.  A flagged level names as witness its least flagged
+    (`_next_level`).  A flagged level names as witness its least flagged
     packed state (`_least_flagged`), a state some block realizes.
     """
     need = 2 * j
-    vectors = {()}  # level n - 1's; none are built for the last level
-    parents = {_SB << 24 | _SA}  # level 2's one parent pair
+    vectors = {()}
     for n in range(2, level + 1):
-        if n < level:
-            states, vectors = _next_level(
-                vectors, comb, parents if n == level - 1 else None)
-        else:
-            states = _children(parents, comb)
+        states, vectors = _next_level(vectors, comb)
         witness = _least_flagged(states, need)
         if witness is not None:
             return False, n, _unpack(witness)
@@ -557,13 +537,14 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
                           max_bytes: Optional[int] = None) -> ExclusionVerdict:
     """Two-phase check that no basic block contains both (ab)^j and (ba)^j.
 
-    Phase 1 exhausts every ordering up to min(L, exact_level) exactly;
-    phase 2 propagates sibling-consistent reachable run states to level L
-    and checks that no state can hold both patterns at once.  A flagged
-    verdict carries its witness: phase 1's first flagged level and its
-    least flagged packed state (a state some block realizes) when phase 1
-    flags, else phase 2's.  `max_bytes` caps phase 2's pair sets
-    (ResourceCap).
+    Phase 2 propagates sibling-consistent reachable run states to level L
+    and checks that no state can hold both patterns at once.  When it
+    excludes, `exact_excluded` is implied, not computed: phase 1 never
+    runs.  When it flags, phase 1 exhausts every ordering up to
+    min(L, exact_level) exactly.  A flagged verdict carries its witness:
+    phase 1's first flagged level and its least flagged packed state (a
+    state some block realizes) when phase 1 flags, else phase 2's.
+    `max_bytes` caps phase 2's pair sets (ResourceCap).
     """
     if L < 1:
         raise ValueError("L >= 1")
@@ -578,12 +559,14 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, exact_level)
     comb = _Combiner(ALT_CAP)
-    exact_ok, wit_level, wit_state = _phase1_exact(j, e_level, comb)
     dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
-    if exact_ok:
-        wit_level, wit_state = dp_witness or (None, None)
-    return ExclusionVerdict(j, e_level, L, exact_ok, dp_ok, wit_level,
-                            wit_state)
+    if dp_ok:
+        # phase 2's reach sets hold every state of every ordering to level
+        # L, so its exclusion implies phase 1's
+        return ExclusionVerdict(j, e_level, L, True, True)
+    exact_ok, *witness = _phase1_exact(j, e_level, comb)
+    return ExclusionVerdict(j, e_level, L, exact_ok, False,
+                            *(dp_witness if exact_ok else witness))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
                           minimal_continuation, ordered_parents, rank,
                           seeded_ordering, tree_embedding_ordering, unrank)
 from adiclab.errors import ColumnEnd, ParseError, ResourceCap
-from adiclab.factoring import (ALT_CAP, CDToken, PeriodicEvidence,
-                               PeriodicReport, RunContextReport, _Combiner,
-                               _pack, _phase2_reachable, _unpack, alt_state,
+from adiclab.factoring import (ALT_CAP, CDToken, ExclusionVerdict,
+                               PeriodicEvidence, PeriodicReport,
+                               RunContextReport, _Combiner, _pack,
+                               _phase2_reachable, _unpack, alt_state,
                                small_subshift_orderings)
 
 
@@ -58,7 +59,7 @@ def seeded_bit_reference(seed, x, y, bias):
     """The seeded bit at interior (x, y): 0 when the blake2b hash of the
     24 bytes (seed, x, y) falls below bias * 2^64, else 1."""
     threshold = int(float(bias) * 2.0**64)
-    digest = hashlib.blake2b(struct.pack("<QQQ", seed & (2**64 - 1), x, y),
+    digest = hashlib.blake2b(struct.pack("<QQQ", seed, x, y),
                              digest_size=8).digest()
     u = int.from_bytes(digest, "little")
     return 0 if u < threshold else 1
@@ -708,6 +709,19 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
     return witness is None, reach, witness
 
 
+def alternation_exclusion_reference(L, j, exact_level):
+    """The verdict with both phases always run: phase 1 to
+    min(L, exact_level), phase 2 to L, and phase 1's witness first."""
+    comb = _Combiner(ALT_CAP)
+    e_level = min(L, exact_level)
+    exact_ok, wit_level, wit_state = phase1_exact_reference(j, e_level, comb)
+    dp_ok, _, dp_witness = phase2_reachable_reference(j, L, comb)
+    if exact_ok:
+        wit_level, wit_state = dp_witness or (None, None)
+    return ExclusionVerdict(j, e_level, L, exact_ok, dp_ok, wit_level,
+                            wit_state)
+
+
 def reachable_alt_states(L):
     """Phase-2 reachable sets as AltState tuples, for soundness probes."""
     _, reach, _ = _phase2_reachable(1, L, _Combiner(ALT_CAP))
@@ -1116,8 +1130,7 @@ def draw_index(bits, m):
 def keyed_order_reference(seed, trial, level, vertex, items):
     """Fisher-Yates shuffle of `items`, index i drawn below i + 1 from the
     bits keyed by (seed, trial, level, vertex)."""
-    bits = keyed_bits(struct.pack("<QQQQ", seed & (2**64 - 1), trial, level,
-                                  vertex))
+    bits = keyed_bits(struct.pack("<QQQQ", seed, trial, level, vertex))
     items = list(items)
     for i in range(len(items) - 1, 0, -1):
         j = draw_index(bits, i + 1)

@@ -182,6 +182,14 @@ def test_kink_verify_sampled_and_nonvacuous():
     assert broken == set(seen)  # r_n is sharp in at least one case per class
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_kink_sampling_refuses_a_seed_outside_u64(seed):
+    from adiclab.cli import sample_kink_configuration
+
+    with pytest.raises(ValueError, match="seed"):
+        sample_kink_configuration(seed, 0, 7)
+
+
 def test_kink_window_fits_in_the_path_column():
     # every kink configuration with n <= 9: rank(p) + r_n stays inside the
     # column of (i + 1, j + 1), and reaches its top exactly when a2 = max

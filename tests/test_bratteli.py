@@ -78,8 +78,10 @@ def test_telescope_identity_and_functoriality():
     assert twice.codings == telescope(d, [0, 2, 3]).codings
     assert telescope(d, [0, 3]).codings == \
         telescope(telescope(d, [0, 2, 3]), [0, 2]).codings
-    with pytest.raises(ValueError):
-        telescope(d, [0, 2])
+    for cuts in ([0, 2], []):
+        with pytest.raises(ValueError,
+                           match="cuts must increase from 0 to the last level"):
+            telescope(d, cuts)
 
 
 def random_diagram(rng, depth=4, width=3):
@@ -358,7 +360,7 @@ def _shape_lists(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_shape_lists(), st.integers(-2**63, 2**64 - 1), st.data())
+@given(_shape_lists(), st.integers(0, 2**64 - 1), st.data())
 def test_uniform_hits_match_reference(shapes, seed, data):
     hi = data.draw(st.integers(1, 200))
     lo = data.draw(st.integers(0, hi - 1))
@@ -368,6 +370,10 @@ def test_uniform_hits_match_reference(shapes, seed, data):
     # chunking a trial range keeps the counts
     assert [p + q for p, q in zip(uniform_hits(shapes, seed, lo, mid),
                                   uniform_hits(shapes, seed, mid, hi))] == hits
+    # the seed is a u64, not read modulo 2^64
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            uniform_hits(shapes, bad, lo, hi)
 
 
 def test_index_draw_accepts_each_value_below_m_once():

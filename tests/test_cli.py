@@ -361,6 +361,10 @@ FILE_ERRORS = {
     (["montecarlo", "--shapes", "{tmp}/bool_shape.json", "--trials", "5",
       "--seed", "1"], "input"),
     (["odometer", "--diagram", "{tmp}/bool_coding.json"], "input"),
+    # a seed is a u64, refused outside it rather than read modulo 2^64
+    (["kink", "--trials", "5", "--seed", "-1"], "usage"),
+    (["montecarlo", "--shapes", "{tmp}/shapes.json", "--trials", "5",
+      "--seed", str(2**64)], "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other

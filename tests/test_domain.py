@@ -117,8 +117,7 @@ DOMAIN = [
      lambda v: al.is_uniformly_ordered(_DIAGRAM, v), "n"),
     ("monte_carlo_uniform", "trials", 1,
      lambda v: al.monte_carlo_uniform(_SHAPES, v, 1), "trials"),
-    # a seed is read modulo 2^64
-    ("monte_carlo_uniform", "seed", 0, _hits, lambda v: _hits(v % 2**64)),
+    ("monte_carlo_uniform", "seed", 0, _hits, "seed"),
     ("odometer_certificate", "search_depth", 1,
      lambda v: al.odometer_certificate(_DIAGRAM, v), "search_depth"),
     ("pascal_as_diagram", "L", 1, lambda v: al.pascal_as_diagram(_XI, v),

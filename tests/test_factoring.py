@@ -12,8 +12,8 @@ from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
-                               RunContextReport, _Combiner, _pack,
-                               _phase1_exact, _phase2_reachable,
+                               RunContextReport, _Combiner, _next_level,
+                               _pack, _phase1_exact, _phase2_reachable,
                                _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
@@ -23,6 +23,7 @@ from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                unique_factorization_check)
 
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
+                      alternation_exclusion_reference,
                       combine_packed_reference, decode_reference,
                       decompose_CD_reference, expand,
                       factorization_scheme_counts_reference, orderings,
@@ -463,6 +464,16 @@ def test_phases_match_their_full_level_references(j):
             phase2_reachable_reference(j, level, comb)
 
 
+@pytest.mark.parametrize("j", range(1, 10))
+def test_alternation_exclusion_matches_both_phases_run(j):
+    # phase 1 runs only once phase 2 flags; the verdict, witness included,
+    # is the one both phases always run would give
+    for L in range(1, 9):
+        for exact_level in (1, 4, 7):
+            assert alternation_exclusion(L, j, exact_level) == \
+                alternation_exclusion_reference(L, j, exact_level)
+
+
 # the number of phase-2 pairs, both halves counted, at levels 2..10
 _PAIR_COUNTS = [4, 13, 64, 392, 1794, 6813, 18440, 38673, 76256]
 
@@ -537,6 +548,18 @@ def test_phase2_contains_exact_states():
         xi = explicit_ordering(dict(zip(free, choice)), max_level=5)
         for x, y in free:
             assert alt_state(basic_block(xi, x, y)) in reach[(x, y)]
+
+
+def test_phase2_contains_phase1_states_at_every_level():
+    # phase 2's exclusion implies phase 1's because every state phase 1
+    # builds at a level lies in phase 2's reach sets of that level
+    comb = _Combiner(ALT_CAP)
+    _, reach, _ = _phase2_reachable(9, 7, comb)
+    vectors = {()}
+    for n in range(2, 8):
+        states, vectors = _next_level(vectors, comb)
+        assert states <= set().union(*[reach[(n - y, y)]
+                                        for y in range(1, n)])
 
 
 def test_run_context_report_xi():
