@@ -7,11 +7,13 @@ raises ColumnEnd and callers decide how to deepen.
 """
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .coding import CylSymbol
-from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, _pivot,
-                   binomial, column_size, rank, unrank)
+from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, Vertex, _pivot,
+                   binomial, blake2b, check_seed, column_size, rank,
+                   seeded_ordering, unrank)
 from .errors import ColumnEnd, ResourceCap
 
 
@@ -158,6 +160,42 @@ def kink_verify(xi: OrderingTable, p: PathPrefix) -> bool:
     n = len(p) - 2
     r = kink_return_time(kink_classify(xi, p), n, p.vertex_at(n).y)
     return unrank(xi, p.terminal, rank(xi, p) + r).steps[:n] == p.steps[:n]
+
+
+def sample_kink_configuration(seed: int, trial: int, max_n: int):
+    """Deterministic (ordering, path) pair ending in a kink configuration."""
+    import random
+    import struct
+
+    check_seed(seed)
+    key = blake2b(struct.pack("<QQ", seed, trial),
+                  digest_size=8).digest()
+    rng = random.Random(int.from_bytes(key, "little"))
+    xi = seeded_ordering(rng.getrandbits(63))
+    n = rng.randint(2, max_n)
+    i = rng.randint(1, n - 1)
+    j = n - i
+    prefix = unrank(xi, Vertex(i, j), rng.randrange(column_size(Vertex(i, j))))
+    # exactly one branch direction makes the edge into (i+1, j+1) minimal
+    if xi.parents(i + 1, j + 1)[0] == (i + 1, j):
+        steps = (0, 1)
+    else:
+        steps = (1, 0)
+    return xi, prefix.extend(steps)
+
+
+def kink_trials(seed: int, lo: int, hi: int, max_n: int):
+    """(cases, failures) over the trials lo..hi-1: a Counter of KinkCase
+    and how many fail `kink_verify`.  A trial depends on (seed, trial)
+    alone, so the parts of a split range sum to the whole's counts."""
+    cases = Counter()
+    failures = 0
+    for trial in range(lo, hi):
+        xi, path = sample_kink_configuration(seed, trial, max_n)
+        cases[kink_classify(xi, path)] += 1
+        if not kink_verify(xi, path):
+            failures += 1
+    return cases, failures
 
 
 def _check_prime(q: int):

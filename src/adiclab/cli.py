@@ -17,13 +17,14 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 from . import bratteli, coding, factoring
-from .adic import kink_classify, kink_verify
+from .adic import kink_trials
 from .coding import (DEFAULT_MEMORY_CAP, basic_block, block_store,
                      stabilized_complexity, symbol_census)
-from .core import (OrderingTable, Vertex, binomial, blake2b, check_seed,
-                   column_size, make_ordering, seeded_ordering, unrank)
+from .core import (OrderingTable, binomial, check_seed, make_ordering,
+                   seeded_ordering)
 from .errors import InputError, ParseError, ResourceCap
 
 
@@ -218,18 +219,6 @@ def _chunks(total: int, threads: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _kink_worker(seed, lo, hi, max_n):
-    hits = {}
-    failures = 0
-    for trial in range(lo, hi):
-        xi, path = sample_kink_configuration(seed, trial, max_n)
-        case = str(tuple(kink_classify(xi, path)))
-        hits[case] = hits.get(case, 0) + 1
-        if not kink_verify(xi, path):
-            failures += 1
-    return hits, failures
-
-
 def _run_parallel(worker, jobs):
     """worker(*job) per job, one process per job when there are several."""
     if len(jobs) <= 1:
@@ -240,42 +229,19 @@ def _run_parallel(worker, jobs):
         return list(pool.map(worker, *zip(*jobs)))
 
 
-def sample_kink_configuration(seed: int, trial: int, max_n: int):
-    """Deterministic (ordering, path) pair ending in a kink configuration."""
-    import random
-    import struct
-
-    check_seed(seed)
-    key = blake2b(struct.pack("<QQ", seed, trial),
-                  digest_size=8).digest()
-    rng = random.Random(int.from_bytes(key, "little"))
-    xi = seeded_ordering(rng.getrandbits(63))
-    n = rng.randint(2, max_n)
-    i = rng.randint(1, n - 1)
-    j = n - i
-    prefix = unrank(xi, Vertex(i, j), rng.randrange(column_size(Vertex(i, j))))
-    # exactly one branch direction makes the edge into (i+1, j+1) minimal
-    if xi.parents(i + 1, j + 1)[0] == (i + 1, j):
-        steps = (0, 1)
-    else:
-        steps = (1, 0)
-    return xi, prefix.extend(steps)
-
-
 def cmd_kink(args):
     require_at_least("--trials", args.trials, 1)
     require_at_least("--max-n", args.max_n, 2)
     require_seed(args.seed)
     jobs = [(args.seed, lo, hi, args.max_n)
             for lo, hi in _chunks(args.trials, args.threads)]
-    hits = {}
-    failures = 0
-    for part_hits, part_failures in _run_parallel(_kink_worker, jobs):
+    hits, failures = Counter(), 0
+    for part_hits, part_failures in _run_parallel(kink_trials, jobs):
+        hits.update(part_hits)
         failures += part_failures
-        for case, count in part_hits.items():
-            hits[case] = hits.get(case, 0) + count
     emit({"trials": args.trials, "failures": failures,
-          "cases": dict(sorted(hits.items()))})
+          "cases": dict(sorted((str(tuple(case)), count)
+                               for case, count in hits.items()))})
     return 0 if failures == 0 else 1
 
 

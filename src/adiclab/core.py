@@ -241,10 +241,11 @@ def explicit_ordering(bits, max_level: int, default: int = 0) -> OrderingTable:
                          f"not {max_level}")
     if type(default) is not int or default not in (0, 1):
         raise ValueError(f"default is a bit, not {default!r}")
-    bits = {(int(x), int(y)): int(b) for (x, y), b in dict(bits).items()}
+    bits = dict(bits)
     for (x, y), b in bits.items():
-        if x < 1 or y < 1 or x + y > max_level or b not in (0, 1):
-            raise ValueError(f"bad explicit bit ({x},{y})={b}")
+        if (any(type(v) is not int for v in (x, y, b)) or x < 1 or y < 1
+                or x + y > max_level or b not in (0, 1)):
+            raise ValueError(f"bad explicit bit ({x!r},{y!r})={b!r}")
 
     def lookup(x, y):
         if x + y > max_level:

@@ -200,6 +200,7 @@ def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
 # saturated run states and the (ab)^j exclusion search
 
 ALT_CAP = 19  # runs of length 18 = |(ab)^9| must stay exactly representable
+EXACT_LEVEL = 7  # the last level phase 1 exhausts when phase 2 flags
 
 
 def _alternating_prefix_len(w: str) -> int:
@@ -233,13 +234,7 @@ def _run_contrib(first_char: str, length: int):
     return max(ab, 0), max(ba, 0)
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError(f"cap >= 1, not cap = {cap}")
-
-
-def alt_state(w: str, cap: int = ALT_CAP) -> AltState:
-    _check_cap(cap)
+def alt_state(w: str) -> AltState:
     if not w:
         raise ValueError("empty word")
     if w.count("a") + w.count("b") != len(w):
@@ -254,17 +249,14 @@ def alt_state(w: str, cap: int = ALT_CAP) -> AltState:
             start = i
     p = _alternating_prefix_len(w)
     s = _alternating_prefix_len(w[::-1])
-    return AltState(p == len(w), w[0], min(p, cap), w[-1], min(s, cap),
-                    min(maxab, cap), min(maxba, cap))
+    return AltState(p == len(w), w[0], min(p, ALT_CAP), w[-1],
+                    min(s, ALT_CAP), min(maxab, ALT_CAP), min(maxba, ALT_CAP))
 
 
-def combine_alt(s1: AltState, s2: AltState, cap: int = ALT_CAP) -> AltState:
+def combine_alt(s1: AltState, s2: AltState) -> AltState:
     """State of a concatenation from the states of its parts (exact for
-    every decision below the cap; caps up to 31)."""
-    _check_cap(cap)
-    if cap > 31:
-        raise ResourceCap("packed states support caps up to 31")
-    return _unpack(_Combiner(cap)[_pack(s1) << 24 | _pack(s2)])
+    every decision below the cap)."""
+    return _unpack(_Combiner(ALT_CAP)[_pack(s1) << 24 | _pack(s2)])
 
 
 # A packed state holds `full` in bit 0, lc == "b" in bit 1, rc == "b" in
@@ -533,7 +525,7 @@ class ExclusionVerdict(NamedTuple):
         return self.exact_excluded and self.dp_excluded
 
 
-def alternation_exclusion(L: int, j: int, exact_level: int = 7,
+def alternation_exclusion(L: int, j: int,
                           max_bytes: Optional[int] = None) -> ExclusionVerdict:
     """Two-phase check that no basic block contains both (ab)^j and (ba)^j.
 
@@ -541,7 +533,7 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
     and checks that no state can hold both patterns at once.  When it
     excludes, `exact_excluded` is implied, not computed: phase 1 never
     runs.  When it flags, phase 1 exhausts every ordering up to
-    min(L, exact_level) exactly.  A flagged verdict carries its witness:
+    min(L, EXACT_LEVEL) exactly.  A flagged verdict carries its witness:
     phase 1's first flagged level and its least flagged packed state (a
     state some block realizes) when phase 1 flags, else phase 2's.
     `max_bytes` caps phase 2's pair sets (ResourceCap).
@@ -550,14 +542,12 @@ def alternation_exclusion(L: int, j: int, exact_level: int = 7,
         raise ValueError("L >= 1")
     if j < 1:
         raise ValueError("j >= 1")
-    if exact_level < 1:
-        raise ValueError("exact_level >= 1")
     if max_bytes is not None and max_bytes < 0:
         raise ValueError("max_bytes >= 0")
     if 2 * j + 1 > ALT_CAP:
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
-    e_level = min(L, exact_level)
+    e_level = min(L, EXACT_LEVEL)
     comb = _Combiner(ALT_CAP)
     dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
     if dp_ok:
@@ -756,12 +746,14 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int) -> PeriodicReport:
     words = [w for w in words if "a" in w and "b" in w]
     blocks = [basic_block(xi, x, L - x) for x in range(L + 1)]
     longest = max(map(len, blocks))
+    # no block holds a prefix longer than `longest`: one letter past decides
+    searched = min(window_len, longest + 1)
     cases = []
     for w in words:
         found, offset_used, minimal = False, 0, None
         for offset in range(p):
             present = _present_prefix(
-                blocks, _periodic_window(w, offset, window_len))
+                blocks, _periodic_window(w, offset, searched))
             if present < window_len:
                 found, offset_used, minimal = True, offset, present + 1
                 break

@@ -532,7 +532,7 @@ def _reference_combiner(cap):
             memo[key] = got
         return got
 
-    sa, sb = _pack(alt_state("a", cap)), _pack(alt_state("b", cap))
+    sa, sb = _pack(alt_state("a")), _pack(alt_state("b"))
     return comb, sa, sb
 
 
@@ -633,7 +633,7 @@ def phase1_exact_reference(j, level, comb):
     """(excluded, witness level, witness state), checking every state of
     every vector."""
     need = 2 * j
-    sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
+    sa, sb = _pack(alt_state("a")), _pack(alt_state("b"))
     vectors = {()}
     for n in range(2, level + 1):
         nxt, hits = set(), []
@@ -658,7 +658,7 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
     ResourceCap once the pairs of a level below `level` hold more than
     `max_bytes` at 256 bytes a pair."""
     need = 2 * j
-    sa, sb = _pack(alt_state("a", comb.cap)), _pack(alt_state("b", comb.cap))
+    sa, sb = _pack(alt_state("a")), _pack(alt_state("b"))
     reach = {(1, 0): {sa}, (0, 1): {sb}}
     witness = None
     pairs = [{(sa, sb)}]

@@ -12,11 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from adiclab.adic import kink_classify, kink_verify, weakmixing_row_check
+from adiclab.adic import kink_trials, weakmixing_row_check
 from adiclab.bratteli import (OrderedDiagram, Shape, exact_uniform_probability,
                               is_uniformly_ordered, monte_carlo_uniform,
                               telescope)
-from adiclab.cli import sample_kink_configuration
 from adiclab.coding import (basic_block, faithfulness_probe,
                             iter_restricted_blocks, stabilized_complexity,
                             symbol_census)
@@ -77,12 +76,8 @@ def test_criterion_03_distinct_block_counts():
 
 
 def test_criterion_04_kink_return_times():
-    cases = {}
-    for trial in range(1000):
-        xi, path = sample_kink_configuration(20260809, trial, 12)
-        case = kink_classify(xi, path)
-        cases[case] = cases.get(case, 0) + 1
-        assert kink_verify(xi, path)
+    cases, failures = kink_trials(20260809, 0, 1000, 12)
+    assert failures == 0
     assert len(cases) == 8
     assert min(cases.values()) >= 50
     report(4, f"1000 return times verified; per-case counts {sorted(cases.values())}")
@@ -92,7 +87,7 @@ def test_criterion_05_alternation_exclusion():
     xi, xi_prime = small_subshift_orderings()
     assert basic_block(xi, 3, 3) == "a" + "ab" * 9 + "b"
     assert basic_block(xi_prime, 3, 3) == "b" + "ba" * 9 + "a"
-    verdict = alternation_exclusion(12, 9, exact_level=7)
+    verdict = alternation_exclusion(12, 9)
     assert verdict.exact_excluded and verdict.exact_level == 7
     assert verdict.dp_excluded and verdict.dp_level == 12
     assert verdict.excluded

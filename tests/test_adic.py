@@ -1,14 +1,17 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
-                          kink_return_time, kink_verify, orbit_coding,
-                          predecessor, successor, weakmixing_row_check)
+                          kink_return_time, kink_trials, kink_verify,
+                          orbit_coding, predecessor,
+                          sample_kink_configuration, successor,
+                          weakmixing_row_check)
 from adiclab.coding import CylSymbol, basic_block, basic_block_k
 from adiclab.core import (MAX, MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
@@ -165,8 +168,6 @@ def test_kink_explicit_max_min_lr_configuration():
 
 
 def test_kink_verify_sampled_and_nonvacuous():
-    from adiclab.cli import sample_kink_configuration
-
     seen = {}
     broken = set()
     for trial in range(250):
@@ -184,10 +185,28 @@ def test_kink_verify_sampled_and_nonvacuous():
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_kink_sampling_refuses_a_seed_outside_u64(seed):
-    from adiclab.cli import sample_kink_configuration
-
     with pytest.raises(ValueError, match="seed"):
         sample_kink_configuration(seed, 0, 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 12),
+       st.integers(2, 9), st.data())
+def test_kink_trials_sum_the_per_trial_loop(seed, lo, count, max_n, data):
+    hi = lo + count
+    cases, failures = Counter(), 0
+    for trial in range(lo, hi):
+        xi, p = sample_kink_configuration(seed, trial, max_n)
+        cases[kink_classify(xi, p)] += 1
+        failures += not kink_verify(xi, p)
+    got = kink_trials(seed, lo, hi, max_n)
+    assert got == (cases, failures)
+    assert all(type(case) is KinkCase for case in got[0])
+    # a trial depends on (seed, trial) alone, so any split sums the same
+    mid = data.draw(st.integers(lo, hi))
+    left = kink_trials(seed, lo, mid, max_n)
+    right = kink_trials(seed, mid, hi, max_n)
+    assert (left[0] + right[0], left[1] + right[1]) == got
 
 
 def test_kink_window_fits_in_the_path_column():
@@ -251,8 +270,6 @@ def successor_kink_oracle(xi, p, offset):
 @settings(deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(-1, 1))
 def test_kink_verify_agrees_with_successor_iteration(seed, trial, offset):
-    from adiclab.cli import sample_kink_configuration
-
     xi, p = sample_kink_configuration(seed, trial, 7)
     # off r_n the window may leave p's column, which only the reference
     # deepens past

@@ -387,8 +387,6 @@ _EDGE_DIAGRAM = OrderedDiagram((((0,), (0,)), ((0, 1), (0, 1)),
     pytest.param(alternation_exclusion, (0, 9), "L", id="alternation-L0"),
     pytest.param(alternation_exclusion, (5, 0), "j", id="alternation-j0"),
     pytest.param(alternation_exclusion, (5, -1), "j", id="alternation-j-1"),
-    pytest.param(alternation_exclusion, (5, 9, 0), "exact_level",
-                 id="alternation-exact-level0"),
     pytest.param(kink_return_time, (KINK_CASES[0], 0, 0), "j",
                  id="kink-n0-j0"),
     pytest.param(kink_return_time, (KINK_CASES[0], 4, 4), "j",

@@ -68,6 +68,17 @@ def test_ordering_kinds_and_bits():
         constant_ordering(2)
 
 
+@pytest.mark.parametrize("bits", [
+    {(2.5, 2): 1}, {(2, 2): 1.7}, {(2, 2): "1"}, {(2, 2): True},
+    {("2", 2): 1}, {(0, 2): 1}, {(2, 2): 2}, {(2, 3): 1}])
+def test_explicit_ordering_refuses_entries_that_are_not_integer_bits(bits):
+    # int() would read each of the first five as bit 1 at (2, 2)
+    (x, y), b = next(iter(bits.items()))
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad explicit bit ({x!r},{y!r})={b!r}")):
+        explicit_ordering(bits, max_level=4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        bias=st.sampled_from([0, 0.25, 0.5, 1]) | st.floats(0, 1),

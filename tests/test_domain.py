@@ -87,15 +87,9 @@ DOMAIN = [
      lambda v: al.alternation_exclusion(v, 2), "L"),
     ("alternation_exclusion", "j", 1,
      lambda v: al.alternation_exclusion(4, v), "j"),
-    ("alternation_exclusion", "exact_level", 1,
-     lambda v: al.alternation_exclusion(4, 2, v), "exact_level"),
     # a 0-byte cap is valid, and only a search that stores no pairs fits
     ("alternation_exclusion", "max_bytes", 0,
-     lambda v: al.alternation_exclusion(2, 2, 1, v), "max_bytes"),
-    ("alt_state", "cap", 1, lambda v: al.alt_state("abba", v), "cap"),
-    ("combine_alt", "cap", 1,
-     lambda v: al.combine_alt(al.alt_state("ab"), al.alt_state("ba"), v),
-     "cap"),
+     lambda v: al.alternation_exclusion(2, 2, max_bytes=v), "max_bytes"),
     ("intersection_probe", "n", 1,
      lambda v: al.intersection_probe(_XI, _XI, v, 4), "n"),
     ("intersection_probe", "L", 1,
@@ -156,7 +150,7 @@ def test_every_exported_function_with_an_integer_argument_has_a_row():
                "rule_ordering", "kink_classify", "kink_verify", "predecessor",
                "successor", "symbol_census", "decode_ordering",
                "decompose_CD", "small_subshift_orderings", "telescope",
-               "exact_uniform_probability"}
+               "exact_uniform_probability", "alt_state", "combine_alt"}
     functions = {name for name in dir(al) if not name.startswith("_")
                  and callable(getattr(al, name))
                  and not isinstance(getattr(al, name), type)}

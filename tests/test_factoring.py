@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from adiclab import factoring
 from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
@@ -302,10 +303,9 @@ _ALTERNATING_WORDS = st.lists(
 
 
 @settings(max_examples=400, deadline=None)
-@given(_ALTERNATING_WORDS, _ALTERNATING_WORDS, st.integers(3, 19))
-def test_combine_alt_is_alt_state_of_concatenation(u, v, cap):
-    assert combine_alt(alt_state(u, cap), alt_state(v, cap), cap) == \
-        alt_state(u + v, cap)
+@given(_ALTERNATING_WORDS, _ALTERNATING_WORDS)
+def test_combine_alt_is_alt_state_of_concatenation(u, v):
+    assert combine_alt(alt_state(u), alt_state(v)) == alt_state(u + v)
 
 
 @st.composite
@@ -337,7 +337,7 @@ def test_alt_state_of_extremal_alternation_blocks():
 
 
 def test_alternation_exclusion_small():
-    verdict = alternation_exclusion(8, 9, exact_level=6)
+    verdict = alternation_exclusion(8, 9)
     assert verdict.excluded and verdict.exact_excluded and verdict.dp_excluded
     with pytest.raises(ResourceCap, match="exceeds saturation cap"):
         alternation_exclusion(6, 12)
@@ -345,16 +345,17 @@ def test_alternation_exclusion_small():
 
 def test_alternation_exclusion_negative_control():
     # (ab)^3 and (ba)^3 do co-occur in real blocks, so j = 3 must fail
-    verdict = alternation_exclusion(7, 3, exact_level=5)
+    verdict = alternation_exclusion(7, 3)
     assert not verdict.exact_excluded
     assert verdict.witness_level == 5
     assert verdict.witness_state.maxab >= 6 and verdict.witness_state.maxba >= 6
 
 
-def test_alternation_phase2_witness():
+def test_alternation_phase2_witness(monkeypatch):
     # phase 1 stops at level 4, below the first level where (ab)^3 and
     # (ba)^3 meet, so the witness comes from phase 2
-    verdict = alternation_exclusion(7, 3, exact_level=4)
+    monkeypatch.setattr(factoring, "EXACT_LEVEL", 4)
+    verdict = alternation_exclusion(7, 3)
     assert verdict.exact_excluded and not verdict.dp_excluded
     assert verdict.witness_level == 5
     state = verdict.witness_state
@@ -438,11 +439,11 @@ def test_reflection_maps_orderings_to_orderings(xi):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_ALTERNATING_WORDS, st.text("ab", min_size=1, max_size=60)),
-       st.integers(3, 31))
-def test_letter_swap_is_the_state_of_the_swapped_word(w, cap):
-    assert _swap(_pack(alt_state(w, cap))) == \
-        _pack(alt_state(w.translate(_SWAP_LETTERS), cap))
+@given(st.one_of(_ALTERNATING_WORDS,
+                 st.text("ab", min_size=1, max_size=60)))
+def test_letter_swap_is_the_state_of_the_swapped_word(w):
+    assert _swap(_pack(alt_state(w))) == \
+        _pack(alt_state(w.translate(_SWAP_LETTERS)))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -465,12 +466,13 @@ def test_phases_match_their_full_level_references(j):
 
 
 @pytest.mark.parametrize("j", range(1, 10))
-def test_alternation_exclusion_matches_both_phases_run(j):
+def test_alternation_exclusion_matches_both_phases_run(j, monkeypatch):
     # phase 1 runs only once phase 2 flags; the verdict, witness included,
     # is the one both phases always run would give
-    for L in range(1, 9):
-        for exact_level in (1, 4, 7):
-            assert alternation_exclusion(L, j, exact_level) == \
+    for exact_level in (1, 4, 7):
+        monkeypatch.setattr(factoring, "EXACT_LEVEL", exact_level)
+        for L in range(1, 9):
+            assert alternation_exclusion(L, j) == \
                 alternation_exclusion_reference(L, j, exact_level)
 
 
@@ -696,6 +698,22 @@ def test_periodic_report_keeps_no_window_text():
         tracemalloc.stop()
     assert report.all_excluded and len(report.cases) == 14
     assert held < 64 << 10
+
+
+def test_periodic_window_is_built_only_as_far_as_a_block_reaches():
+    # a p = 6 window is 3 C(28, 14) + 1 = 120,180,961 letters, but no
+    # level-12 block is longer than C(12, 6) = 924, so a prefix of 925
+    # letters already decides each case
+    xi = seeded_ordering(1)
+    tracemalloc.start()
+    try:
+        report = periodic_exclusion(xi, 6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.cases) == 62
+    assert all(c.excluded and c.vacuous for c in report.cases)
+    assert peak < 10 << 20
 
 
 def test_periodic_vacuous_iff_window_outgrows_every_block():
