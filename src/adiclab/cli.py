@@ -350,7 +350,7 @@ def build_parser():
     p.set_defaults(func=cmd_kink)
 
     p = sub.add_parser("alternation", parents=[common, capped],
-                       help="two-phase (ab)^j / (ba)^j exclusion verdict")
+                       help="(ab)^j / (ba)^j exclusion verdict")
     p.add_argument("--max-level", type=int, default=12)
     p.add_argument("--j", type=int, default=9)
     p.set_defaults(func=cmd_alternation)

@@ -1,9 +1,9 @@
 """Parsers and analyzers for restricted-ordering blocks and run structure.
 
 Covers the C/D tokenizer and its inverse (recovering an ordering from a
-block), the check that every block splits one way only, the two-phase
-(ab)^j / (ba)^j exclusion search, run-context histograms, and the probes
-around the smallest common subshift.
+block), the check that every block splits one way only, the (ab)^j /
+(ba)^j exclusion search, run-context histograms, and the probes around
+the smallest common subshift.
 """
 
 import itertools
@@ -73,52 +73,57 @@ def _between(idx, lo: int, hi: int):
     return idx[bisect_left(idx, lo):bisect_left(idx, hi)]
 
 
-def _decode_segment(w: str, lo: int, hi: int, u: int, v: int, bits: dict,
-                    seen: dict, starts: dict, where: dict):
-    """Recover the bit at (u, v) from w[lo:hi] = B(u, v), then recurse.
+def _decode_bits(w: str, x: int, y: int, starts: dict, where: dict) -> dict:
+    """The interior bits recovered from w = B(x, y).
 
-    A segment cut at token starts of w holds exactly w's tokens between
-    them, so C_u and D_v are looked up in `where`.  A valid block is its
-    tokens' concatenation, so every cut lies on a token start; a bound
-    inside a token is a ParseError at that bound.  `seen` maps each
-    interior vertex to the text of its first segment whose subtree
-    decoded: a later segment of the right length with that same text
-    decodes to the same tokens and bits, so it returns at once.
+    The segments w[lo:hi] = B(u, v) are read left to right from an
+    explicit stack, a vertex's segment before its parents', so the depth
+    of the block costs no recursion.  A segment cut at token starts of w
+    holds exactly w's tokens between them, so C_u and D_v are looked up in
+    `where`.  A valid block is its tokens' concatenation, so every cut lies
+    on a token start; a bound inside a token is a ParseError at that
+    bound.  `seen` maps each interior vertex to the offset of its first
+    segment that passed these checks: a later segment with that same text
+    decodes to the same tokens and bits, so it is skipped.  (A subtree
+    that fails ends the decode, so only segments whose subtree decoded are
+    ever compared.)
     """
-    if hi - lo != binomial(u + v, u):
-        raise ParseError(
-            f"segment for ({u},{v}) has length {hi - lo}, "
-            f"expected {binomial(u + v, u)}")
-    if v == 1:
-        if w[lo:hi] != "a" * u + "b":
-            raise ParseError(f"expected C{u}", lo)
-        return
-    if u == 1:
-        if w[lo:hi] != "a" + "b" * v:
-            raise ParseError(f"expected D{v}", lo)
-        return
-    text = seen.get((u, v))
-    if text is not None and w.startswith(text, lo):
-        return
-    t_lo, t_hi = starts.get(lo), starts.get(hi)
-    if t_lo is None or t_hi is None:
-        raise ParseError(f"segment for ({u},{v}) cuts a token",
-                         lo if t_lo is None else hi)
-    pos_c = _between(where.get(CDToken("C", u), ()), t_lo, t_hi)
-    pos_d = _between(where.get(CDToken("D", v), ()), t_lo, t_hi)
-    if len(pos_c) != 1 or len(pos_d) != 1:
-        raise ParseError(f"C{u} and D{v} must appear exactly once in "
-                         f"the segment for ({u},{v})", lo)
-    bit = 0 if pos_c[0] < pos_d[0] else 1
-    old = bits.setdefault((u, v), bit)
-    if old != bit:
-        raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
-    first, second = ordered_parents(u, v, bit)
-    cut = lo + binomial(first[0] + first[1], first[0])
-    _decode_segment(w, lo, cut, first[0], first[1], bits, seen, starts, where)
-    _decode_segment(w, cut, hi, second[0], second[1], bits, seen, starts,
-                    where)
-    seen[(u, v)] = w[lo:hi]
+    bits, seen = {}, {}
+    stack = [(0, len(w), x, y)]
+    while stack:
+        lo, hi, u, v = stack.pop()
+        size = binomial(u + v, u)
+        if hi - lo != size:
+            raise ParseError(f"segment for ({u},{v}) has length {hi - lo}, "
+                             f"expected {size}")
+        if v == 1:
+            if w[lo:hi] != "a" * u + "b":
+                raise ParseError(f"expected C{u}", lo)
+            continue
+        if u == 1:
+            if w[lo:hi] != "a" + "b" * v:
+                raise ParseError(f"expected D{v}", lo)
+            continue
+        first = seen.get((u, v))
+        if first is not None and w.startswith(w[first:first + size], lo):
+            continue
+        t_lo, t_hi = starts.get(lo), starts.get(hi)
+        if t_lo is None or t_hi is None:
+            raise ParseError(f"segment for ({u},{v}) cuts a token",
+                             lo if t_lo is None else hi)
+        pos_c = _between(where.get(CDToken("C", u), ()), t_lo, t_hi)
+        pos_d = _between(where.get(CDToken("D", v), ()), t_lo, t_hi)
+        if len(pos_c) != 1 or len(pos_d) != 1:
+            raise ParseError(f"C{u} and D{v} must appear exactly once in "
+                             f"the segment for ({u},{v})", lo)
+        bit = 0 if pos_c[0] < pos_d[0] else 1
+        if bits.setdefault((u, v), bit) != bit:
+            raise ParseError(f"inconsistent bit recovered at ({u},{v})", lo)
+        seen.setdefault((u, v), lo)
+        (u0, v0), (u1, v1) = ordered_parents(u, v, bit)
+        cut = lo + binomial(u0 + v0, u0)
+        stack += [(cut, hi, u1, v1), (lo, cut, u0, v0)]
+    return bits
 
 
 def decode_ordering(w: str):
@@ -150,8 +155,7 @@ def _decode_with_tokens(w: str):
     tokens, starts, where = _scan_CD(w)
     x = max((t.index for t in where if t.kind == "C"), default=1)
     y = max((t.index for t in where if t.kind == "D"), default=1)
-    bits = {}
-    _decode_segment(w, 0, len(w), x, y, bits, {}, starts, where)
+    bits = _decode_bits(w, x, y, starts, where)
     return Vertex(x, y), explicit_ordering(bits, max_level=x + y), tokens
 
 
@@ -200,7 +204,9 @@ def unique_factorization_check(xi: OrderingTable, k: int, n: int) -> bool:
 # saturated run states and the (ab)^j exclusion search
 
 ALT_CAP = 19  # runs of length 18 = |(ab)^9| must stay exactly representable
-EXACT_LEVEL = 7  # the last level phase 1 exhausts when phase 2 flags
+# the level up to which the tests check that the search's first flag is
+# realized by a block, so `exact_excluded` can be read off the flag
+EXACT_LEVEL = 7
 
 
 def _alternating_prefix_len(w: str) -> int:
@@ -351,43 +357,6 @@ def _children(pairs, comb: _Combiner) -> set:
         map(get, [(p & 0xFFFFFF) << 24 | p >> 24 for p in pairs]))
 
 
-def _next_level(vectors, comb: _Combiner):
-    """(states, next vectors) one level above `vectors`.
-
-    Each interior vertex has one candidate state per bit, and the next
-    vectors are every combination of them.
-    """
-    states, nxt = set(), set()
-    for vec in vectors:
-        ext = (_SB,) + vec + (_SA,)  # parents of x are ext[x - 1], ext[x]
-        adjacent = list(zip(ext, ext[1:]))
-        zero = [comb[q << 24 | p] for p, q in adjacent]
-        one = [comb[p << 24 | q] for p, q in adjacent]
-        states.update(zero)
-        states.update(one)
-        nxt.update(itertools.product(*[(s0,) if s0 == s1 else (s0, s1)
-                                       for s0, s1 in zip(zero, one)]))
-    return states, nxt
-
-
-def _phase1_exact(j: int, level: int, comb: _Combiner):
-    """Exhaust all orderings to `level`; True iff no block holds both
-    (ab)^j and (ba)^j.  State vectors deduplicate equivalent orderings.
-
-    Each level flag-checks the set of distinct states it built
-    (`_next_level`).  A flagged level names as witness its least flagged
-    packed state (`_least_flagged`), a state some block realizes.
-    """
-    need = 2 * j
-    vectors = {()}
-    for n in range(2, level + 1):
-        states, vectors = _next_level(vectors, comb)
-        witness = _least_flagged(states, need)
-        if witness is not None:
-            return False, n, _unpack(witness)
-    return True, level, None
-
-
 # Bytes per phase-2 pair, counted over the pairs of both halves of every
 # level built below the last although only about half are stored: a
 # pair's packed int and set slot plus its share of the per-level
@@ -512,6 +481,10 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
 
 
 class ExclusionVerdict(NamedTuple):
+    """The (ab)^j / (ba)^j verdict: `dp_excluded` to level `dp_level`,
+    `exact_excluded` to level `exact_level`, and a flagged search's first
+    flagged level and least flagged state."""
+
     j: int
     exact_level: int
     dp_level: int
@@ -522,21 +495,24 @@ class ExclusionVerdict(NamedTuple):
 
     @property
     def excluded(self):
-        return self.exact_excluded and self.dp_excluded
+        return self.dp_excluded
 
 
 def alternation_exclusion(L: int, j: int,
                           max_bytes: Optional[int] = None) -> ExclusionVerdict:
-    """Two-phase check that no basic block contains both (ab)^j and (ba)^j.
+    """Check that no basic block up to level L holds both (ab)^j and (ba)^j.
 
-    Phase 2 propagates sibling-consistent reachable run states to level L
-    and checks that no state can hold both patterns at once.  When it
-    excludes, `exact_excluded` is implied, not computed: phase 1 never
-    runs.  When it flags, phase 1 exhausts every ordering up to
-    min(L, EXACT_LEVEL) exactly.  A flagged verdict carries its witness:
-    phase 1's first flagged level and its least flagged packed state (a
-    state some block realizes) when phase 1 flags, else phase 2's.
-    `max_bytes` caps phase 2's pair sets (ResourceCap).
+    One search propagates sibling-consistent reachable run states to level
+    L and flags a state that could hold both patterns at once
+    (`_phase2_reachable`).  Its reach sets hold every state some block
+    realizes, so no flag excludes every ordering to level L.  A flagged
+    verdict carries the first flagged level and its least flagged packed
+    state.  `exact_excluded` answers for every ordering up to
+    min(L, EXACT_LEVEL): it holds iff the first flag lies above that
+    level, since a first flag at or below EXACT_LEVEL is realized, with
+    the same least state, by a block of some ordering (a finite fact over
+    j <= 9 that the tests check against an enumeration of every
+    ordering).  `max_bytes` caps the search's pair sets (ResourceCap).
     """
     if L < 1:
         raise ValueError("L >= 1")
@@ -548,15 +524,11 @@ def alternation_exclusion(L: int, j: int,
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, EXACT_LEVEL)
-    comb = _Combiner(ALT_CAP)
-    dp_ok, _, dp_witness = _phase2_reachable(j, L, comb, max_bytes)
+    dp_ok, _, witness = _phase2_reachable(j, L, _Combiner(ALT_CAP), max_bytes)
     if dp_ok:
-        # phase 2's reach sets hold every state of every ordering to level
-        # L, so its exclusion implies phase 1's
         return ExclusionVerdict(j, e_level, L, True, True)
-    exact_ok, *witness = _phase1_exact(j, e_level, comb)
-    return ExclusionVerdict(j, e_level, L, exact_ok, False,
-                            *(dp_witness if exact_ok else witness))
+    return ExclusionVerdict(j, e_level, L, witness[0] > e_level, False,
+                            *witness)
 
 
 # ---------------------------------------------------------------------------

@@ -622,34 +622,43 @@ def phase2_reference(j, level, cap):
     return excluded, reach
 
 
-# The alternation phases as they stood before phase 2 built half of each
-# level and phase 1's last level combined each parent pair once: phase 1
-# builds every level's vectors, and phase 2 builds and groups every
-# position of every level.  Both name as witness the least flagged packed
-# state of the first flagged level.
+# The exact enumeration of every ordering's state vectors (phase 1, the
+# oracle for reading `exact_excluded` off phase 2's first flag), and
+# phase 2 with every position of every level built and grouped.  Both
+# name as witness the least flagged packed state of the first flagged
+# level.
+
+
+def exact_states_reference(level, comb):
+    """Yield (n, states) for n = 2..level: the packed states of the
+    interior blocks of level n over every ordering, from the state vectors
+    of every ordering, each interior vertex taking one state per bit."""
+    sa, sb = _pack(alt_state("a")), _pack(alt_state("b"))
+    vectors = {()}
+    for n in range(2, level + 1):
+        nxt, states = set(), set()
+        for vec in vectors:
+            ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
+            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
+            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
+            states.update(zero + one)
+            if n == level:
+                continue
+            options = [(s0,) if s0 == s1 else (s0, s1)
+                       for s0, s1 in zip(zero, one)]
+            nxt.update(itertools.product(*options))
+        yield n, states
+        vectors = nxt
 
 
 def phase1_exact_reference(j, level, comb):
     """(excluded, witness level, witness state), checking every state of
     every vector."""
     need = 2 * j
-    sa, sb = _pack(alt_state("a")), _pack(alt_state("b"))
-    vectors = {()}
-    for n in range(2, level + 1):
-        nxt, hits = set(), []
-        for vec in vectors:
-            ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
-            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
-            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
-            hits += [s for s in zero + one if _reference_flagged(s, need)]
-            if n == level:
-                continue
-            options = [(s0,) if s0 == s1 else (s0, s1)
-                       for s0, s1 in zip(zero, one)]
-            nxt.update(itertools.product(*options))
+    for n, states in exact_states_reference(level, comb):
+        hits = [s for s in states if _reference_flagged(s, need)]
         if hits:
             return False, n, _unpack(min(hits))
-        vectors = nxt
     return True, level, None
 
 

@@ -13,9 +13,8 @@ from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
-                               RunContextReport, _Combiner, _next_level,
-                               _pack, _phase1_exact, _phase2_reachable,
-                               _present_prefix,
+                               RunContextReport, _Combiner, _pack,
+                               _phase2_reachable, _present_prefix,
                                _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
@@ -26,8 +25,9 @@ from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
 from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
                       alternation_exclusion_reference,
                       combine_packed_reference, decode_reference,
-                      decompose_CD_reference, expand,
-                      factorization_scheme_counts_reference, orderings,
+                      decompose_CD_reference, exact_states_reference,
+                      expand, factorization_scheme_counts_reference,
+                      orderings,
                       periodic_reference, phase1_exact_reference,
                       phase1_reference, phase2_reachable_reference,
                       phase2_reference, reachable_alt_states,
@@ -117,6 +117,27 @@ def test_decode_roundtrip_sampled_to_6():
         vertex, table = decode_ordering(word)
         assert vertex == Vertex(6, 6)
         assert all(table.bit(u, v) == b for (u, v), b in bits.items())
+
+
+def test_decode_long_block_round_trips():
+    # a valid 721,801-letter block whose segments nest 1,200 deep
+    word = basic_block(explicit_ordering({}, 1202), 2, 1200)
+    vertex, table = decode_ordering(word)
+    assert vertex == Vertex(2, 1200)
+    assert all(table.bit(2, v) == 0 for v in range(2, 1201))
+
+
+def test_decode_peak_memory_stays_small():
+    # the skip keeps each vertex's first offset: keeping its segment text
+    # instead holds about y^3 / 6 letters at (2, y), 82 MiB at y = 800
+    word = basic_block(explicit_ordering({}, 802), 2, 800)
+    tracemalloc.start()
+    try:
+        decode_ordering(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @settings(deadline=None)
@@ -352,8 +373,9 @@ def test_alternation_exclusion_negative_control():
 
 
 def test_alternation_phase2_witness(monkeypatch):
-    # phase 1 stops at level 4, below the first level where (ab)^3 and
-    # (ba)^3 meet, so the witness comes from phase 2
+    # the exact level 4 lies below the first level where (ab)^3 and (ba)^3
+    # meet, so the verdict is exactly excluded to level 4 and its witness
+    # is phase 2's first flag, at level 5
     monkeypatch.setattr(factoring, "EXACT_LEVEL", 4)
     verdict = alternation_exclusion(7, 3)
     assert verdict.exact_excluded and not verdict.dp_excluded
@@ -395,9 +417,11 @@ def test_alternation_witness_matches_brute_force(j):
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 9])
 def test_phase1_matches_reference(j):
-    # j = 9 never flags, so every vector set to level 6 is built
+    # the enumeration that `alternation_exclusion_reference` runs for the
+    # exact verdict against the loop over every bit pattern; j = 9 never
+    # flags, so every vector set to level 6 is built
     for level in range(4, 8 if j < 9 else 7):
-        assert _phase1_exact(j, level, _Combiner(ALT_CAP)) == \
+        assert phase1_exact_reference(j, level, _Combiner(ALT_CAP)) == \
             phase1_reference(j, level, ALT_CAP)
 
 
@@ -457,21 +481,23 @@ def test_combiner_commutes_with_the_letter_swap(pair):
 @pytest.mark.parametrize("j", range(1, 10))
 def test_phases_match_their_full_level_references(j):
     comb = _Combiner(ALT_CAP)
-    for level in range(1, 8):
-        assert _phase1_exact(j, level, comb) == \
-            phase1_exact_reference(j, level, comb)
     for level in range(1, 12 if j == 9 else 11):
         assert _phase2_reachable(j, level, comb) == \
             phase2_reachable_reference(j, level, comb)
 
 
-@pytest.mark.parametrize("j", range(1, 10))
+@pytest.mark.parametrize("j", range(1, (ALT_CAP - 1) // 2 + 1))
 def test_alternation_exclusion_matches_both_phases_run(j, monkeypatch):
-    # phase 1 runs only once phase 2 flags; the verdict, witness included,
-    # is the one both phases always run would give
-    for exact_level in (1, 4, 7):
+    # the verdict, witness included, equals the one from the exact
+    # enumeration of every ordering to min(L, EXACT_LEVEL) and phase 2 to
+    # L: phase 2's first flag at a level up to EXACT_LEVEL is realized,
+    # with the same least state, by some block.  The exact answer depends
+    # only on j and min(L, EXACT_LEVEL), and phase 2's first flag not on
+    # L, so L up to one past EXACT_LEVEL covers every L
+    top = factoring.EXACT_LEVEL
+    for exact_level in (1, 4, top):
         monkeypatch.setattr(factoring, "EXACT_LEVEL", exact_level)
-        for L in range(1, 9):
+        for L in range(1, top + 2):
             assert alternation_exclusion(L, j) == \
                 alternation_exclusion_reference(L, j, exact_level)
 
@@ -553,13 +579,11 @@ def test_phase2_contains_exact_states():
 
 
 def test_phase2_contains_phase1_states_at_every_level():
-    # phase 2's exclusion implies phase 1's because every state phase 1
-    # builds at a level lies in phase 2's reach sets of that level
+    # phase 2's exclusion implies the exact one because every state of
+    # every ordering at a level lies in phase 2's reach sets of that level
     comb = _Combiner(ALT_CAP)
     _, reach, _ = _phase2_reachable(9, 7, comb)
-    vectors = {()}
-    for n in range(2, 8):
-        states, vectors = _next_level(vectors, comb)
+    for n, states in exact_states_reference(7, comb):
         assert states <= set().union(*[reach[(n - y, y)]
                                         for y in range(1, n)])
 
