@@ -61,8 +61,11 @@ class BlockStore:
     vertices above level k repeat the words at (k, 0) and (0, k).
     `LETTERS` is the base of the letter blocks; `CYLINDER_IDS[k]` is the
     base of the k-coding.
-    Blocks over every base share one memo of the blocks of at most
-    `MEMO_BLOCK_BYTES` symbols, and each insert is checked against
+    Each base's memo starts with its base words, which are not charged
+    to the budget, and a boundary vertex reads its side's corner, so one
+    lookup answers boundary, base-level and stored blocks alike.
+    Blocks over every base share one budget: the memo keeps the blocks of
+    at most `MEMO_BLOCK_BYTES` symbols, and each insert is checked against
     `max_bytes`.  A longer block is never stored: each request joins the
     short blocks beneath it, found by one walk over `parents`, and is
     refused, before the walk and again after it, when the memo plus its
@@ -74,7 +77,7 @@ class BlockStore:
         self.xi = xi
         self.max_bytes = max_bytes
         self.bytes_used = 0
-        self._memos = {}  # base -> {(x, y): block}
+        self._memos = {}  # base -> {(x, y): block}, base words first
         self._build_lock = threading.Lock()
 
     def block(self, x: int, y: int, base: tuple = LETTERS):
@@ -85,19 +88,19 @@ class BlockStore:
         k = len(base) - 1
         if x + y < k:
             raise InputError(f"({x},{y}) is below level {k}")
-        if y == 0:
-            return base[0]
-        if x == 0:
-            return base[k]
-        if x + y == k:
-            return base[y]
         memo = self._memos.get(base)
-        if memo is not None and (x, y) in memo:
-            return memo[(x, y)]
+        if memo is None:
+            memo = self._memos.setdefault(
+                base, {(k - m, m): word for m, word in enumerate(base)})
+        # a boundary vertex repeats its side's corner word
+        word = memo.get((x, y) if x and y else (k, 0) if x else (0, k))
+        if word is not None:
+            return word
         if binomial(x + y, x) > MEMO_BLOCK_BYTES:
             return self._join(x, y, base)
         with self._build_lock:
-            return self._build(x, y, base)
+            # a thread that waited here may find the block built
+            return memo.get((x, y)) or self._build(x, y, k, memo)
 
     def _join(self, x, y, base):
         """The long block at (x, y), joined from the memoized short blocks
@@ -126,28 +129,18 @@ class BlockStore:
             raise ResourceCap(f"block memo would exceed {self.max_bytes} bytes")
         return base[0][:0].join(pieces)
 
-    def _build(self, x, y, base):
-        memo = self._memos.setdefault(base, {})
-        k = len(base) - 1
+    def _build(self, x, y, k, memo):
         parents = self.xi.parents
         stack = [(x, y)]
         while stack:
             u, v = stack[-1]
-            if (u, v) in memo:
-                stack.pop()
-                continue
             parts = []
             for p, q in parents(u, v):
-                if q == 0:
-                    parts.append(base[0])
-                elif p == 0:
-                    parts.append(base[k])
-                elif p + q == k:
-                    parts.append(base[q])
-                elif (p, q) in memo:
-                    parts.append(memo[(p, q)])
-                else:
+                word = memo.get((p, q) if p and q else (k, 0) if p else (0, k))
+                if word is None:
                     stack.append((p, q))
+                else:
+                    parts.append(word)
             if len(parts) == 2:
                 word = parts[0] + parts[1]
                 used = self.bytes_used + len(word)
@@ -161,13 +154,12 @@ class BlockStore:
 
 
 def block_store(xi: OrderingTable, max_bytes: Optional[int] = None) -> BlockStore:
-    """The store attached to xi (created on first use)."""
+    """The store attached to xi (created on first use), its cap set to
+    `max_bytes` when that is given."""
     store = getattr(xi, "_block_store", None)
     if store is None:
-        store = BlockStore(xi, DEFAULT_MEMORY_CAP if max_bytes is None
-                           else max_bytes)
-        xi._block_store = store
-    elif max_bytes is not None:
+        store = xi._block_store = BlockStore(xi)
+    if max_bytes is not None:
         store.max_bytes = max_bytes
     return store
 

@@ -134,12 +134,12 @@ class OrderingTable:
     counts their hits and misses; constant, explicit and tree bits cost
     less than a memo probe and are not memoized.  The path walks (rank,
     unrank, extreme paths, minimal continuations and the successor pivot)
-    read it directly, and `parents` serves the block recurrence, the
-    language scan and the test oracles.  `spec` is the JSON document of
-    the ordering (None when it has no JSON form) and `fingerprint` its
-    canonical identity string.  The constructors below build the
-    supported kinds: constant, seeded (counter-based hash of
-    (seed, x, y)), explicit (finite map with a level bound), tree
+    read it directly, and `parents`, at interior vertices only, serves
+    the block recurrence, the language scan and the test oracles.  `spec`
+    is the JSON document of the ordering (None when it has no JSON form)
+    and `fingerprint` its canonical identity string.  The constructors
+    below build the supported kinds: constant, seeded (counter-based hash
+    of (seed, x, y)), explicit (finite map with a level bound), tree
     (binary-tree embedding), and rule (arbitrary total function, used for
     the named paper orderings).  Instances are immutable.
     """
@@ -159,17 +159,15 @@ class OrderingTable:
         return BOTH_EXTREMAL
 
     def parents(self, x: int, y: int) -> tuple:
-        """Sources of the (minimal, maximal) incoming edges of (x, y).
+        """Sources of the (minimal, maximal) incoming edges of interior
+        (x, y); any other vertex is refused with a ValueError.
 
-        A boundary vertex has one incoming edge, both minimal and maximal,
-        so its single parent is returned twice.
+        A boundary vertex has one incoming edge and repeats its side's
+        block, so no recurrence asks for its parents.
         """
         if x > 0 and y > 0:
             return ordered_parents(x, y, self._lookup(x, y))
-        if x < 0 or y < 0 or (x == 0 and y == 0):
-            raise ValueError(f"no incoming edges at ({x}, {y})")
-        parent = (x - 1, 0) if y == 0 else (0, y - 1)
-        return parent, parent
+        raise ValueError(f"({x}, {y}) is not an interior vertex")
 
     def fingerprint(self) -> str:
         """Canonical identity string, as the `complexity` command prints it."""

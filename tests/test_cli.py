@@ -120,12 +120,15 @@ _MINIMAL_ARGV = {
 }
 _CAPPED = {"block", "alternation"}
 _TABLES = {"complexity", "montecarlo"}
+# the commands the benchmark runs, each with --threads 1 appended
+_THREADED = {"complexity", "montecarlo", "kink", "alternation", "smallshift"}
 
 
 @pytest.mark.parametrize("command, flag", [
     *((c, ["--max-mem", "64"]) for c in sorted(set(_MINIMAL_ARGV) - _CAPPED)),
     *((c, ["--format", "json"]) for c in sorted(set(_MINIMAL_ARGV) - _TABLES)),
     *((c, ["--format", "text"]) for c in sorted(_MINIMAL_ARGV)),
+    *((c, ["--threads", "1"]) for c in sorted(set(_MINIMAL_ARGV) - _THREADED)),
     ("kink", ["--max-level", "64"]),
 ])
 def test_commands_refuse_flags_they_do_not_honour(capsys, tmp_path, command,
@@ -317,6 +320,7 @@ FILE_ERRORS = {
     "bool_shape.json": "bad shapes field: multiplicities must be "
                        "non-negative integers",
     "bool_coding.json": "bad coding field: bad source ids [False] at level 1",
+    "levels.json": "levels field disagrees with coding shape",
 }
 
 
@@ -365,6 +369,15 @@ FILE_ERRORS = {
     (["kink", "--trials", "5", "--seed", "-1"], "usage"),
     (["montecarlo", "--shapes", "{tmp}/shapes.json", "--trials", "5",
       "--seed", str(2**64)], "usage"),
+    (["odometer", "--diagram", "{tmp}/levels.json"], "input"),
+    # every command that takes --threads refuses 0
+    (["complexity", "--ordering", "constant0", "--nmin", "1", "--nmax", "2",
+      "--threads", "0"], "usage"),
+    (["montecarlo", "--shapes", "{tmp}/shapes.json", "--trials", "5",
+      "--seed", "1", "--threads", "0"], "usage"),
+    (["alternation", "--max-level", "4", "--j", "3", "--threads", "0"],
+     "usage"),
+    (["smallshift", "--n", "4", "--level", "6", "--threads", "0"], "usage"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
@@ -379,6 +392,9 @@ def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{")
     (tmp_path / "bool_shape.json").write_text('{"shapes": [[[true]]]}')
     (tmp_path / "bool_coding.json").write_text('{"coding": [[[false]]]}')
+    # a levels field that does not match the coding
+    (tmp_path / "levels.json").write_text(
+        '{"levels": [1, 2], "coding": [[[0]]]}')
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -446,6 +462,20 @@ def test_refused_ordering_document_names_the_problem(capsys, tmp_path, doc,
     with pytest.raises(SystemExit) as exc:
         main(["block", "--x", "2", "--y", "2", "--ordering",
               f"@{tmp_path / 'f.json'}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert names in err
+
+
+@pytest.mark.parametrize("text, names", [
+    ('{"kind":"explicit"}', "ordering lacks the 'bits' field"),
+    ("seeded:x", "cannot parse ordering 'seeded:x'"),
+    ('{"kind":"bogus"}', "unknown ordering kind 'bogus'"),
+])
+def test_refused_ordering_argument_names_the_problem(capsys, text, names):
+    with pytest.raises(SystemExit) as exc:
+        main(["complexity", "--ordering", text, "--nmin", "1", "--nmax", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -672,7 +702,9 @@ def _argvs(draw, files):
         "alternation": [("--max-level", _small()), ("--j", _small(-1, 10)),
                         ("--max-mem", _small(0, 64))],
         "smallshift": [("--n", _small()), ("--level", _small())],
-    }[command] + [("--threads", st.sampled_from(["0", "1", "2"]))]
+    }[command]
+    if command in _THREADED:
+        flags.append(("--threads", st.sampled_from(["0", "1", "2"])))
     argv = [command]
     for flag, values in flags:
         if draw(st.integers(0, 7)):  # each flag is left out now and then

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -201,7 +202,53 @@ def test_far_long_block_is_refused_before_its_walk():
     store = BlockStore(seeded_ordering(6), max_bytes=1 << 20)
     with pytest.raises(ResourceCap, match="block memo would exceed"):
         store.block(30, 30)
-    assert store.bytes_used == 0 and not store._memos
+    # the memo holds its base words alone, which are not charged
+    assert store.bytes_used == 0
+    assert store._memos == {LETTERS: {(1, 0): "a", (0, 1): "b"}}
+
+
+def test_racing_builds_store_each_block_once():
+    # both threads miss the memo before either takes the build lock, so the
+    # second finds the block built and charges nothing more
+    class MeetThenLock:
+        def __init__(self):
+            self.met = threading.Barrier(2, timeout=10)
+            self.lock = threading.Lock()
+
+        def __enter__(self):
+            self.met.wait()
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    xi = seeded_ordering(6)
+    alone = BlockStore(xi)
+    word = alone.block(6, 6)
+    store = BlockStore(xi)
+    store._build_lock = MeetThenLock()
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(store.block(6, 6)))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert got == [word, word]
+    assert store.bytes_used == alone.bytes_used
+
+
+def test_boundary_and_base_blocks_come_from_the_memo():
+    # a boundary vertex reads its side's corner word, at any level
+    store = BlockStore(seeded_ordering(6))
+    base = CYLINDER_IDS[3]
+    assert [store.block(x, 3 - x, base) for x in (3, 2, 1, 0)] == list(base)
+    assert store.block(40, 0, base) == base[0]
+    assert store.block(0, 40, base) == base[3]
+    assert store.block(40, 0) == "a" and store.block(0, 40) == "b"
+    assert store.bytes_used == 0
+    assert set(store._memos[base]) == {(3, 0), (2, 1), (1, 2), (0, 3)}
 
 
 def test_long_block_pieces_must_fit_beside_it(monkeypatch):

@@ -244,6 +244,23 @@ def test_decode_cut_inside_token_matches_reference(word):
     assert isinstance(want[0], type) and issubclass(want[0], ParseError)
 
 
+# words of valid tokens and a consistent length that a segment's expected
+# token or a recovered bit refuses, with the refusal and its offset
+REFUSED_SEGMENT = {
+    "aabaaababb": ("expected C3", 0),
+    "abbabbbaab": ("expected D3", 0),
+    "aaabaababbabbbabbaab": ("inconsistent bit recovered at (2,2)", 14),
+}
+
+
+@pytest.mark.parametrize("word", REFUSED_SEGMENT)
+def test_decode_refused_segment_matches_reference(word):
+    message, position = REFUSED_SEGMENT[word]
+    got = _decode_outcome(decode_ordering, word)
+    assert got == (ParseError, f"{message} (at {position})", position)
+    assert got == _decode_outcome(decode_reference, word)
+
+
 def test_unique_factorization_k3_seeded():
     for xi in seeds(10):
         for n in range(3, 9):
