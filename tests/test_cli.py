@@ -128,8 +128,8 @@ _THREADED = {"complexity", "montecarlo", "kink", "alternation", "smallshift"}
     *((c, ["--max-mem", "64"]) for c in sorted(set(_MINIMAL_ARGV) - _CAPPED)),
     *((c, ["--format", "json"]) for c in sorted(set(_MINIMAL_ARGV) - _TABLES)),
     *((c, ["--format", "text"]) for c in sorted(_MINIMAL_ARGV)),
-    *((c, ["--threads", "1"]) for c in sorted(set(_MINIMAL_ARGV) - _THREADED)),
     ("kink", ["--max-level", "64"]),
+    *((c, ["--threads", "1"]) for c in sorted(set(_MINIMAL_ARGV) - _THREADED)),
 ])
 def test_commands_refuse_flags_they_do_not_honour(capsys, tmp_path, command,
                                                   flag):
