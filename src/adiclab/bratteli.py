@@ -76,11 +76,13 @@ class OrderedDiagram(ValueRecord):
         doc = _load_json(text)
         if not isinstance(doc, dict) or "coding" not in doc:
             raise InputError('a diagram is a JSON object with a "coding" field')
+        if not isinstance(doc["coding"], list):
+            raise InputError("bad coding field: not a list")
         try:
             diagram = cls(doc["coding"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad coding field: {exc}") from exc
-        if doc.get("levels") and doc["levels"] != diagram.level_sizes:
+        if "levels" in doc and doc["levels"] != diagram.level_sizes:
             raise InputError("levels field disagrees with coding shape")
         return diagram
 
@@ -203,6 +205,8 @@ def shapes_from_json(text: str) -> list:
     doc = _load_json(text)
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise InputError('a shapes file is a JSON object with a "shapes" field')
+    if not isinstance(doc["shapes"], list):
+        raise InputError("bad shapes field: not a list")
     try:
         return [Shape(rows) for rows in doc["shapes"]]
     except (TypeError, ValueError) as exc:

@@ -401,9 +401,9 @@ def _next_pairs(n: int, pairs: list, comb: _Combiner):
     return children
 
 
-def _phase2_reachable(j: int, level: int, comb: _Combiner,
-                      max_bytes: Optional[int] = None):
-    """Sibling-consistent reachable state pairs, propagated level by level.
+def _phase2_levels(level: int, comb: _Combiner,
+                   max_bytes: Optional[int] = None):
+    """Sibling-consistent reachable states, yielded one level at a time.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
     vertices at each level, packed as the int left << 24 | right (the
@@ -412,9 +412,7 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     per-vertex propagation would combine parent states arising from
     incompatible orderings (an (ab)^j-rich block next to a (ba)^j-rich
     one) and could never exclude anything; the pair join keeps the sets a
-    sound over-approximation of what any single ordering can realize.  A
-    vertex state is flagged when it could contain both patterns, i.e.
-    maxab >= 2j and maxba >= 2j.
+    sound over-approximation of what any single ordering can realize.
 
     Each pair's two children (one per bit at the child vertex) are
     computed once and grouped by the pair's left and right state; the
@@ -428,19 +426,16 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
     letter swap σ (`_swap`).  So the pairs of a level at position n - 1 - i
     are {(σb, σa) for (a, b) at position i}, and the reach set of (y, x)
     is the σ-image of that of (x, y): only the positions of the lower half
-    of each level (and its middle one) are built, and the rest of `reach`
-    is filled by σ.
+    of each level (and its middle one) are built, and the rest of each
+    row is filled by σ.
 
-    Returns (excluded, reach, witness): reach maps each vertex to the set
-    of packed states seen for it; witness is None, or (level, state) for
-    the first flagged level and the least flagged packed state of its
-    reach sets, mirrors included (`_least_flagged`).  With `max_bytes`,
-    raises ResourceCap once the pairs of a level below `level`, both
-    halves counted, would hold more than that (PAIR_BYTES a pair).
+    Yields (n, row) for n = 1..level, where row[y] is the set of packed
+    states seen for the vertex (n - y, y); no set depends on the pattern
+    length j.  With `max_bytes`, raises ResourceCap once the pairs of a
+    level below `level`, both halves counted, would hold more than that
+    (PAIR_BYTES a pair).
     """
-    need = 2 * j
-    reach = {(1, 0): {_SA}, (0, 1): {_SB}}
-    witness = None
+    yield 1, [{_SA}, {_SB}]
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
     # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
     pairs = [{_SA << 24 | _SB}]
@@ -463,21 +458,11 @@ def _phase2_reachable(j: int, level: int, comb: _Combiner,
                     raise ResourceCap(f"phase 2 pairs at level {top} hold "
                                       f"about {held} bytes, over the "
                                       f"{max_bytes}-byte cap")
-        reach[(top, 0)] = {_SA}
-        reach[(0, top)] = {_SB}
-        for pos in range(1, half + 1):
-            reach[(top - pos, pos)] = children[pos - 1]
-            reach[(pos, top - pos)] = {_swap(s) for s in children[pos - 1]}
-        if n % 2:
-            # the middle vertex; the middle pair is its own mirror, so its
-            # children are σ-closed
-            reach[(half + 1, half + 1)] = children[half]
-        if witness is None:
-            least = _least_flagged(itertools.chain.from_iterable(
-                reach[(top - y, y)] for y in range(1, top)), need)
-            if least is not None:
-                witness = top, _unpack(least)
-    return witness is None, reach, witness
+        # an odd n has a middle vertex, whose pair is its own mirror, so
+        # its children are σ-closed
+        yield top, [{_SA}, *children[:half + n % 2],
+                    *[{_swap(s) for s in kids}
+                      for kids in reversed(children[:half])], {_SB}]
 
 
 class ExclusionVerdict(NamedTuple):
@@ -502,17 +487,20 @@ def alternation_exclusion(L: int, j: int,
                           max_bytes: Optional[int] = None) -> ExclusionVerdict:
     """Check that no basic block up to level L holds both (ab)^j and (ba)^j.
 
-    One search propagates sibling-consistent reachable run states to level
-    L and flags a state that could hold both patterns at once
-    (`_phase2_reachable`).  Its reach sets hold every state some block
-    realizes, so no flag excludes every ordering to level L.  A flagged
-    verdict carries the first flagged level and its least flagged packed
-    state.  `exact_excluded` answers for every ordering up to
-    min(L, EXACT_LEVEL): it holds iff the first flag lies above that
-    level, since a first flag at or below EXACT_LEVEL is realized, with
-    the same least state, by a block of some ordering (a finite fact over
-    j <= 9 that the tests check against an enumeration of every
-    ordering).  `max_bytes` caps the search's pair sets (ResourceCap).
+    One search propagates sibling-consistent reachable run states level by
+    level (`_phase2_levels`) and stops at the first level with a flagged
+    state, one that could hold both patterns at once (maxab and maxba at
+    least 2j).  Its reach sets hold every state some block realizes, so a
+    search with no flag excludes every ordering to level L.  A flagged verdict
+    carries the first flagged level and its least flagged packed state,
+    mirrors included (`_least_flagged`).  `exact_excluded` answers for
+    every ordering up to min(L, EXACT_LEVEL): it holds iff the first flag
+    lies above that level, since a first flag at or below EXACT_LEVEL is
+    realized, with the same least state, by a block of some ordering (a
+    finite fact over j <= 9 that the tests check against an enumeration
+    of every ordering).  `max_bytes` caps the search's pair sets
+    (ResourceCap); a flagged search builds and counts them only up to its
+    first flagged level.
     """
     if L < 1:
         raise ValueError("L >= 1")
@@ -524,11 +512,12 @@ def alternation_exclusion(L: int, j: int,
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, EXACT_LEVEL)
-    dp_ok, _, witness = _phase2_reachable(j, L, _Combiner(ALT_CAP), max_bytes)
-    if dp_ok:
-        return ExclusionVerdict(j, e_level, L, True, True)
-    return ExclusionVerdict(j, e_level, L, witness[0] > e_level, False,
-                            *witness)
+    for n, row in _phase2_levels(L, _Combiner(ALT_CAP), max_bytes):
+        least = _least_flagged(itertools.chain.from_iterable(row[1:n]), 2 * j)
+        if least is not None:
+            return ExclusionVerdict(j, e_level, L, n > e_level, False, n,
+                                    _unpack(least))
+    return ExclusionVerdict(j, e_level, L, True, True)
 
 
 # ---------------------------------------------------------------------------

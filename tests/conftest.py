@@ -22,9 +22,9 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
 from adiclab.errors import ColumnEnd, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, CDToken, ExclusionVerdict,
                                PeriodicEvidence, PeriodicReport,
-                               RunContextReport, _Combiner, _pack,
-                               _phase2_reachable, _unpack, alt_state,
-                               small_subshift_orderings)
+                               RunContextReport, _Combiner,
+                               _least_flagged, _pack, _phase2_levels,
+                               _unpack, alt_state, small_subshift_orderings)
 
 
 WORKED_BITS = {(2, 2): 1, (3, 2): 0, (4, 2): 1, (2, 3): 1, (3, 3): 1, (4, 3): 1}
@@ -718,6 +718,21 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
     return witness is None, reach, witness
 
 
+def phase2_reachable(j, level, comb, max_bytes=None):
+    """(excluded, reach, witness) from every level `_phase2_levels` yields:
+    reach maps each vertex to its packed states, and witness is None or
+    the first flagged level with its least flagged state."""
+    reach, witness = {}, None
+    for n, row in _phase2_levels(level, comb, max_bytes):
+        reach.update(((n - y, y), states) for y, states in enumerate(row))
+        if witness is None:
+            least = _least_flagged(itertools.chain.from_iterable(row[1:n]),
+                                   2 * j)
+            if least is not None:
+                witness = n, _unpack(least)
+    return witness is None, reach, witness
+
+
 def alternation_exclusion_reference(L, j, exact_level):
     """The verdict with both phases always run: phase 1 to
     min(L, exact_level), phase 2 to L, and phase 1's witness first."""
@@ -733,7 +748,7 @@ def alternation_exclusion_reference(L, j, exact_level):
 
 def reachable_alt_states(L):
     """Phase-2 reachable sets as AltState tuples, for soundness probes."""
-    _, reach, _ = _phase2_reachable(1, L, _Combiner(ALT_CAP))
+    _, reach, _ = phase2_reachable(1, L, _Combiner(ALT_CAP))
     return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 

@@ -276,6 +276,15 @@ def test_alternation_memory_cap_exit_code(capsys):
         run(capsys, ["alternation", "--max-level", "8", "--j", "9"])
 
 
+def test_flagged_alternation_counts_pairs_to_its_first_flag(capsys):
+    # the pairs of level 7 exceed 1 MiB, but j = 3 flags at level 5
+    code, out = run(capsys, ["alternation", "--j", "3", "--max-level", "12",
+                             "--max-mem", "1"])
+    assert code == 1
+    assert '"witness_level": 5' in out
+    assert json.loads(out)["verdict"] == "NOT-EXCLUDED"
+
+
 def test_alternation_witness_keys(capsys):
     code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "3"])
     doc = json.loads(out)
@@ -321,6 +330,10 @@ FILE_ERRORS = {
                        "non-negative integers",
     "bool_coding.json": "bad coding field: bad source ids [False] at level 1",
     "levels.json": "levels field disagrees with coding shape",
+    "empty_levels.json": "levels field disagrees with coding shape",
+    "zero_levels.json": "levels field disagrees with coding shape",
+    "coding_object.json": "bad coding field: not a list",
+    "shapes_object.json": "bad shapes field: not a list",
 }
 
 
@@ -378,6 +391,11 @@ FILE_ERRORS = {
     (["alternation", "--max-level", "4", "--j", "3", "--threads", "0"],
      "usage"),
     (["smallshift", "--n", "4", "--level", "6", "--threads", "0"], "usage"),
+    (["odometer", "--diagram", "{tmp}/empty_levels.json"], "input"),
+    (["odometer", "--diagram", "{tmp}/zero_levels.json"], "input"),
+    (["odometer", "--diagram", "{tmp}/coding_object.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/shapes_object.json", "--trials", "5",
+      "--seed", "1"], "input"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
@@ -395,6 +413,13 @@ def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a levels field that does not match the coding
     (tmp_path / "levels.json").write_text(
         '{"levels": [1, 2], "coding": [[[0]]]}')
+    # a levels field that is falsy, and objects where a list belongs
+    (tmp_path / "empty_levels.json").write_text(
+        '{"levels": [], "coding": [[[0]]]}')
+    (tmp_path / "zero_levels.json").write_text(
+        '{"levels": 0, "coding": [[[0]]]}')
+    (tmp_path / "coding_object.json").write_text('{"coding": {}}')
+    (tmp_path / "shapes_object.json").write_text('{"shapes": {}}')
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

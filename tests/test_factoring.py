@@ -14,8 +14,7 @@ from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
                                RunContextReport, _Combiner, _pack,
-                               _phase2_reachable, _present_prefix,
-                               _scan_block_contexts, _swap,
+                               _present_prefix, _scan_block_contexts, _swap,
                                alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
                                intersection_probe, periodic_exclusion,
@@ -29,7 +28,8 @@ from conftest import (WORKED_BITS, WORKED_BLOCK, WORKED_TOKENS, AnyParents,
                       expand, factorization_scheme_counts_reference,
                       orderings,
                       periodic_reference, phase1_exact_reference,
-                      phase1_reference, phase2_reachable_reference,
+                      phase1_reference, phase2_reachable,
+                      phase2_reachable_reference,
                       phase2_reference, reachable_alt_states,
                       run_context_report_reference,
                       scan_block_contexts_reference, seeds)
@@ -445,8 +445,8 @@ def test_phase1_matches_reference(j):
 @pytest.mark.parametrize("j", [1, 3, 9])
 def test_phase2_matches_reference(j):
     for level in range(1, 10):
-        excluded, reach, witness = _phase2_reachable(j, level,
-                                                     _Combiner(ALT_CAP))
+        excluded, reach, witness = phase2_reachable(j, level,
+                                                    _Combiner(ALT_CAP))
         assert (excluded, reach) == phase2_reference(j, level, ALT_CAP)
         assert (witness is None) == excluded
 
@@ -499,7 +499,7 @@ def test_combiner_commutes_with_the_letter_swap(pair):
 def test_phases_match_their_full_level_references(j):
     comb = _Combiner(ALT_CAP)
     for level in range(1, 12 if j == 9 else 11):
-        assert _phase2_reachable(j, level, comb) == \
+        assert phase2_reachable(j, level, comb) == \
             phase2_reachable_reference(j, level, comb)
 
 
@@ -531,12 +531,12 @@ def test_phase2_size_cap_matches_reference(level, count):
     under = 256 * count - 1
     message = (f"phase 2 pairs at level {level} hold about {256 * count} "
                f"bytes, over the {under}-byte cap")
-    for phase2 in (_phase2_reachable, phase2_reachable_reference):
+    for phase2 in (phase2_reachable, phase2_reachable_reference):
         with pytest.raises(ResourceCap) as caught:
             phase2(9, level + 1, comb, under)
         assert str(caught.value) == message
-    _phase2_reachable(9, level + 1, comb, 256 * count)  # fits exactly
-    assert _phase2_reachable(9, level, comb, 256 * count) == \
+    phase2_reachable(9, level + 1, comb, 256 * count)  # fits exactly
+    assert phase2_reachable(9, level, comb, 256 * count) == \
         phase2_reachable_reference(9, level, comb, 256 * count)
 
 
@@ -545,7 +545,7 @@ def _phase2_traced_peak(level, max_bytes=None):
     combine memo."""
     tracemalloc.start()
     try:
-        _phase2_reachable(9, level, _Combiner(ALT_CAP), max_bytes)
+        phase2_reachable(9, level, _Combiner(ALT_CAP), max_bytes)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -570,8 +570,23 @@ def test_phase2_cap_changes_no_output(j):
     # a cap the search fits under changes neither reach sets nor witness
     comb = _Combiner(ALT_CAP)
     for level in range(1, 12):
-        assert _phase2_reachable(j, level, comb) == \
-            _phase2_reachable(j, level, comb, 2**40)
+        assert phase2_reachable(j, level, comb) == \
+            phase2_reachable(j, level, comb, 2**40)
+
+
+@pytest.mark.parametrize("j, level", enumerate([3, 4, 5, 5, 6, 6, 6, 6],
+                                                start=1))
+def test_flagged_search_stops_at_its_first_flag(j, level):
+    # level 7's pairs exceed 1 MiB, but a flagged search builds no level
+    # past its first flag
+    verdict = alternation_exclusion(12, j, max_bytes=1 << 20)
+    assert verdict == alternation_exclusion(12, j)
+    assert verdict.witness_level == level
+
+
+def test_excluding_search_meets_the_cap():
+    with pytest.raises(ResourceCap, match="pairs at level 7 hold"):
+        alternation_exclusion(12, 9, max_bytes=1 << 20)
 
 
 def test_alternation_search_peak_memory():
@@ -599,7 +614,7 @@ def test_phase2_contains_phase1_states_at_every_level():
     # phase 2's exclusion implies the exact one because every state of
     # every ordering at a level lies in phase 2's reach sets of that level
     comb = _Combiner(ALT_CAP)
-    _, reach, _ = _phase2_reachable(9, 7, comb)
+    _, reach, _ = phase2_reachable(9, 7, comb)
     for n, states in exact_states_reference(7, comb):
         assert states <= set().union(*[reach[(n - y, y)]
                                         for y in range(1, n)])
