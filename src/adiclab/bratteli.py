@@ -30,7 +30,8 @@ def _load_json(text: str):
 
 class OrderedDiagram(ValueRecord):
     """codings[n-1][w] is the word of level-(n-1) source ids for target w
-    at level n; every word is nonempty and every source is used."""
+    at level n; there is at least one level, every word is nonempty and
+    every source is used."""
 
     # a tuple over levels 1..N of tuples of word-tuples, whatever
     # sequences it was built from
@@ -38,6 +39,8 @@ class OrderedDiagram(ValueRecord):
 
     def __init__(self, codings):
         self.codings = tuple(tuple(map(tuple, level)) for level in codings)
+        if not self.codings:
+            raise ValueError("no levels")
         sizes = self.level_sizes
         for n, level in enumerate(self.codings, start=1):
             if not level:
@@ -207,6 +210,8 @@ def shapes_from_json(text: str) -> list:
         raise InputError('a shapes file is a JSON object with a "shapes" field')
     if not isinstance(doc["shapes"], list):
         raise InputError("bad shapes field: not a list")
+    if not doc["shapes"]:
+        raise InputError("bad shapes field: no shapes")
     try:
         return [Shape(rows) for rows in doc["shapes"]]
     except (TypeError, ValueError) as exc:

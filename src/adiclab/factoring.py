@@ -9,7 +9,8 @@ the smallest common subshift.
 import itertools
 import re
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .coding import basic_block, block_word_k, language_words
@@ -284,6 +285,17 @@ def _unpack(v: int) -> AltState:
 _SA, _SB = _pack(alt_state("a")), _pack(alt_state("b"))
 
 
+def _junction_runs(a: int, b: int):
+    """(ab, ba) run lengths across the junction of a word u with packed
+    state a followed by a word v with packed state b, where u's last letter
+    differs from v's first: u's alternating suffix and v's alternating
+    prefix form one run, which starts with u's last letter iff that suffix
+    has odd length.  It reads only a's rc and rl and b's ll."""
+    suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
+    starts_b = ((a >> 2) ^ suffix ^ 1) & 1
+    return suffix + prefix - starts_b, suffix + prefix - 1 + starts_b
+
+
 class _Combiner(dict):
     """Memo of packed-state combination under one cap: comb[a << 24 | b]
     is the packed state of a word u with state a followed by a word v
@@ -305,17 +317,12 @@ class _Combiner(dict):
             maxba = other
         full = 0
         if ((a >> 2) ^ (b >> 1)) & 1:
-            # u's last letter differs from v's first: u's alternating suffix
-            # and v's alternating prefix form one run across the junction,
-            # which starts with u's last letter iff that suffix has odd length
+            run_ab, run_ba = _junction_runs(a, b)
+            if run_ab > maxab:
+                maxab = run_ab
+            if run_ba > maxba:
+                maxba = run_ba
             suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
-            starts_b = ((a >> 2) ^ suffix ^ 1) & 1
-            run = suffix + prefix - starts_b
-            if run > maxab:
-                maxab = run
-            run = suffix + prefix - 1 + starts_b
-            if run > maxba:
-                maxba = run
             if a & 1:
                 ll += prefix
                 if ll > cap:
@@ -349,56 +356,72 @@ def _least_flagged(states, need: int) -> Optional[int]:
                default=None)
 
 
-def _children(pairs, comb: _Combiner) -> set:
-    """The states of both concatenations, left + right and right + left,
-    of every packed pair left << 24 | right in `pairs`."""
-    get = comb.__getitem__
-    return set(map(get, pairs)).union(
-        map(get, [(p & 0xFFFFFF) << 24 | p >> 24 for p in pairs]))
+# The search keeps its states in a wide layout: bits 0..12 as in a packed
+# state, then maxab and maxba as ALT_CAP-bit thermometers (a value v sets
+# the low v bits) from bits 13 and _WIDE_BA.  The larger of two run fields
+# is then their `|`, so two states that are not `full` combine with no
+# memo: lc and ll come from the left state (_LEFT), rc and rl from the
+# right one (_RIGHT), the thermometers are or-ed, and the runs across the
+# junction depend only on the left state's _RIGHT bits and the right
+# state's _LEFT bits (`_junctions`).  A wide pair is the int
+# left << _WIDE_BITS | right.
+
+_THERM = (1 << ALT_CAP) - 1
+_WIDE_BA = 13 + ALT_CAP
+_WIDE_BITS = _WIDE_BA + ALT_CAP
+_WIDE = (1 << _WIDE_BITS) - 1
+_LEFT, _RIGHT = 0xFA, 0x1F04  # lc and ll; rc and rl
+_MAXES = _WIDE ^ 0x1FFF
+
+
+def _widen(s: int) -> int:
+    """The wide form of a packed state whose run fields are at most
+    ALT_CAP."""
+    return (s & 0x1FFF | ((1 << ((s >> 13) & 31)) - 1) << 13
+            | ((1 << ((s >> 18) & 31)) - 1) << _WIDE_BA)
+
+
+def _narrow(w: int) -> int:
+    """The packed form of a wide state."""
+    return (w & 0x1FFF | ((w >> 13) & _THERM).bit_length() << 13
+            | (w >> _WIDE_BA).bit_length() << 18)
+
+
+def _swap_wide(w: int) -> int:
+    """`_swap` on wide states."""
+    return (w & 0x1FFF ^ 6 | ((w >> 13) & _THERM) << _WIDE_BA
+            | (w >> _WIDE_BA) << 13)
+
+
+@cache
+def _junctions() -> list:
+    """jt[a & _RIGHT | b & _LEFT] holds the wide maxab and maxba of the
+    runs across the junction of a word with state a followed by one with
+    state b, neither `full` (8,192 entries, built on the first search)."""
+    fields = range(ALT_CAP + 1)
+    wide = {(ab, ba): ((1 << ab) - 1) << 13 | ((1 << ba) - 1) << _WIDE_BA
+            for ab in fields for ba in fields}
+    jt = [0] * (1 << 13)
+    # bit 0, `full`, is clear in every index the search reads
+    for k in range(0, 1 << 13, 2):
+        if (k >> 1 ^ k >> 2) & 1:  # the letters at the junction differ
+            # k holds the left state's rc and rl and the right one's ll
+            ab, ba = _junction_runs(k, k)
+            jt[k] = jt[k | 1] = wide[min(max(ab, 0), ALT_CAP),
+                                     min(max(ba, 0), ALT_CAP)]
+    return jt
 
 
 # Bytes per phase-2 pair, counted over the pairs of both halves of every
 # level built below the last although only about half are stored: a
-# pair's packed int and set slot plus its share of the per-level
-# groupings, the last level's reach sets and the combine memo.  The
-# tracemalloc peak of an uncapped search to level L from an empty memo,
-# over level L - 1's counted pairs, is 132-215 bytes at L = 7..13 on
-# CPython 3.11.7, so 256 over-counts and keeps the cap on the safe side.
-# (At L = 6 it is 311 bytes, but the whole peak there is 122 KB, under
-# the least cap of 1 MiB.)
+# pair's wide int and set slot plus its share of the per-level groupings,
+# the last level's reach sets and the junction table.  The tracemalloc
+# peak of an uncapped search to level L in a fresh process (the table
+# built inside it), over level L - 1's counted pairs, is 85-183 bytes at
+# L = 7..13 on CPython 3.11.7, so 256 over-counts and keeps the cap on the
+# safe side.  (At L = 6 it is 406 bytes, but the whole peak there is
+# 159 KB, under the least cap of 1 MiB.)
 PAIR_BYTES = 256
-
-
-def _next_pairs(n: int, pairs: list, comb: _Combiner):
-    """Replace the stored pairs of level n in `pairs` by those of level
-    n + 1, and return the children of each level-n position: those of
-    position i are the reach set of the level-(n + 1) vertex at i + 1."""
-    half = n // 2  # level n + 1 is built at positions 0..half
-    by_left, by_right = [], []
-    for cur in pairs:
-        left, right = {}, {}
-        for p in cur:
-            kids = comb[p], comb[(p & 0xFFFFFF) << 24 | p >> 24]
-            left.setdefault(p >> 24, set()).update(kids)
-            right.setdefault(p & 0xFFFFFF, set()).update(kids)
-        by_left.append(left)
-        by_right.append(right)
-    children = [set().union(*left.values()) for left in by_left]
-    if n % 2 == 0:
-        # level n's pairs at position half, not stored, mirror those at
-        # half - 1
-        by_left.append({_swap(m): {_swap(s) for s in kids}
-                        for m, kids in by_right[half - 1].items()})
-    pairs[:] = [{_SA << 24 | c for c in children[0]}]
-    for i in range(1, half + 1):
-        cur = set()
-        left = by_left[i]
-        for m, rs in by_right[i - 1].items():
-            ls = left.get(m)
-            if ls is not None:
-                cur.update([r << 24 | l for r in rs for l in ls])
-        pairs.append(cur)
-    return children
 
 
 def _phase2_levels(level: int, comb: _Combiner,
@@ -406,20 +429,21 @@ def _phase2_levels(level: int, comb: _Combiner,
     """Sibling-consistent reachable states, yielded one level at a time.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
-    vertices at each level, packed as the int left << 24 | right (the
-    combine key of the left state followed by the right one), and joins
-    consecutive pairs on their shared middle state.  Fully independent
-    per-vertex propagation would combine parent states arising from
-    incompatible orderings (an (ab)^j-rich block next to a (ba)^j-rich
-    one) and could never exclude anything; the pair join keeps the sets a
-    sound over-approximation of what any single ordering can realize.
+    vertices at each level, as wide pairs, and joins consecutive pairs on
+    their shared middle state.  Fully independent per-vertex propagation
+    would combine parent states arising from incompatible orderings (an
+    (ab)^j-rich block next to a (ba)^j-rich one) and could never exclude
+    anything; the pair join keeps the sets a sound over-approximation of
+    what any single ordering can realize.
 
     Each pair's two children (one per bit at the child vertex) are
-    computed once and grouped by the pair's left and right state; the
-    pairs at an interior position are then the union over middle states
-    m of (children of pairs ending in m) x (children of pairs starting
-    with m).  The last level's pairs would feed no later level, so they
-    are never built: its reach sets are the children of the level below.
+    computed once, by the junction table when neither state is `full` and
+    by `comb` on the packed states otherwise, and grouped by the pair's
+    left and right state; the pairs at an interior position are then the
+    union over middle states m of (children of pairs ending in m) x
+    (children of pairs starting with m).  The last level's pairs would
+    feed no later level, so they are never built: its reach sets are the
+    children of the level below.
 
     The reflection (x, y) -> (y, x), which flips every bit and swaps a and
     b, maps orderings to orderings, and the combine commutes with the
@@ -436,18 +460,59 @@ def _phase2_levels(level: int, comb: _Combiner,
     (PAIR_BYTES a pair).
     """
     yield 1, [{_SA}, {_SB}]
+    jt = _junctions()
+    sa = _widen(_SA)
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
     # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
-    pairs = [{_SA << 24 | _SB}]
+    pairs = [{sa << _WIDE_BITS | _widen(_SB)}]
     for n in range(1, level):
         half = n // 2  # level n + 1 is built at positions 0..half
         top = n + 1
-        if top == level:
-            # the last level's pairs would feed nothing: build only its
-            # reach sets, the children of the pairs below
-            children = [_children(cur, comb) for cur in pairs]
-        else:
-            children = _next_pairs(n, pairs, comb)
+        grouped = top < level  # the last level's pairs would feed nothing
+        children, by_left, by_right = [], [], []
+        for cur in pairs:
+            left, right, union = defaultdict(set), defaultdict(set), set()
+            for p in cur:
+                l, r = p >> _WIDE_BITS, p & _WIDE
+                if (l | r) & 1:
+                    # a `full` word's ll or rl grows across the junction
+                    pl, pr = _narrow(l), _narrow(r)
+                    kids = (_widen(comb[pl << 24 | pr]),
+                            _widen(comb[pr << 24 | pl]))
+                else:
+                    x, y = l & _LEFT | r & _RIGHT, l & _RIGHT | r & _LEFT
+                    m = (l | r) & _MAXES
+                    kids = x | m | jt[y], y | m | jt[x]
+                if grouped:
+                    left[l].update(kids)
+                    right[r].update(kids)
+                else:
+                    union.update(kids)
+            if grouped:
+                union = set().union(*left.values())
+                by_left.append(left)
+                by_right.append(right)
+            children.append(union)
+        if grouped:
+            if n % 2 == 0:
+                # level n's pairs at position half, not stored, mirror
+                # those at half - 1
+                by_left.append({_swap_wide(m): {_swap_wide(s) for s in ks}
+                                for m, ks in by_right[half - 1].items()})
+            # the middle positions hold the most pairs: build them first,
+            # and drop each position's groupings once it is built
+            pairs = []
+            for i in range(half, 0, -1):
+                cur = set()
+                left = by_left.pop()
+                for m, rs in by_right.pop(i - 1).items():
+                    ls = left.get(m)
+                    if ls is not None:
+                        cur.update([r << _WIDE_BITS | l for r in rs
+                                    for l in ls])
+                pairs.append(cur)
+            pairs.append({sa << _WIDE_BITS | c for c in children[0]})
+            pairs.reverse()
             if max_bytes is not None:
                 count = 2 * sum(map(len, pairs))
                 if n % 2 == 0:
@@ -458,11 +523,11 @@ def _phase2_levels(level: int, comb: _Combiner,
                     raise ResourceCap(f"phase 2 pairs at level {top} hold "
                                       f"about {held} bytes, over the "
                                       f"{max_bytes}-byte cap")
-        # an odd n has a middle vertex, whose pair is its own mirror, so
-        # its children are σ-closed
-        yield top, [{_SA}, *children[:half + n % 2],
-                    *[{_swap(s) for s in kids}
-                      for kids in reversed(children[:half])], {_SB}]
+        # each row is narrowed to packed states; an odd n has a middle
+        # vertex, whose pair is its own mirror, so its children are σ-closed
+        row = [{_narrow(s) for s in kids} for kids in children[:half + n % 2]]
+        mirror = [{_swap(s) for s in kids} for kids in reversed(row[:half])]
+        yield top, [{_SA}, *row, *mirror, {_SB}]
 
 
 class ExclusionVerdict(NamedTuple):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from adiclab.bratteli import (OrderedDiagram, Shape, exact_uniform_probability,
                               is_uniformly_ordered, monte_carlo_uniform,
                               odometer_certificate, pascal_as_diagram,
-                              telescope, uniform_base, uniform_hits)
+                              shapes_from_json, telescope, uniform_base,
+                              uniform_hits)
 from adiclab.coding import basic_block
 from adiclab.core import MIN, Vertex, extreme_path, seeded_ordering
+from adiclab.errors import InputError
 
 from conftest import (draw_index, exact_uniform_probability_reference,
                       in_degree, keyed_order_reference,
@@ -212,6 +214,17 @@ def test_diagram_validation():
         OrderedDiagram((((0,), ()),))  # empty coding word
     with pytest.raises(ValueError):
         OrderedDiagram((((0,), (0,)), ((0,),)))  # source 1 unused
+    with pytest.raises(ValueError, match="^no levels$"):
+        OrderedDiagram(())
+
+
+def test_empty_documents_are_input_errors():
+    # a diagram with no levels, or a shapes file with no shapes, has
+    # nothing to certify or sample
+    with pytest.raises(InputError, match="^bad coding field: no levels$"):
+        OrderedDiagram.from_json('{"coding": []}')
+    with pytest.raises(InputError, match="^bad shapes field: no shapes$"):
+        shapes_from_json('{"shapes": []}')
 
 
 def test_diagram_and_shape_are_values():

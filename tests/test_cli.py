@@ -334,6 +334,8 @@ FILE_ERRORS = {
     "zero_levels.json": "levels field disagrees with coding shape",
     "coding_object.json": "bad coding field: not a list",
     "shapes_object.json": "bad shapes field: not a list",
+    "no_levels.json": "bad coding field: no levels",
+    "no_shapes.json": "bad shapes field: no shapes",
 }
 
 
@@ -396,6 +398,9 @@ FILE_ERRORS = {
     (["odometer", "--diagram", "{tmp}/coding_object.json"], "input"),
     (["montecarlo", "--shapes", "{tmp}/shapes_object.json", "--trials", "5",
       "--seed", "1"], "input"),
+    (["odometer", "--diagram", "{tmp}/no_levels.json"], "input"),
+    (["montecarlo", "--shapes", "{tmp}/no_shapes.json", "--trials", "5",
+      "--seed", "1"], "input"),
 ])
 def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
     # a file of each JSON kind, handed to the command that reads the other
@@ -420,6 +425,9 @@ def test_bad_input_is_a_json_error(capsys, tmp_path, argv, kind):
         '{"levels": 0, "coding": [[[0]]]}')
     (tmp_path / "coding_object.json").write_text('{"coding": {}}')
     (tmp_path / "shapes_object.json").write_text('{"shapes": {}}')
+    # documents with nothing in them
+    (tmp_path / "no_levels.json").write_text('{"coding": []}')
+    (tmp_path / "no_shapes.json").write_text('{"shapes": []}')
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -12,10 +12,12 @@ from adiclab import factoring
 from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
-from adiclab.factoring import (ALT_CAP, PAIR_BYTES, CDToken,
-                               RunContextReport, _Combiner, _pack,
+from adiclab.factoring import (ALT_CAP, PAIR_BYTES, _LEFT, _MAXES, _RIGHT,
+                               CDToken, RunContextReport, _Combiner,
+                               _junctions, _narrow, _pack, _phase2_levels,
                                _present_prefix, _scan_block_contexts, _swap,
-                               alt_state, alternation_exclusion, combine_alt,
+                               _swap_wide, _widen, alt_state,
+                               alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
                                intersection_probe, periodic_exclusion,
                                run_context_report, small_subshift_orderings,
@@ -493,6 +495,45 @@ def test_combiner_commutes_with_the_letter_swap(pair):
     a, b, cap = pair
     assert _Combiner(cap)[_swap(a) << 24 | _swap(b)] == \
         _swap(combine_packed_reference(a, b, cap))
+
+
+@st.composite
+def _open_states(draw):
+    """A packed state that is not `full`, with every run field in
+    0..ALT_CAP and free end letters."""
+    fields = st.integers(0, ALT_CAP)
+    return (draw(st.integers(0, 3)) << 1 | draw(fields) << 3
+            | draw(fields) << 8 | draw(fields) << 13 | draw(fields) << 18)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_open_states(), _open_states())
+def test_junction_table_combine_matches_reference(a, b):
+    # the search's combine of two wide states that are not `full`
+    jt = _junctions()
+    for u, v in ((a, b), (b, a)):
+        wu, wv = _widen(u), _widen(v)
+        got = (wu & _LEFT | wv & _RIGHT | (wu | wv) & _MAXES
+               | jt[wu & _RIGHT | wv & _LEFT])
+        assert _narrow(got) == combine_packed_reference(u, v, ALT_CAP)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_open_states(), st.booleans())
+def test_wide_states_round_trip_and_swap(s, full):
+    s |= full
+    assert _narrow(_widen(s)) == s
+    assert _narrow(_swap_wide(_widen(s))) == _swap(s)
+
+
+def test_search_combines_only_full_states_through_the_memo():
+    # every pair of two states that are not `full` combines through the
+    # junction table, so a level-10 search leaves only the few keys that
+    # hold a `full` state
+    comb = _Combiner(ALT_CAP)
+    for _ in _phase2_levels(10, comb):
+        pass
+    assert len(comb) <= 64
 
 
 @pytest.mark.parametrize("j", range(1, 10))
