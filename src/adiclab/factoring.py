@@ -262,174 +262,128 @@ def alt_state(w: str) -> AltState:
 
 def combine_alt(s1: AltState, s2: AltState) -> AltState:
     """State of a concatenation from the states of its parts (exact for
-    every decision below the cap)."""
-    return _unpack(_Combiner(ALT_CAP)[_pack(s1) << 24 | _pack(s2)])
+    every decision below the cap).  Raises ValueError for a state outside
+    the domain (`_pack`)."""
+    return _unpack(_combine(_pack(s1), _pack(s2)))
 
 
 # A packed state holds `full` in bit 0, lc == "b" in bit 1, rc == "b" in
-# bit 2, then ll, rl, maxab and maxba in five bits each from bit 3, 8, 13
-# and 18 (23 bits in all).
+# bit 2, ll and rl in five bits each from bits 3 and 8, then maxab and
+# maxba as ALT_CAP-bit thermometers (a length v sets the low v bits) from
+# bits 13 and _BA, 51 bits in all.  The larger of two run fields is their
+# `|`, and packed states order as their (maxba, maxab, rl, ll, rc, lc,
+# full) tuples do.  A pair of states is the int left << _BITS | right.
+
+_THERM = (1 << ALT_CAP) - 1
+_BA = 13 + ALT_CAP
+_BITS = _BA + ALT_CAP
+_STATE = (1 << _BITS) - 1
+_LEFT, _RIGHT = 0xFA, 0x1F04  # lc and ll; rc and rl
+_MAXES = _STATE ^ 0x1FFF
+
 
 def _pack(s: AltState) -> int:
+    """The packed form of s; ValueError names a field outside its domain:
+    `full` a bool, lc and rc in {a, b}, lengths ints in 0..ALT_CAP."""
+    if not isinstance(s.full, bool):
+        raise ValueError(f"full must be a bool, got {s.full!r}")
+    if s.lc not in ("a", "b") or s.rc not in ("a", "b"):
+        raise ValueError("alphabet must be {a, b}")
+    for name in ("ll", "rl", "maxab", "maxba"):
+        v = getattr(s, name)
+        if not isinstance(v, int) or not 0 <= v <= ALT_CAP:
+            raise ValueError(f"{name} must be an int in 0..{ALT_CAP}, "
+                             f"got {v!r}")
     return (int(s.full) | (s.lc == "b") << 1 | (s.rc == "b") << 2
-            | s.ll << 3 | s.rl << 8 | s.maxab << 13 | s.maxba << 18)
+            | s.ll << 3 | s.rl << 8 | ((1 << s.maxab) - 1) << 13
+            | ((1 << s.maxba) - 1) << _BA)
 
 
 def _unpack(v: int) -> AltState:
     return AltState(bool(v & 1), "ab"[(v >> 1) & 1], (v >> 3) & 31,
-                    "ab"[(v >> 2) & 1], (v >> 8) & 31, (v >> 13) & 31,
-                    (v >> 18) & 31)
+                    "ab"[(v >> 2) & 1], (v >> 8) & 31,
+                    ((v >> 13) & _THERM).bit_length(),
+                    (v >> _BA).bit_length())
 
 
-# the packed states of the one-letter blocks a and b, the same under any cap
+# the packed states of the one-letter blocks a and b
 _SA, _SB = _pack(alt_state("a")), _pack(alt_state("b"))
 
 
-def _junction_runs(a: int, b: int):
-    """(ab, ba) run lengths across the junction of a word u with packed
-    state a followed by a word v with packed state b, where u's last letter
-    differs from v's first: u's alternating suffix and v's alternating
-    prefix form one run, which starts with u's last letter iff that suffix
-    has odd length.  It reads only a's rc and rl and b's ll."""
-    suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
-    starts_b = ((a >> 2) ^ suffix ^ 1) & 1
-    return suffix + prefix - starts_b, suffix + prefix - 1 + starts_b
+@cache
+def _junctions() -> list:
+    """jt[a & _RIGHT | b & _LEFT] holds the maxab and maxba thermometers
+    of the runs across the junction of a word with packed state a followed
+    by one with packed state b (8,192 entries, built on the first
+    combine)."""
+    fields = range(ALT_CAP + 1)
+    therm = {(ab, ba): ((1 << ab) - 1) << 13 | ((1 << ba) - 1) << _BA
+             for ab in fields for ba in fields}
+    jt = [0] * (1 << 13)
+    # bit 0, `full`, is clear in every index
+    for k in range(0, 1 << 13, 2):
+        if (k >> 1 ^ k >> 2) & 1:  # the letters at the junction differ
+            # the left word's alternating suffix (rl) and the right one's
+            # alternating prefix (ll) form one run, which starts with the
+            # left word's last letter (rc) iff that suffix has odd length
+            suffix, prefix = k >> 8, (k >> 3) & 31
+            starts_b = ((k >> 2) ^ suffix ^ 1) & 1
+            ab = suffix + prefix - starts_b
+            ba = suffix + prefix - 1 + starts_b
+            jt[k] = therm[min(max(ab, 0), ALT_CAP), min(max(ba, 0), ALT_CAP)]
+    return jt
 
 
-class _Combiner(dict):
-    """Memo of packed-state combination under one cap: comb[a << 24 | b]
-    is the packed state of a word u with state a followed by a word v
-    with state b."""
-
-    def __init__(self, cap):
-        super().__init__()
-        self.cap = cap
-
-    def __missing__(self, key: int) -> int:
-        a, b, cap = key >> 24, key & 0xFFFFFF, self.cap
+def _combine(a: int, b: int) -> int:
+    """The packed state of a word u with packed state a followed by a word
+    v with packed state b.  lc and ll come from a, rc and rl from b, the run
+    fields are or-ed with those of the runs across the junction
+    (`_junctions`).  When u's last letter differs from v's first, a `full`
+    u's ll and a `full` v's rl run on across the junction, capped at
+    ALT_CAP, and u v is `full` if both are."""
+    s = (a & _LEFT | b & _RIGHT | (a | b) & _MAXES
+         | _junctions()[a & _RIGHT | b & _LEFT])
+    if (a | b) & 1 and ((a >> 2) ^ (b >> 1)) & 1:
         ll, rl = (a >> 3) & 31, (b >> 8) & 31
-        maxab, maxba = (a >> 13) & 31, (a >> 18) & 31
-        other = (b >> 13) & 31
-        if other > maxab:
-            maxab = other
-        other = (b >> 18) & 31
-        if other > maxba:
-            maxba = other
-        full = 0
-        if ((a >> 2) ^ (b >> 1)) & 1:
-            run_ab, run_ba = _junction_runs(a, b)
-            if run_ab > maxab:
-                maxab = run_ab
-            if run_ba > maxba:
-                maxba = run_ba
-            suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
-            if a & 1:
-                ll += prefix
-                if ll > cap:
-                    ll = cap
-            if b & 1:
-                rl += suffix
-                if rl > cap:
-                    rl = cap
-            full = a & b & 1
-        if maxab > cap:
-            maxab = cap
-        if maxba > cap:
-            maxba = cap
-        got = self[key] = (full | a & 2 | b & 4 | ll << 3 | rl << 8
-                           | maxab << 13 | maxba << 18)
-        return got
+        if a & 1:
+            ll = min(ll + ((b >> 3) & 31), ALT_CAP)
+        if b & 1:
+            rl = min(rl + ((a >> 8) & 31), ALT_CAP)
+        s = s & ~0x1FF8 | ll << 3 | rl << 8 | a & b & 1
+    return s
 
 
 def _swap(s: int) -> int:
     """The letter swap σ on packed states: the state of a word with a and b
     exchanged (lc and rc flip, maxab and maxba trade places)."""
-    return (s & 0x1FFF ^ 6) | ((s >> 13) & 31) << 18 | ((s >> 18) & 31) << 13
+    return (s & 0x1FFF ^ 6) | ((s >> 13) & _THERM) << _BA | (s >> _BA) << 13
 
 
 def _least_flagged(states, need: int) -> Optional[int]:
     """The least flagged packed state in `states` (maxab and maxba both at
-    least `need`), or None: the one with the least maxba, then maxab, rl,
-    ll, rc, lc and full."""
-    return min((s for s in states
-                if (s >> 13) & 31 >= need and (s >> 18) & 31 >= need),
-               default=None)
-
-
-# The search keeps its states in a wide layout: bits 0..12 as in a packed
-# state, then maxab and maxba as ALT_CAP-bit thermometers (a value v sets
-# the low v bits) from bits 13 and _WIDE_BA.  The larger of two run fields
-# is then their `|`, so two states that are not `full` combine with no
-# memo: lc and ll come from the left state (_LEFT), rc and rl from the
-# right one (_RIGHT), the thermometers are or-ed, and the runs across the
-# junction depend only on the left state's _RIGHT bits and the right
-# state's _LEFT bits (`_junctions`).  A wide pair is the int
-# left << _WIDE_BITS | right.
-
-_THERM = (1 << ALT_CAP) - 1
-_WIDE_BA = 13 + ALT_CAP
-_WIDE_BITS = _WIDE_BA + ALT_CAP
-_WIDE = (1 << _WIDE_BITS) - 1
-_LEFT, _RIGHT = 0xFA, 0x1F04  # lc and ll; rc and rl
-_MAXES = _WIDE ^ 0x1FFF
-
-
-def _widen(s: int) -> int:
-    """The wide form of a packed state whose run fields are at most
-    ALT_CAP."""
-    return (s & 0x1FFF | ((1 << ((s >> 13) & 31)) - 1) << 13
-            | ((1 << ((s >> 18) & 31)) - 1) << _WIDE_BA)
-
-
-def _narrow(w: int) -> int:
-    """The packed form of a wide state."""
-    return (w & 0x1FFF | ((w >> 13) & _THERM).bit_length() << 13
-            | (w >> _WIDE_BA).bit_length() << 18)
-
-
-def _swap_wide(w: int) -> int:
-    """`_swap` on wide states."""
-    return (w & 0x1FFF ^ 6 | ((w >> 13) & _THERM) << _WIDE_BA
-            | (w >> _WIDE_BA) << 13)
-
-
-@cache
-def _junctions() -> list:
-    """jt[a & _RIGHT | b & _LEFT] holds the wide maxab and maxba of the
-    runs across the junction of a word with state a followed by one with
-    state b, neither `full` (8,192 entries, built on the first search)."""
-    fields = range(ALT_CAP + 1)
-    wide = {(ab, ba): ((1 << ab) - 1) << 13 | ((1 << ba) - 1) << _WIDE_BA
-            for ab in fields for ba in fields}
-    jt = [0] * (1 << 13)
-    # bit 0, `full`, is clear in every index the search reads
-    for k in range(0, 1 << 13, 2):
-        if (k >> 1 ^ k >> 2) & 1:  # the letters at the junction differ
-            # k holds the left state's rc and rl and the right one's ll
-            ab, ba = _junction_runs(k, k)
-            jt[k] = jt[k | 1] = wide[min(max(ab, 0), ALT_CAP),
-                                     min(max(ba, 0), ALT_CAP)]
-    return jt
+    least `need`, for 1 <= need <= ALT_CAP), or None: the one with the
+    least maxba, then maxab, rl, ll, rc, lc and full."""
+    mask = 1 << (12 + need) | 1 << (_BA - 1 + need)
+    return min((s for s in states if s & mask == mask), default=None)
 
 
 # Bytes per phase-2 pair, counted over the pairs of both halves of every
 # level built below the last although only about half are stored: a
-# pair's wide int and set slot plus its share of the per-level groupings,
+# pair's int and set slot plus its share of the per-level groupings,
 # the last level's reach sets and the junction table.  The tracemalloc
 # peak of an uncapped search to level L in a fresh process (the table
-# built inside it), over level L - 1's counted pairs, is 85-183 bytes at
+# built inside it), over level L - 1's counted pairs, is 85-164 bytes at
 # L = 7..13 on CPython 3.11.7, so 256 over-counts and keeps the cap on the
-# safe side.  (At L = 6 it is 406 bytes, but the whole peak there is
-# 159 KB, under the least cap of 1 MiB.)
+# safe side.  (At L = 6 it is 392 bytes, but the whole peak there is
+# 154 KB, under the least cap of 1 MiB.)
 PAIR_BYTES = 256
 
 
-def _phase2_levels(level: int, comb: _Combiner,
-                   max_bytes: Optional[int] = None):
+def _phase2_levels(level: int, max_bytes: Optional[int] = None):
     """Sibling-consistent reachable states, yielded one level at a time.
 
     Tracks jointly reachable (left, right) state pairs of adjacent
-    vertices at each level, as wide pairs, and joins consecutive pairs on
+    vertices at each level, as pair ints, and joins consecutive pairs on
     their shared middle state.  Fully independent per-vertex propagation
     would combine parent states arising from incompatible orderings (an
     (ab)^j-rich block next to a (ba)^j-rich one) and could never exclude
@@ -437,9 +391,9 @@ def _phase2_levels(level: int, comb: _Combiner,
     what any single ordering can realize.
 
     Each pair's two children (one per bit at the child vertex) are
-    computed once, by the junction table when neither state is `full` and
-    by `comb` on the packed states otherwise, and grouped by the pair's
-    left and right state; the pairs at an interior position are then the
+    computed once, by `_combine` (written inline when neither state is
+    `full`), and grouped by the pair's left and right state; the pairs at
+    an interior position are then the
     union over middle states m of (children of pairs ending in m) x
     (children of pairs starting with m).  The last level's pairs would
     feed no later level, so they are never built: its reach sets are the
@@ -461,10 +415,9 @@ def _phase2_levels(level: int, comb: _Combiner,
     """
     yield 1, [{_SA}, {_SB}]
     jt = _junctions()
-    sa = _widen(_SA)
     # pairs[i] holds joint states of vertices (n-i, i) and (n-i-1, i+1), for
     # the positions i <= (n - 1) // 2 of level n; the rest are their mirrors
-    pairs = [{sa << _WIDE_BITS | _widen(_SB)}]
+    pairs = [{_SA << _BITS | _SB}]
     for n in range(1, level):
         half = n // 2  # level n + 1 is built at positions 0..half
         top = n + 1
@@ -473,13 +426,11 @@ def _phase2_levels(level: int, comb: _Combiner,
         for cur in pairs:
             left, right, union = defaultdict(set), defaultdict(set), set()
             for p in cur:
-                l, r = p >> _WIDE_BITS, p & _WIDE
+                l, r = p >> _BITS, p & _STATE
                 if (l | r) & 1:
-                    # a `full` word's ll or rl grows across the junction
-                    pl, pr = _narrow(l), _narrow(r)
-                    kids = (_widen(comb[pl << 24 | pr]),
-                            _widen(comb[pr << 24 | pl]))
+                    kids = _combine(l, r), _combine(r, l)
                 else:
+                    # `_combine` of two states that are not `full`
                     x, y = l & _LEFT | r & _RIGHT, l & _RIGHT | r & _LEFT
                     m = (l | r) & _MAXES
                     kids = x | m | jt[y], y | m | jt[x]
@@ -497,7 +448,7 @@ def _phase2_levels(level: int, comb: _Combiner,
             if n % 2 == 0:
                 # level n's pairs at position half, not stored, mirror
                 # those at half - 1
-                by_left.append({_swap_wide(m): {_swap_wide(s) for s in ks}
+                by_left.append({_swap(m): {_swap(s) for s in ks}
                                 for m, ks in by_right[half - 1].items()})
             # the middle positions hold the most pairs: build them first,
             # and drop each position's groupings once it is built
@@ -508,10 +459,9 @@ def _phase2_levels(level: int, comb: _Combiner,
                 for m, rs in by_right.pop(i - 1).items():
                     ls = left.get(m)
                     if ls is not None:
-                        cur.update([r << _WIDE_BITS | l for r in rs
-                                    for l in ls])
+                        cur.update([r << _BITS | l for r in rs for l in ls])
                 pairs.append(cur)
-            pairs.append({sa << _WIDE_BITS | c for c in children[0]})
+            pairs.append({_SA << _BITS | c for c in children[0]})
             pairs.reverse()
             if max_bytes is not None:
                 count = 2 * sum(map(len, pairs))
@@ -523,9 +473,9 @@ def _phase2_levels(level: int, comb: _Combiner,
                     raise ResourceCap(f"phase 2 pairs at level {top} hold "
                                       f"about {held} bytes, over the "
                                       f"{max_bytes}-byte cap")
-        # each row is narrowed to packed states; an odd n has a middle
-        # vertex, whose pair is its own mirror, so its children are σ-closed
-        row = [{_narrow(s) for s in kids} for kids in children[:half + n % 2]]
+        # an odd n has a middle vertex, whose pair is its own mirror, so its
+        # children are σ-closed
+        row = children[:half + n % 2]
         mirror = [{_swap(s) for s in kids} for kids in reversed(row[:half])]
         yield top, [{_SA}, *row, *mirror, {_SB}]
 
@@ -577,7 +527,7 @@ def alternation_exclusion(L: int, j: int,
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
     e_level = min(L, EXACT_LEVEL)
-    for n, row in _phase2_levels(L, _Combiner(ALT_CAP), max_bytes):
+    for n, row in _phase2_levels(L, max_bytes):
         least = _least_flagged(itertools.chain.from_iterable(row[1:n]), 2 * j)
         if least is not None:
             return ExclusionVerdict(j, e_level, L, n > e_level, False, n,

@@ -22,7 +22,7 @@ from adiclab.core import (A_STEP, B_STEP, BOTH_EXTREMAL, MIN, OrderingTable,
 from adiclab.errors import ColumnEnd, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, CDToken, ExclusionVerdict,
                                PeriodicEvidence, PeriodicReport,
-                               RunContextReport, _Combiner,
+                               RunContextReport, _combine,
                                _least_flagged, _pack, _phase2_levels,
                                _unpack, alt_state, small_subshift_orderings)
 
@@ -495,13 +495,20 @@ def orbit_coding_reference(xi, p, k, window):
 
 
 # Reference state combine: the packed-state concatenation rule written with
-# `max`/`min`, as one function of (a, b, cap).
+# `max`/`min`, as one function of (a, b, cap).  A packed state keeps maxab
+# and maxba as ALT_CAP-bit thermometers from bits 13 and 13 + ALT_CAP.
+
+def _reference_runs(s):
+    """(maxab, maxba) of packed state s: the length of each thermometer."""
+    ab, ba = (s >> 13) & ((1 << ALT_CAP) - 1), s >> (13 + ALT_CAP)
+    return bin(ab).count("1"), bin(ba).count("1")
+
 
 def combine_packed_reference(a, b, cap):
     """Packed state of u v from the packed states a of u and b of v."""
     ll, rl = (a >> 3) & 31, (b >> 8) & 31
-    maxab = max((a >> 13) & 31, (b >> 13) & 31)
-    maxba = max((a >> 18) & 31, (b >> 18) & 31)
+    (ab_a, ba_a), (ab_b, ba_b) = _reference_runs(a), _reference_runs(b)
+    maxab, maxba = max(ab_a, ab_b), max(ba_a, ba_b)
     full = 0
     if ((a >> 2) ^ (b >> 1)) & 1:
         suffix, prefix = (a >> 8) & 31, (b >> 3) & 31
@@ -514,7 +521,8 @@ def combine_packed_reference(a, b, cap):
             rl = min(suffix + rl, cap)
         full = a & b & 1
     return (full | a & 2 | b & 4 | ll << 3 | rl << 8
-            | min(maxab, cap) << 13 | min(maxba, cap) << 18)
+            | ((1 << min(maxab, cap)) - 1) << 13
+            | ((1 << min(maxba, cap)) - 1) << (13 + ALT_CAP))
 
 
 # Reference alternation searches: the plain loops over every bit pattern
@@ -525,7 +533,7 @@ def _reference_combiner(cap):
     memo = {}
 
     def comb(a, b):
-        key = a << 24 | b
+        key = a, b
         got = memo.get(key)
         if got is None:
             got = combine_packed_reference(a, b, cap)
@@ -537,7 +545,7 @@ def _reference_combiner(cap):
 
 
 def _reference_flagged(state, need):
-    return (state >> 13) & 31 >= need and (state >> 18) & 31 >= need
+    return min(_reference_runs(state)) >= need
 
 
 def phase1_reference(j, level, cap):
@@ -629,7 +637,7 @@ def phase2_reference(j, level, cap):
 # level.
 
 
-def exact_states_reference(level, comb):
+def exact_states_reference(level):
     """Yield (n, states) for n = 2..level: the packed states of the
     interior blocks of level n over every ordering, from the state vectors
     of every ordering, each interior vertex taking one state per bit."""
@@ -639,8 +647,8 @@ def exact_states_reference(level, comb):
         nxt, states = set(), set()
         for vec in vectors:
             ext = (sb,) + vec + (sa,)  # parents of x are ext[x - 1], ext[x]
-            zero = [comb[ext[x] << 24 | ext[x - 1]] for x in range(1, n)]
-            one = [comb[ext[x - 1] << 24 | ext[x]] for x in range(1, n)]
+            zero = [_combine(ext[x], ext[x - 1]) for x in range(1, n)]
+            one = [_combine(ext[x - 1], ext[x]) for x in range(1, n)]
             states.update(zero + one)
             if n == level:
                 continue
@@ -651,18 +659,18 @@ def exact_states_reference(level, comb):
         vectors = nxt
 
 
-def phase1_exact_reference(j, level, comb):
+def phase1_exact_reference(j, level):
     """(excluded, witness level, witness state), checking every state of
     every vector."""
     need = 2 * j
-    for n, states in exact_states_reference(level, comb):
+    for n, states in exact_states_reference(level):
         hits = [s for s in states if _reference_flagged(s, need)]
         if hits:
             return False, n, _unpack(min(hits))
     return True, level, None
 
 
-def phase2_reachable_reference(j, level, comb, max_bytes=None):
+def phase2_reachable_reference(j, level, max_bytes=None):
     """(excluded, reach, witness) with every position of every level built;
     ResourceCap once the pairs of a level below `level` hold more than
     `max_bytes` at 256 bytes a pair."""
@@ -676,7 +684,7 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
         for cur in pairs:
             left, right = {}, {}
             for a, b in cur:
-                kids = comb[a << 24 | b], comb[b << 24 | a]
+                kids = _combine(a, b), _combine(b, a)
                 left.setdefault(a, set()).update(kids)
                 right.setdefault(b, set()).update(kids)
             by_left.append(left)
@@ -718,12 +726,12 @@ def phase2_reachable_reference(j, level, comb, max_bytes=None):
     return witness is None, reach, witness
 
 
-def phase2_reachable(j, level, comb, max_bytes=None):
+def phase2_reachable(j, level, max_bytes=None):
     """(excluded, reach, witness) from every level `_phase2_levels` yields:
     reach maps each vertex to its packed states, and witness is None or
     the first flagged level with its least flagged state."""
     reach, witness = {}, None
-    for n, row in _phase2_levels(level, comb, max_bytes):
+    for n, row in _phase2_levels(level, max_bytes):
         reach.update(((n - y, y), states) for y, states in enumerate(row))
         if witness is None:
             least = _least_flagged(itertools.chain.from_iterable(row[1:n]),
@@ -736,10 +744,9 @@ def phase2_reachable(j, level, comb, max_bytes=None):
 def alternation_exclusion_reference(L, j, exact_level):
     """The verdict with both phases always run: phase 1 to
     min(L, exact_level), phase 2 to L, and phase 1's witness first."""
-    comb = _Combiner(ALT_CAP)
     e_level = min(L, exact_level)
-    exact_ok, wit_level, wit_state = phase1_exact_reference(j, e_level, comb)
-    dp_ok, _, dp_witness = phase2_reachable_reference(j, L, comb)
+    exact_ok, wit_level, wit_state = phase1_exact_reference(j, e_level)
+    dp_ok, _, dp_witness = phase2_reachable_reference(j, L)
     if exact_ok:
         wit_level, wit_state = dp_witness or (None, None)
     return ExclusionVerdict(j, e_level, L, exact_ok, dp_ok, wit_level,
@@ -748,7 +755,7 @@ def alternation_exclusion_reference(L, j, exact_level):
 
 def reachable_alt_states(L):
     """Phase-2 reachable sets as AltState tuples, for soundness probes."""
-    _, reach, _ = phase2_reachable(1, L, _Combiner(ALT_CAP))
+    _, reach, _ = phase2_reachable(1, L)
     return {v: {_unpack(s) for s in states} for v, states in reach.items()}
 
 

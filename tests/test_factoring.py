@@ -13,11 +13,10 @@ from adiclab.coding import basic_block, block_word_k, iter_restricted_blocks
 from adiclab.core import Vertex, binomial, explicit_ordering, seeded_ordering
 from adiclab.errors import AdiclabError, ParseError, ResourceCap
 from adiclab.factoring import (ALT_CAP, PAIR_BYTES, _LEFT, _MAXES, _RIGHT,
-                               CDToken, RunContextReport, _Combiner,
-                               _junctions, _narrow, _pack, _phase2_levels,
-                               _present_prefix, _scan_block_contexts, _swap,
-                               _swap_wide, _widen, alt_state,
-                               alternation_exclusion, combine_alt,
+                               CDToken, RunContextReport, _combine,
+                               _junctions, _pack, _present_prefix,
+                               _scan_block_contexts, _swap, _unpack,
+                               alt_state, alternation_exclusion, combine_alt,
                                decode_ordering, decompose_CD,
                                intersection_probe, periodic_exclusion,
                                run_context_report, small_subshift_orderings,
@@ -332,6 +331,23 @@ def test_alt_state_refuses_letters_other_than_a_and_b():
             call()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("maxab", 40, "maxab must be an int in 0..19"),
+    ("maxba", 20, "maxba must be an int in 0..19"),
+    ("ll", -1, "ll must be an int in 0..19"),
+    ("rl", 2.0, "rl must be an int in 0..19"),
+    ("full", 1, "full must be a bool"),
+    ("rc", "c", "alphabet must be {a, b}"),
+])
+def test_combine_alt_refuses_states_outside_its_domain(field, value, message):
+    # a packed field holds 0..ALT_CAP only: a longer run would spill into
+    # the next field, and another end letter would be read as a
+    state = alt_state("ab")._replace(**{field: value})
+    for s1, s2 in ((state, alt_state("a")), (alt_state("b"), state)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            combine_alt(s1, s2)
+
+
 def _alternating(first, length):
     return ((first + ("b" if first == "a" else "a")) * length)[:length]
 
@@ -348,24 +364,48 @@ def test_combine_alt_is_alt_state_of_concatenation(u, v):
     assert combine_alt(alt_state(u), alt_state(v)) == alt_state(u + v)
 
 
+def _thermometer(v):
+    return (1 << v) - 1
+
+
 @st.composite
-def _packed_pairs(draw):
-    """Two packed states with every field in 0..cap, and the cap."""
-    cap = draw(st.integers(3, 31))
-
-    def state():
-        fields = st.integers(0, cap)
-        return (draw(st.integers(0, 7)) | draw(fields) << 3
-                | draw(fields) << 8 | draw(fields) << 13 | draw(fields) << 18)
-
-    return state(), state(), cap
+def _packed_states(draw, flags=st.integers(0, 7)):
+    """A packed state with the low bits from `flags` (full, lc == b,
+    rc == b) and every run field in 0..ALT_CAP."""
+    fields = st.integers(0, ALT_CAP)
+    return (draw(flags) | draw(fields) << 3 | draw(fields) << 8
+            | _thermometer(draw(fields)) << 13
+            | _thermometer(draw(fields)) << (13 + ALT_CAP))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_packed_pairs())
-def test_combiner_matches_reference(pair):
-    a, b, cap = pair
-    assert _Combiner(cap)[a << 24 | b] == combine_packed_reference(a, b, cap)
+@given(_packed_states(), _packed_states())
+def test_combiner_matches_reference(a, b):
+    assert _combine(a, b) == combine_packed_reference(a, b, ALT_CAP)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_packed_states())
+def test_packed_states_round_trip(s):
+    state = _unpack(s)
+    assert _pack(state) == s
+    assert all(0 <= n <= ALT_CAP
+               for n in (state.ll, state.rl, state.maxab, state.maxba))
+
+
+def _order_key(state):
+    return (state.maxba, state.maxab, state.rl, state.ll, state.rc,
+            state.lc, state.full)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_packed_states(), _packed_states())
+def test_packed_states_order_as_their_fields(s, t):
+    # README's least witness is the least packed state: the one with the
+    # least maxba, then maxab, rl, ll, rc, lc and full
+    u, v = _unpack(s), _unpack(t)
+    assert (s < t) == (_order_key(u) < _order_key(v))
+    assert (s == t) == (u == v)
 
 
 def test_alt_state_of_extremal_alternation_blocks():
@@ -440,15 +480,14 @@ def test_phase1_matches_reference(j):
     # exact verdict against the loop over every bit pattern; j = 9 never
     # flags, so every vector set to level 6 is built
     for level in range(4, 8 if j < 9 else 7):
-        assert phase1_exact_reference(j, level, _Combiner(ALT_CAP)) == \
+        assert phase1_exact_reference(j, level) == \
             phase1_reference(j, level, ALT_CAP)
 
 
 @pytest.mark.parametrize("j", [1, 3, 9])
 def test_phase2_matches_reference(j):
     for level in range(1, 10):
-        excluded, reach, witness = phase2_reachable(j, level,
-                                                    _Combiner(ALT_CAP))
+        excluded, reach, witness = phase2_reachable(j, level)
         assert (excluded, reach) == phase2_reference(j, level, ALT_CAP)
         assert (witness is None) == excluded
 
@@ -490,58 +529,29 @@ def test_letter_swap_is_the_state_of_the_swapped_word(w):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_packed_pairs())
-def test_combiner_commutes_with_the_letter_swap(pair):
-    a, b, cap = pair
-    assert _Combiner(cap)[_swap(a) << 24 | _swap(b)] == \
-        _swap(combine_packed_reference(a, b, cap))
-
-
-@st.composite
-def _open_states(draw):
-    """A packed state that is not `full`, with every run field in
-    0..ALT_CAP and free end letters."""
-    fields = st.integers(0, ALT_CAP)
-    return (draw(st.integers(0, 3)) << 1 | draw(fields) << 3
-            | draw(fields) << 8 | draw(fields) << 13 | draw(fields) << 18)
+@given(_packed_states(), _packed_states())
+def test_combiner_commutes_with_the_letter_swap(a, b):
+    assert _combine(_swap(a), _swap(b)) == _swap(_combine(a, b)) == \
+        _swap(combine_packed_reference(a, b, ALT_CAP))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_open_states(), _open_states())
+@given(_packed_states(st.integers(0, 3).map(lambda f: f << 1)),
+       _packed_states(st.integers(0, 3).map(lambda f: f << 1)))
 def test_junction_table_combine_matches_reference(a, b):
-    # the search's combine of two wide states that are not `full`
+    # the search's inline combine of two states that are not `full`
     jt = _junctions()
     for u, v in ((a, b), (b, a)):
-        wu, wv = _widen(u), _widen(v)
-        got = (wu & _LEFT | wv & _RIGHT | (wu | wv) & _MAXES
-               | jt[wu & _RIGHT | wv & _LEFT])
-        assert _narrow(got) == combine_packed_reference(u, v, ALT_CAP)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_open_states(), st.booleans())
-def test_wide_states_round_trip_and_swap(s, full):
-    s |= full
-    assert _narrow(_widen(s)) == s
-    assert _narrow(_swap_wide(_widen(s))) == _swap(s)
-
-
-def test_search_combines_only_full_states_through_the_memo():
-    # every pair of two states that are not `full` combines through the
-    # junction table, so a level-10 search leaves only the few keys that
-    # hold a `full` state
-    comb = _Combiner(ALT_CAP)
-    for _ in _phase2_levels(10, comb):
-        pass
-    assert len(comb) <= 64
+        got = (u & _LEFT | v & _RIGHT | (u | v) & _MAXES
+               | jt[u & _RIGHT | v & _LEFT])
+        assert got == combine_packed_reference(u, v, ALT_CAP)
 
 
 @pytest.mark.parametrize("j", range(1, 10))
 def test_phases_match_their_full_level_references(j):
-    comb = _Combiner(ALT_CAP)
     for level in range(1, 12 if j == 9 else 11):
-        assert phase2_reachable(j, level, comb) == \
-            phase2_reachable_reference(j, level, comb)
+        assert phase2_reachable(j, level) == \
+            phase2_reachable_reference(j, level)
 
 
 @pytest.mark.parametrize("j", range(1, (ALT_CAP - 1) // 2 + 1))
@@ -568,25 +578,23 @@ _PAIR_COUNTS = [4, 13, 64, 392, 1794, 6813, 18440, 38673, 76256]
 def test_phase2_size_cap_matches_reference(level, count):
     # a search to level + 1 counts the pairs of the levels below it, so its
     # last counted level is `level`
-    comb = _Combiner(ALT_CAP)
     under = 256 * count - 1
     message = (f"phase 2 pairs at level {level} hold about {256 * count} "
                f"bytes, over the {under}-byte cap")
     for phase2 in (phase2_reachable, phase2_reachable_reference):
         with pytest.raises(ResourceCap) as caught:
-            phase2(9, level + 1, comb, under)
+            phase2(9, level + 1, under)
         assert str(caught.value) == message
-    phase2_reachable(9, level + 1, comb, 256 * count)  # fits exactly
-    assert phase2_reachable(9, level, comb, 256 * count) == \
-        phase2_reachable_reference(9, level, comb, 256 * count)
+    phase2_reachable(9, level + 1, 256 * count)  # fits exactly
+    assert phase2_reachable(9, level, 256 * count) == \
+        phase2_reachable_reference(9, level, 256 * count)
 
 
 def _phase2_traced_peak(level, max_bytes=None):
-    """The tracemalloc peak of phase 2 at j = 9 to `level`, from an empty
-    combine memo."""
+    """The tracemalloc peak of phase 2 at j = 9 to `level`."""
     tracemalloc.start()
     try:
-        phase2_reachable(9, level, _Combiner(ALT_CAP), max_bytes)
+        phase2_reachable(9, level, max_bytes)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -609,10 +617,9 @@ def test_phase2_cap_costs_no_memory():
 @pytest.mark.parametrize("j", range(1, 10))
 def test_phase2_cap_changes_no_output(j):
     # a cap the search fits under changes neither reach sets nor witness
-    comb = _Combiner(ALT_CAP)
     for level in range(1, 12):
-        assert phase2_reachable(j, level, comb) == \
-            phase2_reachable(j, level, comb, 2**40)
+        assert phase2_reachable(j, level) == \
+            phase2_reachable(j, level, 2**40)
 
 
 @pytest.mark.parametrize("j, level", enumerate([3, 4, 5, 5, 6, 6, 6, 6],
@@ -654,9 +661,8 @@ def test_phase2_contains_exact_states():
 def test_phase2_contains_phase1_states_at_every_level():
     # phase 2's exclusion implies the exact one because every state of
     # every ordering at a level lies in phase 2's reach sets of that level
-    comb = _Combiner(ALT_CAP)
-    _, reach, _ = phase2_reachable(9, 7, comb)
-    for n, states in exact_states_reference(7, comb):
+    _, reach, _ = phase2_reachable(9, 7)
+    for n, states in exact_states_reference(7):
         assert states <= set().union(*[reach[(n - y, y)]
                                         for y in range(1, n)])
 
