@@ -12,23 +12,24 @@ from typing import NamedTuple
 
 from .coding import CylSymbol
 from .core import (A_STEP, B_STEP, OrderingTable, PathPrefix, Vertex, _pivot,
-                   binomial, blake2b, check_seed, column_size, rank,
-                   seeded_ordering, unrank)
+                   _reversed, binomial, blake2b, check_seed, column_size,
+                   rank, seeded_ordering, unrank)
 from .errors import ColumnEnd, ResourceCap
 
 
 def successor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
     """The next-larger path to the same terminal vertex (rank + 1)."""
     steps = list(p.steps)
-    if not _pivot(xi, steps, 1):
+    if not _pivot(xi, steps):
         raise ColumnEnd(f"maximal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
 
 
 def predecessor(xi: OrderingTable, p: PathPrefix) -> PathPrefix:
-    """Inverse of `successor`; raises ColumnEnd at the column bottom."""
+    """Inverse of `successor`, as the successor of the reversed ordering;
+    raises ColumnEnd at the column bottom."""
     steps = list(p.steps)
-    if not _pivot(xi, steps, 0):
+    if not _pivot(_reversed(xi), steps):
         raise ColumnEnd(f"minimal path to {tuple(p.terminal)}")
     return PathPrefix(tuple(steps))
 
@@ -58,7 +59,7 @@ def orbit_coding(xi: OrderingTable, p: PathPrefix, k: int, window) -> tuple:
     out = []
     for t in range(t1 - t0 + 1):
         if t:
-            _pivot(xi, steps, 1)
+            _pivot(xi, steps)
         head = tuple(steps[:k])
         sym = symbols.get(head)
         if sym is None:

@@ -323,29 +323,48 @@ def make_ordering(spec) -> OrderingTable:
     raise ValueError(f"unknown ordering kind {kind!r}")
 
 
-def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
-    """The unique all-minimal (or all-maximal) path from the root to v."""
-    if which not in (MIN, MAX):
-        raise ValueError(f"which is {MIN!r} or {MAX!r}, not {which!r}")
-    return PathPrefix(tuple(extreme_steps(xi, v, 0 if which == MIN else 1)))
-
-
-def extreme_steps(xi: OrderingTable, v, side: int) -> list:
-    """Steps of `extreme_path` as a list; `side` is 0 for the minimal path
-    and 1 for the maximal one.
-
-    With b the bit at interior (x, y), the maximal step into (x, y) is b
-    and the minimal step 1 - b; from a boundary vertex the rest of the path
-    runs straight down its side.
-    """
+def _coordinates(v) -> tuple:
+    """(x, y) of v; a ValueError unless it is a pair of ints >= 0."""
     x, y = v
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"the vertex v is a pair of integers, not {v!r}")
     if x < 0 or y < 0:
         raise ValueError(f"no incoming edges at ({x}, {y})")
+    return x, y
+
+
+def _reversed(xi: OrderingTable) -> OrderingTable:
+    """xi with every bit flipped, so every column runs backwards and its
+    adic map is the inverse of xi's; it has no JSON form."""
+    lookup = xi._lookup
+    return OrderingTable(lambda x, y: 1 - lookup(x, y), None,
+                         f"reversed:{xi._fingerprint}")
+
+
+def extreme_path(xi: OrderingTable, v: Vertex, which: str) -> PathPrefix:
+    """The unique all-minimal (or all-maximal) path from the root to v; the
+    maximal path is the minimal one of the reversed ordering."""
+    if which not in (MIN, MAX):
+        raise ValueError(f"which is {MIN!r} or {MAX!r}, not {which!r}")
+    x, y = _coordinates(v)
+    return PathPrefix(_descend(xi if which == MIN else _reversed(xi), x, y, 0))
+
+
+def _descend(xi: OrderingTable, x: int, y: int, r: int) -> list:
+    """Steps of the rank-r path to (x, y), walked down to the root; r is
+    not checked.  The minimal step into interior (x, y) is 1 - its bit,
+    and from a boundary vertex the path runs straight down its side.
+    Once r is 0 every step is minimal, and no binomial is computed."""
     bit = xi._lookup
-    flip = 1 - side
+    comb = math.comb
     rev = []
     while x and y:
-        s = bit(x, y) ^ flip
+        s = 1 - bit(x, y)
+        if r:
+            below = comb(x + y - 1, x - 1 + s)  # via the minimal parent
+            if r >= below:
+                r -= below
+                s = 1 - s
         rev.append(s)
         if s == A_STEP:
             x -= 1
@@ -356,17 +375,13 @@ def extreme_steps(xi: OrderingTable, v, side: int) -> list:
     return rev
 
 
-def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
-    """Move `steps` in place to the next path (side 1) or the previous one
-    (side 0) to the same terminal vertex.
-
-    The lowest edge whose step into an interior vertex is not the maximal
-    (side 1) or minimal (side 0) one there, by the bit, is swapped for that
-    step, and the steps below it are refilled with the path extremal on the
-    other side.  A boundary vertex has one incoming edge, extremal on both
-    sides, so its edge never pivots.  Returns False, leaving `steps` as they
-    are, when no edge pivots.
-    """
+def _pivot(xi: OrderingTable, steps: list) -> bool:
+    """Move `steps` in place to the next path to the same terminal vertex
+    (on `_reversed(xi)`, xi's previous path): the lowest edge into an
+    interior vertex that is not the maximal one there, the bit's step, is
+    swapped for it, and the steps below are refilled with the minimal
+    path.  A boundary vertex has one incoming edge, so it never pivots.
+    Returns False, leaving `steps` as they are, when no edge pivots."""
     bit = xi._lookup
     x = y = 0
     for i, s in enumerate(steps):
@@ -374,12 +389,9 @@ def _pivot(xi: OrderingTable, steps: list, side: int) -> bool:
             x += 1
         else:
             y += 1
-        # `side`'s own step into (x, y) is b ^ 1 ^ side, so s differs
-        # from it iff s ^ b == side
-        if x and y and s ^ bit(x, y) == side:
-            t = 1 - s
-            steps[i] = t
-            steps[:i] = extreme_steps(xi, (x - 1 + t, y - t), 1 - side)
+        if x and y and s != bit(x, y):
+            steps[i] = 1 - s
+            steps[:i] = _descend(xi, x - s, y - 1 + s, 0)
             return True
     return False
 
@@ -394,6 +406,8 @@ def minimal_continuation(xi: OrderingTable, p: PathPrefix, level: int) -> PathPr
     is minimal the b step is taken anyway.  The choice only has to be
     deterministic.
     """
+    if type(level) is not int:
+        raise ValueError(f"the level is an integer, not {level!r}")
     if level < len(p.steps):
         raise ValueError(f"level {level} is below the path length")
     bit = xi._lookup
@@ -433,27 +447,10 @@ def rank(xi: OrderingTable, p: PathPrefix) -> int:
 
 def unrank(xi: OrderingTable, v: Vertex, r: int) -> PathPrefix:
     """The rank-r path to v; inverse of `rank` on the column of v."""
-    v = Vertex(*v)
-    total = column_size(v)
+    x, y = _coordinates(v)
+    if type(r) is not int:
+        raise ValueError(f"the rank r is an integer, not {r!r}")
+    total = binomial(x + y, x)
     if not 0 <= r < total:
-        raise ValueError(f"rank {r} not in [0, {total}) at {tuple(v)}")
-    bit = xi._lookup
-    comb = math.comb
-    x, y = v
-    rev = []
-    while x and y:
-        b = bit(x, y)
-        below = comb(x + y - 1, x - b)  # paths through the minimal parent
-        if r < below:
-            s = 1 - b
-        else:
-            r -= below
-            s = b
-        rev.append(s)
-        if s == A_STEP:
-            x -= 1
-        else:
-            y -= 1
-    rev += [A_STEP] * x + [B_STEP] * y  # one of x, y is 0 here
-    rev.reverse()
-    return PathPrefix(tuple(rev))
+        raise ValueError(f"rank {r} not in [0, {total}) at {(x, y)}")
+    return PathPrefix(_descend(xi, x, y, r))

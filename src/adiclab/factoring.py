@@ -374,8 +374,8 @@ def _least_flagged(states, need: int) -> Optional[int]:
 # peak of an uncapped search to level L in a fresh process (the table
 # built inside it), over level L - 1's counted pairs, is 85-164 bytes at
 # L = 7..13 on CPython 3.11.7, so 256 over-counts and keeps the cap on the
-# safe side.  (At L = 6 it is 392 bytes, but the whole peak there is
-# 154 KB, under the least cap of 1 MiB.)
+# safe side.  At L = 6 it is 392 bytes of a 154 KB peak, under the least
+# cap of 1 MiB that `alternation_exclusion` takes.
 PAIR_BYTES = 256
 
 
@@ -513,16 +513,16 @@ def alternation_exclusion(L: int, j: int,
     lies above that level, since a first flag at or below EXACT_LEVEL is
     realized, with the same least state, by a block of some ordering (a
     finite fact over j <= 9 that the tests check against an enumeration
-    of every ordering).  `max_bytes` caps the search's pair sets
-    (ResourceCap); a flagged search builds and counts them only up to its
-    first flagged level.
+    of every ordering).  `max_bytes`, at least 1 MiB as the CLI's least
+    --max-mem, caps the search's pair sets (ResourceCap); a flagged search
+    builds and counts them only up to its first flagged level.
     """
     if L < 1:
         raise ValueError("L >= 1")
     if j < 1:
         raise ValueError("j >= 1")
-    if max_bytes is not None and max_bytes < 0:
-        raise ValueError("max_bytes >= 0")
+    if max_bytes is not None and max_bytes < 1 << 20:
+        raise ValueError(f"max_bytes >= 1048576 (1 MiB), not {max_bytes}")
     if 2 * j + 1 > ALT_CAP:
         raise ResourceCap(f"2j+1 = {2 * j + 1} exceeds saturation cap "
                           f"{ALT_CAP}; the largest j is {(ALT_CAP - 1) // 2}")
@@ -654,12 +654,13 @@ class PeriodicEvidence(NamedTuple):
 
     @property
     def absent_window(self) -> Optional[str]:
-        """The window found absent, rebuilt from its word, offset and
-        length; None when the case is inconclusive."""
+        """The shortest absent window, its first `minimal_absent_length`
+        letters, built from its word and offset; None when the case is
+        inconclusive."""
         if not self.excluded:
             return None
         return _periodic_window(self.period_word, self.offset,
-                                self.window_length)
+                                self.minimal_absent_length)
 
 
 class PeriodicReport(NamedTuple):
@@ -703,9 +704,9 @@ def periodic_exclusion(xi: OrderingTable, p: int, L: int) -> PeriodicReport:
     to level L is desk-scale evidence that w^infinity does not embed;
     when every offset of the window occurs the case is reported
     INCONCLUSIVE (not `excluded`).  A case keeps no window text: an
-    excluded case rebuilds its absent window from its word, offset and
-    length (`PeriodicEvidence.absent_window`).  A case is vacuous when its
-    window is longer than every level-L block.
+    excluded case builds its shortest absent window from its word, offset
+    and minimal absent length (`PeriodicEvidence.absent_window`).  A case
+    is vacuous when its window is longer than every level-L block.
 
     Each block is a parent, hence a factor, of a block one level up, so
     only the level-L blocks are searched.  The minimal

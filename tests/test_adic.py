@@ -15,7 +15,8 @@ from adiclab.adic import (KINK_CASES, KinkCase, binom_mod, kink_classify,
 from adiclab.coding import CylSymbol, basic_block, basic_block_k
 from adiclab.core import (MAX, MIN, PathPrefix, Vertex, binomial, column_size,
                           constant_ordering, explicit_ordering, extreme_path,
-                          minimal_continuation, rank, seeded_ordering, unrank)
+                          minimal_continuation, rank, rule_ordering,
+                          seeded_ordering, unrank)
 from adiclab.errors import ColumnEnd
 
 from conftest import (all_paths, extreme_path_reference,
@@ -313,6 +314,20 @@ def test_minimal_continuation_matches_reference(xi, steps, level):
     p = PathPrefix(tuple(steps))
     assert _failure(minimal_continuation, xi, p, level) == \
         _failure(minimal_continuation_reference, xi, p, level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       steps=st.lists(st.integers(0, 1), max_size=12))
+def test_flipping_every_bit_reverses_every_column(seed, steps):
+    # the walks reach maximal paths and predecessors through this symmetry
+    xi = seeded_ordering(seed)
+    flipped = rule_ordering(lambda x, y: 1 - xi.bit(x, y), "flipped")
+    p = PathPrefix(tuple(steps))
+    v = p.terminal
+    assert rank(flipped, p) == column_size(v) - 1 - rank(xi, p)
+    assert extreme_path(xi, v, MAX) == extreme_path(flipped, v, MIN)
+    assert _outcome(predecessor, xi, p) == _outcome(successor, flipped, p)
 
 
 def _failure(fn, *args):

@@ -285,6 +285,14 @@ def test_flagged_alternation_counts_pairs_to_its_first_flag(capsys):
     assert json.loads(out)["verdict"] == "NOT-EXCLUDED"
 
 
+def test_alternation_at_the_least_cap_is_honoured(capsys):
+    # 1 MiB is the library's least cap too, so the search runs under it
+    code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "9",
+                             "--max-mem", "1"])
+    assert code == 0
+    assert '"verdict": "EXCLUDED"' in out
+
+
 def test_alternation_witness_keys(capsys):
     code, out = run(capsys, ["alternation", "--max-level", "6", "--j", "3"])
     doc = json.loads(out)

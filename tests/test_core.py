@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from adiclab.core import (BOTH_EXTREMAL, MAX, MIN, PathPrefix, Vertex, binomial,
                           column_size, constant_ordering, explicit_ordering,
-                          extreme_path, make_ordering, rank, seeded_ordering,
-                          tree_embedding_ordering, unrank)
+                          extreme_path, make_ordering, minimal_continuation,
+                          rank, seeded_ordering, tree_embedding_ordering,
+                          unrank)
 from adiclab.errors import InputError
 from adiclab.factoring import small_subshift_orderings
 
@@ -274,6 +275,29 @@ def test_unrank_bounds():
         unrank(xi, v, column_size(v))
     with pytest.raises(ValueError, match=r"^rank -1 not in \[0, 10\) at \(3, 2\)$"):
         unrank(xi, v, -1)
+
+
+_XI7 = seeded_ordering(7)
+_NON_INTEGER = [
+    ("unrank-r", lambda v: unrank(_XI7, Vertex(3, 2), v), "r",
+     [2.5, 9.99, True, "2"]),
+    ("unrank-v", lambda v: unrank(_XI7, (v, 2), 0), "v", [3.0, True]),
+    ("extreme_path-v", lambda v: extreme_path(_XI7, (v, 1), MIN), "v",
+     [2.5, "1", False]),
+    ("minimal_continuation-level",
+     lambda v: minimal_continuation(_XI7, PathPrefix((0, 1)), v), "level",
+     [4.5, True, "5"]),
+]
+
+
+@pytest.mark.parametrize("call, value, name", [
+    pytest.param(call, value, name, id=f"{fn}-{value!r}")
+    for fn, call, name, values in _NON_INTEGER for value in values])
+def test_walks_refuse_non_integer_arguments(call, value, name):
+    # a float, a string or a bool is refused, as `explicit_ordering` does,
+    # not read as the int it truncates to or equals
+    with pytest.raises(ValueError, match=rf"(?<!\w){name}(?!\w)"):
+        call(value)
 
 
 def test_order_totality_small():

@@ -87,8 +87,8 @@ DOMAIN = [
      lambda v: al.alternation_exclusion(v, 2), "L"),
     ("alternation_exclusion", "j", 1,
      lambda v: al.alternation_exclusion(4, v), "j"),
-    # a 0-byte cap is valid, and only a search that stores no pairs fits
-    ("alternation_exclusion", "max_bytes", 0,
+    # the least cap is the CLI's least --max-mem, 1 MiB
+    ("alternation_exclusion", "max_bytes", 1 << 20,
      lambda v: al.alternation_exclusion(2, 2, max_bytes=v), "max_bytes"),
     ("intersection_probe", "n", 1,
      lambda v: al.intersection_probe(_XI, _XI, v, 4), "n"),
